@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from .catalog import SPORADIC, find_entry
 from .constructions import (
@@ -47,6 +47,7 @@ from .poset import (
 from .roots import FAMILY_RANK_RANGE, layer as build_layer
 from .verify import (
     CheckResult,
+    _fraction_str,
     check_constant_average,
     verify_catalog_entry,
     verify_grid,
@@ -204,25 +205,8 @@ class RunResult:
             "elapsed_ms": self.elapsed_ms,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunResult":
-        return cls(
-            command=data["command"],
-            poset=data.get("poset"),
-            n_elements=data.get("n_elements"),
-            max_rank=data.get("max_rank"),
-            orbits=list(data.get("orbits") or []),
-            checks=list(data.get("checks") or []),
-            witnesses=list(data.get("witnesses") or []),
-            elapsed_ms=data.get("elapsed_ms"),
-        )
 
-
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _orbit_dicts(reports: list[OrbitReport]) -> list[dict]:
+def _orbit_dicts(reports: Sequence[OrbitReport]) -> list[dict]:
     return [
         {
             "orbit_id": k,
@@ -290,7 +274,7 @@ def _emit(result: RunResult, args) -> int:
     return 0 if all(c["passed"] for c in result.checks) else 1
 
 
-def _add_common(sub, timing: bool = True):
+def _add_common(sub):
     sub.add_argument("--format", choices=("table", "json", "csv"),
                      default="table")
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
@@ -298,8 +282,6 @@ def _add_common(sub, timing: bool = True):
     sub.add_argument("--budget", action="store_true",
                      help="honor --cap beyond the default safety clamp")
     sub.add_argument("--no-timing", action="store_true")
-    sub.add_argument("--threads", type=int,
-                     default=int(os.environ.get("THREADS", "1") or "1"))
 
 
 def _positive(text: str) -> int:
@@ -400,15 +382,13 @@ def _cmd_orbits(args) -> int:
         mask = _parse_seed(poset, args.seed_ideal)
         reports = [OrbitReport.from_seed_mask(poset, mask, cap)]
     else:
-        reports = orbit_reports(poset, cap, args.threads)
+        reports = orbit_reports(poset, cap)
     result.orbits = _orbit_dicts(reports)
     return _finish(result, args)
 
 
 def _cmd_verify_grid(args) -> int:
-    poset, reports, checks = verify_grid(
-        args.m, args.n, _entry_cap(args), args.threads
-    )
+    poset, reports, checks = verify_grid(args.m, args.n, _entry_cap(args))
     result = _poset_result(
         "verify-grid", f"prod(chain({args.m}),chain({args.n}))", poset
     )
@@ -433,7 +413,7 @@ def _cmd_verify_grid(args) -> int:
 
 def _cmd_verify_k(args) -> int:
     poset, reports, checks = verify_k_product(
-        args.m, args.n, _entry_cap(args), args.threads
+        args.m, args.n, _entry_cap(args)
     )
     result = _poset_result(
         "verify-k", f"prod(chain({args.m}),k({args.n - 1}))", poset
@@ -466,7 +446,7 @@ def _cmd_verify_delta1(args) -> int:
             result.max_rank = poset.max_rank
             expected = Fraction(poset.n_elements, poset.max_rank + 1)
             check, reports = check_constant_average(
-                poset, expected, cap, args.threads,
+                poset, expected, cap,
                 f"orbit averages constant [{to_text(expr)}]",
             )
             result.orbits = _orbit_dicts(reports)
@@ -474,9 +454,7 @@ def _cmd_verify_delta1(args) -> int:
             return _finish(result, args)
     for entry in targets:
         try:
-            _, _, entry_checks = verify_catalog_entry(
-                entry, cap, args.threads
-            )
+            _, _, entry_checks = verify_catalog_entry(entry, cap)
         except CapExceeded:
             witnesses.append(
                 {"entry": entry.name, "status": "skipped",
@@ -514,10 +492,10 @@ def _cmd_conjectures(args) -> int:
     for root_layer, name in targets:
         try:
             ideals_report = check_conjecture_ideals(
-                root_layer, cap, args.threads, name
+                root_layer, cap, name
             )
             antichains_report = check_conjecture_antichains(
-                root_layer, cap, args.threads, name
+                root_layer, cap, name
             )
         except CapExceeded:
             witnesses.append(
@@ -634,8 +612,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.start_time = time.monotonic()
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     try:
         return COMMANDS[args.command](args)
     except ExprParseError as exc:
@@ -647,3 +623,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, NotGraded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,88 +6,47 @@ Everything is exact; averages are fractions and comparisons are equalities.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .poset import (
-    DEFAULT_CAP,
-    OrbitReport,
-    Poset,
-    all_orbits,
-    bits_of,
-    ideal_masks,
-)
+from .poset import DEFAULT_CAP, OrbitReport, Poset, all_orbits, bits_of
 from .roots import RootLayer
 
-
-def orbit_reports(
-    poset: Poset, cap: int = DEFAULT_CAP, threads: int | None = None
-) -> list[OrbitReport]:
-    """All orbits; with threads > 1 the walks run concurrently and are
-    deduplicated by their smallest mask, so the result is identical to the
-    serial order."""
-    if not threads or threads <= 1:
-        return all_orbits(poset, cap)
-    masks = list(ideal_masks(poset, cap))
-    position = {mask: k for k, mask in enumerate(masks)}
-    seen: set[int] = set()
-    lock_free_reports: dict[int, OrbitReport] = {}
-
-    def walk(mask: int):
-        if mask in seen:
-            return None
-        cycle = [mask]
-        cur = poset.rowmotion_ideal_mask(mask)
-        while cur != mask:
-            cycle.append(cur)
-            cur = poset.rowmotion_ideal_mask(cur)
-        anchor = min(cycle, key=position.__getitem__)
-        return anchor, cycle
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for result in pool.map(walk, masks):
-            if result is None:
-                continue
-            anchor, cycle = result
-            if anchor in lock_free_reports:
-                continue
-            seen.update(cycle)
-            lock_free_reports[anchor] = OrbitReport.from_seed_mask(
-                poset, anchor
-            )
-    ordered = sorted(lock_free_reports, key=position.__getitem__)
-    return [lock_free_reports[a] for a in ordered]
+# all_orbits under the name this module exports and its checkers call
+orbit_reports = all_orbits
 
 
 @dataclass(frozen=True)
 class AverageReport:
     """Outcome of checking that every orbit has the same average antichain
-    size."""
+    size, with the orbits walked; failures pairs orbit indices with their
+    averages."""
 
     expected: Fraction
     n_orbits: int
     passed: bool
     failures: tuple[tuple[int, Fraction], ...]
+    orbits: tuple[OrbitReport, ...]
 
 
 def verify_constant_average(
     poset: Poset,
     expected: Fraction | None = None,
     cap: int = DEFAULT_CAP,
-    threads: int | None = None,
 ) -> AverageReport:
     """Check every orbit average equals expected; default expectation is
     n_elements / (max_rank + 1)."""
     if expected is None:
         expected = Fraction(poset.n_elements, poset.max_rank + 1)
-    reports = orbit_reports(poset, cap, threads)
+    reports = tuple(orbit_reports(poset, cap))
     failures = tuple(
         (k, r.average_size)
         for k, r in enumerate(reports)
         if r.average_size != expected
     )
-    return AverageReport(expected, len(reports), not failures, failures)
+    return AverageReport(expected, len(reports), not failures, failures,
+                         reports)
 
 
 @dataclass(frozen=True)
@@ -105,10 +64,10 @@ def occurrence_counts(poset: Poset, orbit: OrbitReport) -> OccurrenceTable:
     n = poset.n_elements
     ideal_counts = [0] * n
     antichain_counts = [0] * n
-    for ideal in orbit.ideals:
-        for p in bits_of(ideal.mask):
+    for mask in orbit.masks:
+        for p in bits_of(mask):
             ideal_counts[p] += 1
-        for p in bits_of(poset.maxima_mask(ideal.mask)):
+        for p in bits_of(poset.maxima_mask(mask)):
             antichain_counts[p] += 1
     return OccurrenceTable(
         orbit.length, tuple(ideal_counts), tuple(antichain_counts)
@@ -147,56 +106,23 @@ class ConjectureReport:
     witnesses: tuple[Witness, ...]
 
 
-def check_conjecture_ideals(
+def _check_pairs(
     root_layer: RootLayer,
-    cap: int = DEFAULT_CAP,
-    threads: int | None = None,
-    name: str = "",
+    cap: int,
+    name: str,
+    counts: Callable[[OccurrenceTable, int, int], tuple[int, int]],
+    identity: str,
 ) -> ConjectureReport:
-    """In every orbit, an element and its involution partner together appear
-    in as many ideals as the orbit is long."""
+    """Witness every orbit and element p where counts(table, p, star[p])
+    gives two different numbers."""
     poset = root_layer.poset
     star = root_layer.star
-    reports = orbit_reports(poset, cap, threads)
+    reports = orbit_reports(poset, cap)
     witnesses = []
     for k, orbit in enumerate(reports):
         table = occurrence_counts(poset, orbit)
         for p in range(poset.n_elements):
-            lhs = table.ideal_counts[p] + table.ideal_counts[star[p]]
-            if lhs != orbit.length:
-                witnesses.append(
-                    Witness(
-                        k,
-                        orbit.ideals[0].bit_string(),
-                        poset.labels[p],
-                        poset.labels[star[p]],
-                        lhs,
-                        orbit.length,
-                        "ideal occurrences of element plus partner",
-                    )
-                )
-    return ConjectureReport(
-        name or root_layer.name, len(reports), not witnesses, tuple(witnesses)
-    )
-
-
-def check_conjecture_antichains(
-    root_layer: RootLayer,
-    cap: int = DEFAULT_CAP,
-    threads: int | None = None,
-    name: str = "",
-) -> ConjectureReport:
-    """In every orbit, an element and its involution partner appear in equally
-    many of the orbit's antichains."""
-    poset = root_layer.poset
-    star = root_layer.star
-    reports = orbit_reports(poset, cap, threads)
-    witnesses = []
-    for k, orbit in enumerate(reports):
-        table = occurrence_counts(poset, orbit)
-        for p in range(poset.n_elements):
-            lhs = table.antichain_counts[p]
-            rhs = table.antichain_counts[star[p]]
+            lhs, rhs = counts(table, p, star[p])
             if lhs != rhs:
                 witnesses.append(
                     Witness(
@@ -206,9 +132,38 @@ def check_conjecture_antichains(
                         poset.labels[star[p]],
                         lhs,
                         rhs,
-                        "antichain occurrences of element versus partner",
+                        identity,
                     )
                 )
     return ConjectureReport(
         name or root_layer.name, len(reports), not witnesses, tuple(witnesses)
+    )
+
+
+def check_conjecture_ideals(
+    root_layer: RootLayer,
+    cap: int = DEFAULT_CAP,
+    name: str = "",
+) -> ConjectureReport:
+    """In every orbit, an element and its involution partner together appear
+    in as many ideals as the orbit is long."""
+    return _check_pairs(
+        root_layer, cap, name,
+        lambda t, p, q: (t.ideal_counts[p] + t.ideal_counts[q],
+                         t.orbit_length),
+        "ideal occurrences of element plus partner",
+    )
+
+
+def check_conjecture_antichains(
+    root_layer: RootLayer,
+    cap: int = DEFAULT_CAP,
+    name: str = "",
+) -> ConjectureReport:
+    """In every orbit, an element and its involution partner appear in equally
+    many of the orbit's antichains."""
+    return _check_pairs(
+        root_layer, cap, name,
+        lambda t, p, q: (t.antichain_counts[p], t.antichain_counts[q]),
+        "antichain occurrences of element versus partner",
     )

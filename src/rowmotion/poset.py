@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CAP = 10**7
@@ -297,13 +298,21 @@ def rowmotion_ideal(ideal: IdealSet) -> IdealSet:
 
 @dataclass(frozen=True)
 class OrbitReport:
-    """One rowmotion orbit with its antichain-size statistics."""
+    """One rowmotion orbit with its antichain-size statistics.
+
+    The orbit is held as ideal masks, starting at the seed; ideals wraps
+    them as validated IdealSets on first read.
+    """
 
     poset: Poset
     length: int
-    ideals: tuple[IdealSet, ...]
+    masks: tuple[int, ...]
     antichain_sizes: tuple[int, ...]
     average_size: Fraction
+
+    @cached_property
+    def ideals(self) -> tuple[IdealSet, ...]:
+        return tuple(IdealSet(self.poset, m) for m in self.masks)
 
     @classmethod
     def from_seed_mask(
@@ -321,7 +330,7 @@ class OrbitReport:
         return cls(
             poset=poset,
             length=len(masks),
-            ideals=tuple(IdealSet(poset, m) for m in masks),
+            masks=tuple(masks),
             antichain_sizes=sizes,
             average_size=Fraction(sum(sizes), len(masks)),
         )
@@ -374,8 +383,7 @@ def all_orbits(poset: Poset, cap: int = DEFAULT_CAP) -> list[OrbitReport]:
         if mask in seen:
             continue
         report = OrbitReport.from_seed_mask(poset, mask, cap)
-        for ideal in report.ideals:
-            seen.add(ideal.mask)
+        seen.update(report.masks)
         orbits.append(report)
     return orbits
 

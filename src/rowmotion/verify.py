@@ -14,9 +14,16 @@ from math import gcd, lcm
 
 from .catalog import CatalogEntry, classical_layer_expr, entry_expr_poset
 from .constructions import build, grid_poset, k_product_poset
-from .homomesy import orbit_reports
+from .homomesy import verify_constant_average
 from .isomorphism import are_isomorphic
-from .poset import DEFAULT_CAP, IdealSet, Poset, ideal_masks, rowmotion_ideal
+from .poset import (
+    DEFAULT_CAP,
+    IdealSet,
+    OrbitReport,
+    Poset,
+    ideal_masks,
+    rowmotion_ideal,
+)
 from .roots import layer as build_layer
 from .words import (
     count_10,
@@ -68,31 +75,30 @@ def check_constant_average(
     poset: Poset,
     expected: Fraction,
     cap: int = DEFAULT_CAP,
-    threads: int | None = None,
     label: str = "orbit averages constant",
-):
-    reports = orbit_reports(poset, cap, threads)
+) -> tuple[CheckResult, tuple[OrbitReport, ...]]:
+    """verify_constant_average as a named check, with the orbits walked."""
+    report = verify_constant_average(poset, expected, cap)
     failures = [
-        f"orbit {k} (length {r.length}) averages {_fraction_str(r.average_size)}"
-        for k, r in enumerate(reports)
-        if r.average_size != expected
+        f"orbit {k} (length {report.orbits[k].length}) averages "
+        f"{_fraction_str(average)}"
+        for k, average in report.failures
     ]
-    note = f"{len(reports)} orbits, every average {_fraction_str(expected)}"
-    return _result(label, failures, note), reports
+    note = f"{report.n_orbits} orbits, every average {_fraction_str(expected)}"
+    return _result(label, failures, note), report.orbits
 
 
 def verify_grid(
     m: int,
     n: int,
     cap: int = DEFAULT_CAP,
-    threads: int | None = None,
-) -> tuple[Poset, list, list[CheckResult]]:
+) -> tuple[Poset, tuple[OrbitReport, ...], list[CheckResult]]:
     poset = grid_poset(m, n)
     period = m + n
     checks: list[CheckResult] = []
 
     avg_check, reports = check_constant_average(
-        poset, Fraction(m * n, m + n), cap, threads,
+        poset, Fraction(m * n, m + n), cap,
         "orbit averages equal mn/(m+n)",
     )
     checks.append(avg_check)
@@ -205,14 +211,13 @@ def verify_k_product(
     m: int,
     n: int,
     cap: int = DEFAULT_CAP,
-    threads: int | None = None,
-) -> tuple[Poset, list, list[CheckResult]]:
+) -> tuple[Poset, tuple[OrbitReport, ...], list[CheckResult]]:
     poset = k_product_poset(m, n)
     period = m + 2 * n - 1
     checks: list[CheckResult] = []
 
     avg_check, reports = check_constant_average(
-        poset, Fraction(2 * m * n, period), cap, threads,
+        poset, Fraction(2 * m * n, period), cap,
         "orbit averages equal 2mn/(m+2n-1)",
     )
     checks.append(avg_check)
@@ -350,14 +355,13 @@ def verify_k_product(
 def verify_catalog_entry(
     entry: CatalogEntry,
     cap: int = DEFAULT_CAP,
-    threads: int | None = None,
-) -> tuple[Poset, list, list[CheckResult]]:
+) -> tuple[Poset, tuple[OrbitReport, ...], list[CheckResult]]:
     root_layer = entry.realize_layer()
     poset = root_layer.poset
     checks: list[CheckResult] = []
     expected = Fraction(poset.n_elements, poset.max_rank + 1)
     avg_check, reports = check_constant_average(
-        poset, expected, cap, threads,
+        poset, expected, cap,
         f"orbit averages constant [{entry.name}]",
     )
     checks.append(avg_check)
@@ -391,15 +395,14 @@ def verify_classical_layer(
     rank: int,
     pivot: int,
     cap: int = DEFAULT_CAP,
-    threads: int | None = None,
-) -> tuple[Poset, list, list[CheckResult]]:
+) -> tuple[Poset, tuple[OrbitReport, ...], list[CheckResult]]:
     root_layer = build_layer(family, rank, pivot)
     poset = root_layer.poset
     name = root_layer.name
     checks: list[CheckResult] = []
     expected = Fraction(poset.n_elements, poset.max_rank + 1)
     avg_check, reports = check_constant_average(
-        poset, expected, cap, threads, f"orbit averages constant [{name}]"
+        poset, expected, cap, f"orbit averages constant [{name}]"
     )
     checks.append(avg_check)
     expr = classical_layer_expr(family, rank, pivot)

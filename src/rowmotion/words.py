@@ -170,8 +170,10 @@ class SizeProfile:
     """Per-step antichain-size increments along a word's orbit.
 
     p_values[i-1] is the gain at step i (0 or 1), q_values[i-1] the loss
-    (0 or -1), for i in 1..m+n.  For words starting with 0 and ending with 1,
-    the four index sets of the block form are also recorded.
+    (0 or -1), for i in 1..m+n.  source names the rule that produced them:
+    "block-sets" for words starting with 0 and ending with 1, which also
+    record the four index sets of the block form, and "marked-sequence"
+    for every other word.
     """
 
     m: int
@@ -208,47 +210,45 @@ def _dash_after_flags(long_one: str) -> list[bool]:
 
 
 def size_profile(word: str) -> SizeProfile:
+    """The P/Q profile of a word, by one rule: the block sets for words that
+    start with 0 and end with 1, the dashes of the marked ones sequence for
+    every other word."""
     m, n = word.count("0"), word.count("1")
-    _, long_one = long_sequences(word)
-    dash = _dash_after_flags(long_one.symbols)
-    p_vals = tuple(int(dash[n + i - 1]) for i in range(1, m + n + 1))
-    q_vals = tuple(-int(dash[i - 1]) for i in range(1, m + n + 1))
+    if not (word.startswith("0") and word.endswith("1")):
+        _, long_one = long_sequences(word)
+        dash = _dash_after_flags(long_one.symbols)
+        p_vals = tuple(int(dash[n + i - 1]) for i in range(1, m + n + 1))
+        q_vals = tuple(-int(dash[i - 1]) for i in range(1, m + n + 1))
+        return SizeProfile(m, n, p_vals, q_vals, None,
+                           None, None, None, None, "marked-sequence")
 
-    if word.startswith("0") and word.endswith("1"):
-        zero_runs = [len(list(g)) for ch, g in groupby(word) if ch == "0"]
-        one_runs = [len(list(g)) for ch, g in groupby(word) if ch == "1"]
-        k = len(zero_runs)
-        a = []
-        total = 0
-        for z in zero_runs:
-            total += z
-            a.append(total)
-        b = []
-        total = 0
-        for o in reversed(one_runs):
-            total += o
-            b.append(total)
-        set_a = frozenset(x + 1 for x in a)
-        set_b = frozenset(m + 1 + b[i] for i in range(k - 1))
-        set_c = frozenset(b[i] + 1 for i in range(k))
-        set_d = frozenset(n + 1 + a[i] for i in range(k - 1))
-        p_from_sets = tuple(
-            int(i in set_b or (i <= m + 1 and i not in set_a))
-            for i in range(1, m + n + 1)
-        )
-        q_from_sets = tuple(
-            -int(i in set_c or (n + 2 <= i <= n + m and i not in set_d))
-            for i in range(1, m + n + 1)
-        )
-        if p_from_sets != p_vals or q_from_sets != q_vals:
-            raise RuntimeError(
-                "size profile internal mismatch between the block-set rule "
-                f"and the marked sequence for {word!r}"
-            )
-        return SizeProfile(m, n, p_from_sets, q_from_sets, k,
-                           set_a, set_b, set_c, set_d, "block-sets")
-    return SizeProfile(m, n, p_vals, q_vals, None,
-                       None, None, None, None, "marked-sequence")
+    zero_runs = [len(list(g)) for ch, g in groupby(word) if ch == "0"]
+    one_runs = [len(list(g)) for ch, g in groupby(word) if ch == "1"]
+    k = len(zero_runs)
+    a = []
+    total = 0
+    for z in zero_runs:
+        total += z
+        a.append(total)
+    b = []
+    total = 0
+    for o in reversed(one_runs):
+        total += o
+        b.append(total)
+    set_a = frozenset(x + 1 for x in a)
+    set_b = frozenset(m + 1 + b[i] for i in range(k - 1))
+    set_c = frozenset(b[i] + 1 for i in range(k))
+    set_d = frozenset(n + 1 + a[i] for i in range(k - 1))
+    p_vals = tuple(
+        int(i in set_b or (i <= m + 1 and i not in set_a))
+        for i in range(1, m + n + 1)
+    )
+    q_vals = tuple(
+        -int(i in set_c or (n + 2 <= i <= n + m and i not in set_d))
+        for i in range(1, m + n + 1)
+    )
+    return SizeProfile(m, n, p_vals, q_vals, k,
+                       set_a, set_b, set_c, set_d, "block-sets")
 
 
 def size_by_formula(word: str, i: int) -> int:
@@ -327,7 +327,7 @@ def long_sequences(word: str) -> tuple[MarkedSequence, MarkedSequence]:
     )
 
 
-def _window_tokens(window: str, kind: str) -> tuple[bool, list[int], bool]:
+def _window_tokens(window: str) -> tuple[bool, list[int], bool]:
     if window.count("--") or not window:
         raise ValueError(f"malformed window {window!r}")
     lead = window.startswith("-")
@@ -345,8 +345,8 @@ def zigzag(window0: str, window1: str) -> str:
     in order; the window starting with its own symbol dictates which run goes
     first.
     """
-    lead0, zero_runs, trail0 = _window_tokens(window0, "0")
-    lead1, one_runs, trail1 = _window_tokens(window1, "1")
+    lead0, zero_runs, trail0 = _window_tokens(window0)
+    lead1, one_runs, trail1 = _window_tokens(window1)
     if lead0 == lead1 or trail0 == trail1:
         raise ValueError("windows do not interlock")
     if window0.count("-") != len(one_runs) or window1.count("-") != len(zero_runs):
@@ -576,58 +576,6 @@ def dual_ideal(ideal: IdealSet) -> IdealSet:
 # -- the starred dynamics ---------------------------------------------------------
 
 
-def _psi_bar_cases(word: str, n: int) -> str:
-    """Five-case table on the plain form of a starred word."""
-    blocks = parse_blocks(word)
-    s = len(blocks)
-    if s < 2:
-        raise ValueError("starred words have at least two block pairs")
-    total = 0
-    i = 0
-    for j, (a, _) in enumerate(blocks, start=1):
-        total += a
-        if total == n:
-            i = j
-            break
-    if not 1 <= i <= s - 1:
-        raise ValueError("no block boundary at the middle one")
-    out = list(blocks)
-    a_i = blocks[i - 1][0]
-    if i == 1 and s == 2:
-        (a1, b1), (a2, b2) = blocks
-        parts = ["0" * (b1 - 1) + "1" * a1, "0" * (b2 + 1) + "1" * a2]
-        return "".join(parts)
-    if i == 1:
-        parts = ["0" * (blocks[0][1] - 1) + "1" * blocks[0][0]]
-        parts.append("0" * blocks[1][1] + "1" * (blocks[1][0] + 1))
-        for j in range(2, s - 1):
-            parts.append("0" * blocks[j][1] + "1" * blocks[j][0])
-        parts.append("0" * (blocks[-1][1] + 1) + "1" * (blocks[-1][0] - 1))
-        return "".join(parts)
-    if a_i == 1:
-        return psi(word)
-    if i < s - 1:
-        parts = ["0" * (blocks[0][1] - 1) + "1" * (blocks[0][0] + 1)]
-        for j in range(1, s - 1):
-            a, b = blocks[j]
-            if j == i - 1:
-                a -= 1
-            elif j == i:
-                a += 1
-            parts.append("0" * b + "1" * a)
-        parts.append("0" * (blocks[-1][1] + 1) + "1" * (blocks[-1][0] - 1))
-        return "".join(parts)
-    # i == s-1 with a_i > 1: the last ones count survives intact
-    parts = ["0" * (blocks[0][1] - 1) + "1" * (blocks[0][0] + 1)]
-    for j in range(1, s - 1):
-        a, b = blocks[j]
-        if j == i - 1:
-            a -= 1
-        parts.append("0" * b + "1" * a)
-    parts.append("0" * (blocks[-1][1] + 1) + "1" * blocks[-1][0])
-    return "".join(parts)
-
-
 def _starred_runs(sword: str) -> tuple[list[str], list[int]]:
     """Pairs (symbol run j, zero run after it) flattened into two lists; the
     first symbol run may be empty and the last zero run may have length 0."""
@@ -650,49 +598,28 @@ def _starred_runs(sword: str) -> tuple[list[str], list[int]]:
     return runs, zeros
 
 
-def _psi_bar_pattern(sword: str) -> str:
-    """Structural route: shift the zero runs, feed a one in at the front,
-    retire one at the back, and push through the star."""
-    runs, zeros = _starred_runs(sword)
-    s = len(runs)
-    if s < 2:
-        raise ValueError("starred words have at least two block pairs")
-    new_zeros = list(zeros)
-    new_zeros[0] -= 1
-    new_zeros[-1] += 1
-    rs = list(runs)
-    rs[0] = "1" + rs[0]
-    if not rs[-1] or rs[-1][-1] != "1":
-        raise ValueError("the last run must end with a plain one")
-    rs[-1] = rs[-1][:-1]
-    q = next(j for j, r in enumerate(rs) if "*" in r)
-    if rs[q] == "*":
-        rs[q - 1] = rs[q - 1][:-1] + "*"
-        rs[q] = "1"
-    else:
-        rs[q] = rs[q][:-2] + "*"
-        rs[q + 1] = "1" + rs[q + 1]
-    # every zero run slides in front of the symbol run it used to follow
-    return "".join("0" * z + r for z, r in zip(new_zeros, rs))
-
-
 def psi_bar(sword: str) -> str:
-    """One rowmotion step on starred words.
-
-    Computed twice, by the five-case block table and by the run-shift with the
-    star push; the two must agree or the call fails.
-    """
-    m, n = validate_starred(sword)
-    plain = starred_to_plain(sword)
-    via_cases = plain_to_starred(_psi_bar_cases(plain, n))
-    via_pattern = _psi_bar_pattern(sword)
-    if via_cases != via_pattern:
-        raise RuntimeError(
-            f"starred-step implementations disagree on {sword!r}: "
-            f"{via_cases!r} vs {via_pattern!r}"
-        )
-    validate_starred(via_cases)
-    return via_cases
+    """One rowmotion step on starred words: shift the zero runs, feed a one
+    in at the front, retire one at the back, and push through the star."""
+    validate_starred(sword)
+    runs, zeros = _starred_runs(sword)
+    if len(runs) < 2:
+        raise ValueError("starred words have at least two block pairs")
+    zeros[0] -= 1
+    zeros[-1] += 1
+    runs[0] = "1" + runs[0]
+    if not runs[-1] or runs[-1][-1] != "1":
+        raise ValueError("the last run must end with a plain one")
+    runs[-1] = runs[-1][:-1]
+    q = next(j for j, r in enumerate(runs) if "*" in r)
+    if runs[q] == "*":
+        runs[q - 1] = runs[q - 1][:-1] + "*"
+        runs[q] = "1"
+    else:
+        runs[q] = runs[q][:-2] + "*"
+        runs[q + 1] = "1" + runs[q + 1]
+    # every zero run slides in front of the symbol run it used to follow
+    return "".join("0" * z + r for z, r in zip(zeros, runs))
 
 
 def psi_bar_iterates(sword: str, steps: int) -> list[str]:

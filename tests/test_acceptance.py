@@ -51,6 +51,7 @@ from rowmotion.words import (
     window_sizes_K,
     zigzag,
 )
+from word_oracles import psi_bar_cases
 
 
 def report(number, detail):
@@ -291,8 +292,8 @@ def test_criterion_10_property_sweep():
         n = rng.randint(1, 8)
         word = "".join(rng.sample("0" * m + "1" * n, m + n))
         assert encode_grid(decode_grid(word, m, n)) == word
-    # split-step dual derivations agree on random starred words (the
-    # step itself cross-checks its two routes on every call)
+    # the split step agrees with the five-case table oracle on random
+    # starred words
     for _ in range(200):
         m = rng.randint(1, 7)
         n = rng.randint(2, 5)
@@ -301,6 +302,7 @@ def test_criterion_10_property_sweep():
         tail = rng.sample("0" * (m - 1 - front) + "1" * n, m - 1 - front + n)
         sword = plain_to_starred("".join(head) + "10" + "".join(tail))
         out = psi_bar(sword)
+        assert out == psi_bar_cases(sword), sword
         assert validate_starred(out) == (m, n)
         assert starred_to_plain(out).count("0") == m
     # mirror equivariance, exhaustive on two shapes
@@ -322,5 +324,5 @@ def test_criterion_10_property_sweep():
         assert all(star[star[p]] == p for p in range(poset.n_elements))
         assert all(poset.le(star[b], star[a]) for a, b in poset.covers)
         n_layers += 1
-    report(10, f"round-trips, dual-route step, mirror equivariance, and "
+    report(10, f"round-trips, oracle-checked split step, mirror equivariance, and "
                f"flip checks over {n_layers} layers")

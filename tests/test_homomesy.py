@@ -16,13 +16,6 @@ from rowmotion.poset import Poset, all_orbits
 from rowmotion.roots import layer
 
 
-def test_orbit_reports_threaded_matches_serial():
-    for poset in [grid_poset(3, 4), layer("E", 6, 4).poset]:
-        serial = orbit_reports(poset)
-        threaded = orbit_reports(poset, threads=3)
-        assert [o.ideals for o in serial] == [o.ideals for o in threaded]
-
-
 def test_average_is_exact_rational():
     reports = orbit_reports(grid_poset(2, 3))
     for o in reports:
@@ -31,10 +24,13 @@ def test_average_is_exact_rational():
 
 
 def test_constant_average_default_expectation():
-    rep = verify_constant_average(grid_poset(3, 5))
+    poset = grid_poset(3, 5)
+    rep = verify_constant_average(poset)
     assert rep.passed
     assert rep.expected == Fraction(15, 8)
     assert rep.failures == ()
+    assert rep.orbits == tuple(all_orbits(poset))
+    assert rep.n_orbits == len(rep.orbits)
 
 
 def test_constant_average_detects_a_violation():
@@ -48,6 +44,8 @@ def test_constant_average_detects_a_violation():
     assert not rep.passed
     assert rep.expected == Fraction(4, 3)
     assert rep.failures
+    for k, average in rep.failures:
+        assert rep.orbits[k].average_size == average != rep.expected
 
 
 def test_constant_average_explicit_expectation():

@@ -140,6 +140,7 @@ def test_orbit_of_returns_to_seed():
     seed = g.rank_ideal(0)
     orbit = orbit_of(seed)
     assert orbit.ideals[0] == seed
+    assert orbit.masks == tuple(i.mask for i in orbit.ideals)
     assert len(orbit.ideals) == orbit.length
     assert len(set(orbit.ideals)) == orbit.length
     assert rowmotion_ideal(orbit.ideals[-1]) == seed

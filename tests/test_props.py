@@ -75,8 +75,7 @@ def test_formula_total_is_area(word):
 @given(binary_words(max_zeros=8, max_ones=8))
 def test_formula_matches_iteration(word):
     m, n = word.count("0"), word.count("1")
-    # size_profile cross-checks its two derivations internally on
-    # normal-form words; here both shapes also face the direct iteration
+    # both sources of the profile face the direct iteration
     profile = size_profile(word)
     assert profile.source in ("block-sets", "marked-sequence")
     sizes = [count_10(w) for w in psi_iterates(word, m + n)]
@@ -102,7 +101,7 @@ def test_codec_transports_the_step(word):
 @given(starred_words())
 def test_split_step_keeps_shape(sword):
     m, n = validate_starred(sword)
-    out = psi_bar(sword)  # both derivations run and must agree internally
+    out = psi_bar(sword)
     assert validate_starred(out) == (m, n)
 
 

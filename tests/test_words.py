@@ -44,6 +44,7 @@ from rowmotion.words import (
     window_sizes_K,
     zigzag,
 )
+from word_oracles import psi_bar_cases
 
 W = "0011101111"  # running example, 3 zeros and 7 ones
 
@@ -357,6 +358,28 @@ def test_starred_step_case_catalogue():
         assert psi_bar(sword) == oracle
         if want is not None:
             assert psi_bar(sword) == want
+
+
+def all_starred_words(m, n):
+    """Every valid starred word with m zeros and 2n-1 ones: n-1 ones and
+    some zeros before the star, then a zero, then the rest."""
+    for front in range(m):
+        for head in all_words(front, n - 1):
+            for tail in all_words(m - 1 - front, n):
+                yield head + "*0" + tail
+
+
+def test_starred_step_matches_the_case_table_oracle():
+    # exhaustive on every shape the acceptance criteria sweep
+    n_words = 0
+    for m in range(1, 8):
+        for n in range(1, 6):
+            for sword in all_starred_words(m, n):
+                out = psi_bar(sword)
+                assert out == psi_bar_cases(sword), sword
+                assert validate_starred(out) == (m, n), sword
+                n_words += 1
+    assert n_words == 19643
 
 
 def test_starred_step_preserves_the_star_invariant():
