@@ -141,12 +141,6 @@ def find_entry(name: str) -> CatalogEntry | None:
     return None
 
 
-def sporadic_posets():
-    """Yield (entry, poset) pairs, realized through the layer construction."""
-    for entry in SPORADIC:
-        yield entry, entry.realize_poset()
-
-
 def entry_expr_poset(entry: CatalogEntry) -> Poset | None:
     if entry.expr is None:
         return None

@@ -3,7 +3,7 @@
 Commands: orbits, verify-grid, verify-k, verify-delta1, conjectures, encode,
 step-word, catalog.  Output formats: table (default), json, csv.  Exit codes:
 0 all checks passed, 1 a check failed, 2 usage or parse error, 3 the work
-exceeded the configured cap.
+exceeded the configured cap, or a sweep skipped a target that did.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .homomesy import (
 from .poset import (
     DEFAULT_CAP,
     CapExceeded,
-    IdealSet,
     InvalidSubset,
     NotGraded,
     OrbitReport,
@@ -55,10 +54,8 @@ from .verify import (
     word_iterate_rows,
 )
 from .words import (
-    encode_grid,
-    encode_K_fullrank,
-    encode_K_starred,
-    is_full_rank,
+    grid_codec,
+    k_codec,
     psi_bar_iterates,
     psi_iterates,
     validate_starred,
@@ -456,15 +453,12 @@ def _cmd_verify_delta1(args) -> int:
         try:
             _, _, entry_checks = verify_catalog_entry(entry, cap)
         except CapExceeded:
-            witnesses.append(
-                {"entry": entry.name, "status": "skipped",
-                 "reason": f"more than {cap} ideals"}
-            )
+            witnesses.append(_skipped(entry.name, cap))
             continue
         checks.extend(entry_checks)
     result.checks = _check_dicts(checks)
     result.witnesses = witnesses
-    return _finish(result, args)
+    return _finish_sweep(result, args, len(targets))
 
 
 def _resolve_layer(target: str):
@@ -498,10 +492,7 @@ def _cmd_conjectures(args) -> int:
                 root_layer, cap, name
             )
         except CapExceeded:
-            witnesses.append(
-                {"entry": name, "status": "skipped",
-                 "reason": f"more than {cap} ideals"}
-            )
+            witnesses.append(_skipped(name, cap))
             continue
         checks.append(
             CheckResult(
@@ -523,7 +514,7 @@ def _cmd_conjectures(args) -> int:
     result.witnesses = witnesses
     if witnesses and any(w.get("status") != "skipped" for w in witnesses):
         print("COUNTEREXAMPLE FOUND; see witnesses", file=sys.stderr)
-    return _finish(result, args)
+    return _finish_sweep(result, args, len(targets))
 
 
 def _cmd_encode(args) -> int:
@@ -531,16 +522,18 @@ def _cmd_encode(args) -> int:
     poset = build(expr, cap=_entry_cap(args))
     result = _poset_result("encode", to_text(expr), poset)
     mask = _parse_seed(poset, args.seed_ideal)
-    ideal = IdealSet(poset, mask)
-    word = None
-    for encoder in (encode_grid, encode_K_fullrank, encode_K_starred):
+    try:
+        word = grid_codec(poset).encode(mask)
+    except InvalidSubset:
         try:
-            word = encoder(ideal)
-            break
-        except (InvalidSubset, ValueError):
-            continue
-    if word is None:
-        raise ValueError("no codec applies to this poset and ideal")
+            codec = k_codec(poset)
+        except InvalidSubset:
+            raise ValueError(
+                "no codec applies to this poset and ideal") from None
+        if codec.full_rank(mask):
+            word = codec.encode_fullrank(mask)
+        else:
+            word = codec.encode_starred(mask)
     result.checks = [
         {"name": "encode", "passed": True, "details": word}
     ]
@@ -594,6 +587,23 @@ def _cmd_catalog(args) -> int:
 def _finish(result: RunResult, args) -> int:
     result.elapsed_ms = int((time.monotonic() - args.start_time) * 1000)
     return _emit(result, args)
+
+
+def _skipped(name: str, cap: int) -> dict:
+    return {"entry": name, "status": "skipped",
+            "reason": f"more than {cap} ideals"}
+
+
+def _finish_sweep(result: RunResult, args, n_targets: int) -> int:
+    """_finish for a sweep: a sweep that skipped a target for the cap did not
+    do its work, so it exits 3 unless a check failed."""
+    code = _finish(result, args)
+    skipped = sum(w.get("status") == "skipped" for w in result.witnesses)
+    if skipped:
+        print(f"skipped {skipped} of {n_targets} targets: more than "
+              f"{_entry_cap(args)} ideals each", file=sys.stderr)
+        return code or 3
+    return code
 
 
 COMMANDS = {

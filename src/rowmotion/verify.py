@@ -16,26 +16,13 @@ from .catalog import CatalogEntry, classical_layer_expr, entry_expr_poset
 from .constructions import build, grid_poset, k_product_poset
 from .homomesy import verify_constant_average
 from .isomorphism import are_isomorphic
-from .poset import (
-    DEFAULT_CAP,
-    IdealSet,
-    OrbitReport,
-    Poset,
-    ideal_masks,
-    rowmotion_ideal,
-)
+from .poset import DEFAULT_CAP, IdealSet, OrbitReport, Poset, ideal_masks
 from .roots import layer as build_layer
 from .words import (
     count_10,
-    decode_grid,
-    decode_K_fullrank,
-    decode_K_starred,
-    dual_ideal,
-    encode_grid,
-    encode_K_fullrank,
-    encode_K_starred,
     epsilon_n,
-    is_full_rank,
+    grid_codec,
+    k_codec,
     long_sequences,
     psi,
     psi_bar,
@@ -131,14 +118,13 @@ def verify_grid(
     period_fail: list[str] = []
     window_fail: list[str] = []
     n_ideals = 0
+    codec = grid_codec(poset)
     for mask in ideal_masks(poset, cap):
         n_ideals += 1
-        ideal = IdealSet(poset, mask)
-        w = encode_grid(ideal)
-        if decode_grid(w, m, n).mask != mask:
+        w = codec.encode(mask)
+        if codec.decode(w) != mask:
             rt_fail.append(f"word {w}")
-        stepped = rowmotion_ideal(ideal)
-        if encode_grid(stepped) != psi(w):
+        if codec.encode(poset.rowmotion_ideal_mask(mask)) != psi(w):
             eq_fail.append(f"word {w}")
         gamma = poset.maxima_mask(mask).bit_count()
         if count_10(w) != gamma:
@@ -222,11 +208,12 @@ def verify_k_product(
     )
     checks.append(avg_check)
 
+    codec = k_codec(poset)
     class_fail: list[str] = []
     type_one: list = []
     type_two: list = []
     for k, r in enumerate(reports):
-        kinds = {is_full_rank(ideal) for ideal in r.ideals}
+        kinds = {codec.full_rank(mask) for mask in r.masks}
         if len(kinds) != 1:
             class_fail.append(f"orbit {k} mixes classes")
             continue
@@ -272,41 +259,37 @@ def verify_k_product(
     n_star = 0
     seen_words: set[str] = set()
     for mask in ideal_masks(poset, cap):
-        ideal = IdealSet(poset, mask)
-        stepped = rowmotion_ideal(ideal)
-        if is_full_rank(ideal):
+        stepped = poset.rowmotion_ideal_mask(mask)
+        if codec.full_rank(mask):
             n_full += 1
-            w = encode_K_fullrank(ideal)
-            if decode_K_fullrank(w, m, n).mask != mask:
+            w = codec.encode_fullrank(mask)
+            if codec.decode_fullrank(w) != mask:
                 full_rt.append(f"word {w}")
-            if encode_K_fullrank(stepped) != psi(w):
+            if codec.encode_fullrank(stepped) != psi(w):
                 full_eq.append(f"word {w}")
             gamma = poset.maxima_mask(mask).bit_count()
             if count_10(w) + epsilon_n(w) != gamma:
                 full_size.append(f"word {w}: {count_10(w)}+{epsilon_n(w)} vs {gamma}")
         else:
             n_star += 1
-            sw = encode_K_starred(ideal)
-            mate = dual_ideal(ideal)
-            if encode_K_starred(mate) != sw:
+            sw = codec.encode_starred(mask)
+            mate = codec.dual(mask)
+            if codec.encode_starred(mate) != sw:
                 star_dual_inv.append(f"word {sw}")
-            back = decode_K_starred(sw, m, n)
-            if back.mask not in (mask, mate.mask):
+            if codec.decode_starred(sw) not in (mask, mate):
                 star_rt.append(f"word {sw}")
-            if encode_K_starred(stepped) != psi_bar(sw):
+            if codec.encode_starred(stepped) != psi_bar(sw):
                 star_eq.append(f"word {sw}")
-            if rowmotion_ideal(mate).mask != dual_ideal(stepped).mask:
-                dual_comm.append(f"ideal {ideal.bit_string()}")
+            if poset.rowmotion_ideal_mask(mate) != codec.dual(stepped):
+                dual_comm.append(f"ideal {IdealSet(poset, mask).bit_string()}")
             if sw not in seen_words:
                 seen_words.add(sw)
                 sizes = window_sizes_K(sw)
                 direct = []
-                cur = ideal
+                cur = mask
                 for _ in range(period):
-                    cur = rowmotion_ideal(cur)
-                    direct.append(
-                        poset.maxima_mask(cur.mask).bit_count()
-                    )
+                    cur = poset.rowmotion_ideal_mask(cur)
+                    direct.append(poset.maxima_mask(cur).bit_count())
                 if sizes != direct:
                     window_fail.append(f"word {sw}")
                 cur_w = sw

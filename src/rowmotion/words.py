@@ -8,6 +8,16 @@ with 2n ones whose n-th one is starred.  The marked long sequences expose
 every iterate of the dynamics through sliding windows, and the P/Q profile
 computes antichain sizes along an orbit without iterating.
 
+All codecs read an ideal of [m]xQ, for Q a chain [n] or K(n-1), fiber by
+fiber, and one rule fixes each fiber {c}xQ by its size: it holds the first
+`size` entries of Q's column order, which is 1..n for the chain and
+1..n-1, n, n', n+1..2n-1 for K.  The one exception is a K-fiber of size n
+that holds the primed middle n' instead of n; n is the only size at which a
+K-fiber holds exactly one middle.  A codec object, built once per poset by
+grid_codec or k_codec, keeps the masks of these prefixes for every fiber
+and works on ideal masks; the public encode/decode functions wrap it for
+IdealSets.
+
 Words are plain strings; positions are 1-based in all public descriptions
 (storage is 0-based).
 """
@@ -15,7 +25,10 @@ Words are plain strings; positions are 1-based in all public descriptions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from functools import lru_cache
+from itertools import accumulate, groupby
+from operator import or_
+from typing import Iterable, Sequence
 
 from .constructions import grid_poset, k_product_poset
 from .poset import IdealSet, InvalidSubset, Poset
@@ -89,77 +102,98 @@ def psi_iterates(word: str, steps: int) -> list[str]:
     return out
 
 
-# -- grid codec ---------------------------------------------------------------
-
-
-def _grid_shape(poset: Poset) -> tuple[int, int]:
-    keys = poset.keys
-    if not keys or not all(
-        isinstance(k, tuple) and len(k) == 2
-        and isinstance(k[0], int) and isinstance(k[1], int) for k in keys
-    ):
-        raise InvalidSubset("poset is not a product of two chains")
-    m = max(k[0] for k in keys)
-    n = max(k[1] for k in keys)
-    expected = {(i, j) for i in range(1, m + 1) for j in range(1, n + 1)}
-    if set(keys) != expected or poset.n_elements != m * n:
-        raise InvalidSubset("poset is not a product of two chains")
-    return m, n
+# -- fiber codecs -------------------------------------------------------------
 
 
 def _fiber_word(values: list[int], n_cols: int) -> str:
     """Word of a weakly decreasing fiber profile values[0] >= ... >= values[-1]
     over n_cols columns: ones for the last fiber, a zero, ones for the gap to
     the next fiber, and so on."""
-    parts = ["1" * values[-1]]
-    for c in range(len(values) - 1, 0, -1):
-        parts.append("0")
-        parts.append("1" * (values[c - 1] - values[c]))
-    parts.append("0")
-    parts.append("1" * (n_cols - values[0]))
-    # the final "0" belongs before the top gap only when m >= 1; values is
-    # never empty here, so the loop above emitted m zeros in total
-    return "".join(parts)
+    parts = []
+    prev = 0
+    for v in reversed(values):
+        parts.append("1" * (v - prev) + "0")
+        prev = v
+    return "".join(parts) + "1" * (n_cols - prev)
 
 
 def _fiber_values_from_word(word: str, m: int, n_cols: int) -> list[int]:
+    if set(word) - {"0", "1"}:
+        raise ValueError(f"not a binary word: {word!r}")
     if word.count("0") != m or word.count("1") != n_cols:
         raise ValueError(
             f"expected {m} zeros and {n_cols} ones, got {word!r}"
         )
-    values = [0] * m
+    values = []
     ones = 0
-    zeros_seen = 0
     for ch in word:
         if ch == "1":
             ones += 1
         else:
-            zeros_seen += 1
-            values[m - zeros_seen] = ones
-    return values
+            values.append(ones)
+    return values[::-1]
+
+
+class FiberCodec:
+    """Ideals of [m]xQ as words of their fiber sizes over the columns of Q:
+    the ones before the i-th zero from the left count the cells of fiber
+    m+1-i.  Built once per poset, it holds the prefix masks of every fiber;
+    it is the codec of [m]x[n] and the base of KCodec."""
+
+    def __init__(self, poset: Poset, m: int, n: int, columns: Sequence):
+        self.poset, self.m, self.n, self.n_cols = poset, m, n, len(columns)
+        self.prefixes = tuple(
+            tuple(accumulate(
+                (1 << poset.index_of((c, key)) for key in columns),
+                or_, initial=0,
+            ))
+            for c in range(1, m + 1)
+        )
+
+    def sizes(self, mask: int) -> list[int]:
+        """Fiber sizes of an ideal, fiber 1 first."""
+        return [(mask & p[-1]).bit_count() for p in self.prefixes]
+
+    def mask_of(self, sizes: Iterable[int]) -> int:
+        """The ideal whose c-th fiber holds the first sizes[c-1] columns."""
+        out = 0
+        for p, size in zip(self.prefixes, sizes):
+            out |= p[size]
+        return out
+
+    def encode(self, mask: int) -> str:
+        return _fiber_word(self.sizes(mask), self.n_cols)
+
+    def decode(self, word: str) -> int:
+        return self.mask_of(_fiber_values_from_word(word, self.m, self.n_cols))
+
+
+# bounded, since the cache holds every poset it was asked about
+@lru_cache(maxsize=32)
+def grid_codec(poset: Poset) -> FiberCodec:
+    """The codec of a product of two chains; InvalidSubset for other posets."""
+    keys = poset.keys
+    if keys and all(
+        isinstance(k, tuple) and len(k) == 2
+        and isinstance(k[0], int) and isinstance(k[1], int) for k in keys
+    ):
+        m = max(k[0] for k in keys)
+        n = max(k[1] for k in keys)
+        expected = {(i, j) for i in range(1, m + 1) for j in range(1, n + 1)}
+        if set(keys) == expected and poset.n_elements == m * n:
+            return FiberCodec(poset, m, n, range(1, n + 1))
+    raise InvalidSubset("poset is not a product of two chains")
 
 
 def encode_grid(ideal: IdealSet) -> str:
     """Word of an ideal of [m]x[n]: m zeros, n ones; the ones before the i-th
     zero from the left count the filled cells of row m+1-i."""
-    m, n = _grid_shape(ideal.poset)
-    fibers = [0] * (m + 1)
-    for idx in ideal.members:
-        i, j = ideal.poset.keys[idx]
-        fibers[i] = max(fibers[i], j)
-    return _fiber_word(fibers[1:], n)
+    return grid_codec(ideal.poset).encode(ideal.mask)
 
 
 def decode_grid(word: str, m: int, n: int) -> IdealSet:
-    if set(word) - {"0", "1"}:
-        raise ValueError(f"not a binary word: {word!r}")
-    values = _fiber_values_from_word(word, m, n)
-    poset = grid_poset(m, n)
-    mask = 0
-    for i in range(1, m + 1):
-        for j in range(1, values[i - 1] + 1):
-            mask |= 1 << poset.index_of((i, j))
-    return IdealSet(poset, mask)
+    codec = grid_codec(grid_poset(m, n))
+    return IdealSet(codec.poset, codec.decode(word))
 
 
 # -- size profile -------------------------------------------------------------
@@ -365,90 +399,81 @@ def zigzag(window0: str, window1: str) -> str:
 # -- the two-strand product codecs ---------------------------------------------
 
 
-def _k_shape(poset: Poset) -> tuple[int, int]:
-    """(m, n) for a chain-times-K poset on m * 2n elements."""
+class KCodec(FiberCodec):
+    """Ideals of [m]xK(n-1) as words.  A fiber of size n holds exactly one
+    middle; an ideal with no such fiber is full rank and gets the grid word of
+    its fiber levels (size minus one above the middles) over 2n-1 columns.
+    Any other ideal gets the starred word of its fiber sizes over 2n columns,
+    which is blind to which middle each fiber holds."""
+
+    def full_rank(self, mask: int) -> bool:
+        return self.n not in self.sizes(mask)
+
+    def encode_fullrank(self, mask: int) -> str:
+        n = self.n
+        sizes = self.sizes(mask)
+        if n in sizes:
+            raise InvalidSubset("ideal is not full rank")
+        return _fiber_word([s - (s > n) for s in sizes], 2 * n - 1)
+
+    def decode_fullrank(self, word: str) -> int:
+        n = self.n
+        levels = _fiber_values_from_word(word, self.m, 2 * n - 1)
+        return self.mask_of(v + (v >= n) for v in levels)
+
+    def encode_starred(self, mask: int) -> str:
+        if self.full_rank(mask):
+            raise InvalidSubset("ideal is full rank")
+        return plain_to_starred(self.encode(mask))
+
+    def decode_starred(self, sword: str) -> int:
+        """The representative of the class whose fibers hold the unprimed
+        middle."""
+        wm, wn = validate_starred(sword)
+        if (wm, wn) != (self.m, self.n):
+            raise ValueError(f"word shape is (m={wm}, n={wn}), "
+                             f"expected ({self.m}, {self.n})")
+        return self.decode(sword.replace("*", "1"))
+
+    def dual(self, mask: int) -> int:
+        """Swap the two middles in every fiber that holds one of them."""
+        n = self.n
+        for p in self.prefixes:
+            if (mask & p[-1]).bit_count() == n:
+                mask ^= p[n + 1] ^ p[n - 1]
+        return mask
+
+
+@lru_cache(maxsize=32)
+def k_codec(poset: Poset) -> KCodec:
+    """The codec of a chain times K(n-1) on m * 2n elements; InvalidSubset
+    for other posets."""
     keys = poset.keys
-    if not keys or not all(isinstance(k, tuple) and len(k) == 2 for k in keys):
-        raise InvalidSubset("poset is not a chain product with a two-strand poset")
-    firsts = {k[0] for k in keys}
-    seconds = {k[1] for k in keys}
-    m = len(firsts)
-    if firsts != set(range(1, m + 1)):
-        raise InvalidSubset("poset is not a chain product with a two-strand poset")
-    if len(seconds) % 2:
-        raise InvalidSubset("poset is not a chain product with a two-strand poset")
-    n = len(seconds) // 2
-    expect = {str(i) for i in range(1, 2 * n)} | {str(n) + "'"}
-    if seconds != expect or poset.n_elements != m * 2 * n:
-        raise InvalidSubset("poset is not a chain product with a two-strand poset")
-    return m, n
-
-
-def _k_rank(key: str, n: int) -> int:
-    return n if key.endswith("'") else int(key)
-
-
-def _k_fiber_levels(ideal: IdealSet) -> tuple[int, int, list[tuple[int, str | None]]]:
-    """Per-fiber (level, polarity) pairs.
-
-    A full-rank fiber of level j holds everything of rank <= j and gets
-    polarity None; a fiber holding exactly one of the two middle elements gets
-    level n and polarity "n" or "n'".
-    """
-    poset = ideal.poset
-    m, n = _k_shape(poset)
-    mid, mid2 = str(n), str(n) + "'"
-    fibers: list[set[str]] = [set() for _ in range(m + 1)]
-    for idx in ideal.members:
-        c, kkey = poset.keys[idx]
-        fibers[c].add(kkey)
-    out = []
-    for c in range(1, m + 1):
-        s = fibers[c]
-        has1, has2 = mid in s, mid2 in s
-        if has1 != has2:
-            out.append((n, mid if has1 else mid2))
-        else:
-            top = max((_k_rank(k, n) for k in s), default=0)
-            out.append((top, None))
-    return m, n, out
+    if keys and all(isinstance(k, tuple) and len(k) == 2 for k in keys):
+        firsts = {k[0] for k in keys}
+        seconds = {k[1] for k in keys}
+        m, n = len(firsts), len(seconds) // 2
+        columns = [str(i) for i in range(1, n)] + [str(n), str(n) + "'"]
+        columns += [str(i) for i in range(n + 1, 2 * n)]
+        if (firsts == set(range(1, m + 1)) and seconds == set(columns)
+                and poset.n_elements == m * 2 * n):
+            return KCodec(poset, m, n, columns)
+    raise InvalidSubset("poset is not a chain product with a two-strand poset")
 
 
 def is_full_rank(ideal: IdealSet) -> bool:
     """Whether every fiber of a chain-times-K ideal is a rank ideal."""
-    _, _, levels = _k_fiber_levels(ideal)
-    return all(pol is None for _, pol in levels)
+    return k_codec(ideal.poset).full_rank(ideal.mask)
 
 
 def encode_K_fullrank(ideal: IdealSet) -> str:
     """Word in B(m, 2n-1) of a full-rank ideal, by fiber levels."""
-    m, n, levels = _k_fiber_levels(ideal)
-    if any(pol is not None for _, pol in levels):
-        raise InvalidSubset("ideal is not full rank")
-    return _fiber_word([lev for lev, _ in levels], 2 * n - 1)
+    return k_codec(ideal.poset).encode_fullrank(ideal.mask)
 
 
 def decode_K_fullrank(word: str, m: int, n: int) -> IdealSet:
-    values = _fiber_values_from_word(word, m, 2 * n - 1)
-    poset = k_product_poset(m, n)
-    mask = 0
-    for c in range(1, m + 1):
-        for key in _k_level_keys(values[c - 1], n, None):
-            mask |= 1 << poset.index_of((c, key))
-    return IdealSet(poset, mask)
-
-
-def _k_level_keys(level: int, n: int, polarity: str | None) -> list[str]:
-    """Keys of the K ideal at a level of the plain (polarity None) or starred
-    reading."""
-    mid, mid2 = str(n), str(n) + "'"
-    if polarity is not None:
-        return [str(i) for i in range(1, n)] + [polarity]
-    keys = [str(i) for i in range(1, min(level, n - 1) + 1)]
-    if level >= n:
-        keys += [mid, mid2]
-        keys += [str(i) for i in range(n + 1, level + 1)]
-    return keys
+    codec = k_codec(k_product_poset(m, n))
+    return IdealSet(codec.poset, codec.decode_fullrank(word))
 
 
 def epsilon_n(word: str) -> int:
@@ -468,11 +493,6 @@ def _nth_one_followed_by_zero(word: str, n: int) -> int:
             if seen == n:
                 return int(pos + 1 < len(word) and word[pos + 1] == "0")
     raise ValueError(f"word has fewer than {n} ones")
-
-
-def antichain_size_from_word_fullrank(word: str) -> int:
-    """count_10 plus the doubled-middle correction."""
-    return count_10(word) + epsilon_n(word)
 
 
 # -- starred codec --------------------------------------------------------------
@@ -521,56 +541,18 @@ def plain_to_starred(word: str) -> str:
 
 def encode_K_starred(ideal: IdealSet) -> str:
     """Starred word of a non-full-rank ideal; polarity is quotiented away."""
-    m, n, levels = _k_fiber_levels(ideal)
-    if all(pol is None for _, pol in levels):
-        raise InvalidSubset("ideal is full rank")
-    values = []
-    for lev, pol in levels:
-        if pol is not None:
-            values.append(n)
-        else:
-            values.append(lev if lev <= n - 1 else lev + 1)
-    word = _fiber_word(values, 2 * n)
-    return plain_to_starred(word)
+    return k_codec(ideal.poset).encode_starred(ideal.mask)
 
 
 def decode_K_starred(sword: str, m: int, n: int) -> IdealSet:
     """Canonical representative of the encoded class: the unprimed middle."""
-    word = starred_to_plain(sword)
-    wm, wn = validate_starred(sword)
-    if (wm, wn) != (m, n):
-        raise ValueError(f"word shape is (m={wm}, n={wn}), expected ({m}, {n})")
-    values = _fiber_values_from_word(word, m, 2 * n)
-    poset = k_product_poset(m, n)
-    mid = str(n)
-    mask = 0
-    for c in range(1, m + 1):
-        v = values[c - 1]
-        if v == n:
-            keys = _k_level_keys(n, n, mid)
-        elif v < n:
-            keys = _k_level_keys(v, n, None)
-        else:
-            keys = _k_level_keys(v - 1, n, None)
-        for key in keys:
-            mask |= 1 << poset.index_of((c, key))
-    return IdealSet(poset, mask)
+    codec = k_codec(k_product_poset(m, n))
+    return IdealSet(codec.poset, codec.decode_starred(sword))
 
 
 def dual_ideal(ideal: IdealSet) -> IdealSet:
     """Swap the two middle elements in every fiber."""
-    poset = ideal.poset
-    _, n = _k_shape(poset)
-    mid, mid2 = str(n), str(n) + "'"
-    mask = 0
-    for idx in ideal.members:
-        c, kkey = poset.keys[idx]
-        if kkey == mid:
-            kkey = mid2
-        elif kkey == mid2:
-            kkey = mid
-        mask |= 1 << poset.index_of((c, kkey))
-    return IdealSet(poset, mask)
+    return IdealSet(ideal.poset, k_codec(ideal.poset).dual(ideal.mask))
 
 
 # -- the starred dynamics ---------------------------------------------------------

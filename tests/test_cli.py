@@ -27,6 +27,7 @@ from rowmotion.constructions import (
     Prod,
     to_text,
 )
+from rowmotion.verify import CheckResult
 
 JSON_KEYS = {
     "command", "poset", "n_elements", "max_rank",
@@ -283,6 +284,40 @@ def test_unbudgeted_cap_is_clamped(capsys):
     assert code == 3
     code, out, err = run(capsys, "orbits", "chain(30000)", "--cap", "50000")
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["verify-delta1", "conjectures"])
+def test_capped_sweep_that_skips_exits_3(capsys, command):
+    code, out, err = run(capsys, command, "--cap", "100", "--format", "json")
+    assert code == 3
+    doc = json.loads(out)
+    skipped = [w for w in doc["witnesses"] if w.get("status") == "skipped"]
+    assert len(skipped) == 16
+    assert doc["checks"] and all(c["passed"] for c in doc["checks"])
+    assert "skipped 16 of 20 targets" in err
+
+
+def test_capped_sweep_with_a_failed_check_exits_1(capsys, monkeypatch):
+    import rowmotion.cli as cli
+
+    real = cli.verify_catalog_entry
+
+    def failing(entry, cap):
+        poset, reports, checks = real(entry, cap)
+        return poset, reports, [CheckResult(c.name, False, "forced")
+                                for c in checks]
+
+    monkeypatch.setattr(cli, "verify_catalog_entry", failing)
+    code, out, err = run(capsys, "verify-delta1", "--cap", "100")
+    assert code == 1
+    assert "skipped 16 of 20 targets" in err
+
+
+def test_uncapped_sweep_skips_nothing(capsys):
+    code, out, err = run(capsys, "verify-delta1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["witnesses"] == []
+    assert "skipped" not in err
 
 
 def test_csv_failures_go_to_stderr(capsys):

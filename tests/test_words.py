@@ -12,6 +12,7 @@ import pytest
 
 from rowmotion.constructions import grid_poset, k_product_poset
 from rowmotion.poset import (
+    InvalidSubset,
     antichain_of_ideal,
     enumerate_ideals,
     rowmotion_ideal,
@@ -44,6 +45,7 @@ from rowmotion.words import (
     window_sizes_K,
     zigzag,
 )
+import word_oracles
 from word_oracles import psi_bar_cases
 
 W = "0011101111"  # running example, 3 zeros and 7 ones
@@ -334,6 +336,51 @@ def test_mirror_is_an_involution_commuting_with_the_step():
             assert dual_ideal(rowmotion_ideal(ideal)) == rowmotion_ideal(
                 dual_ideal(ideal)
             )
+
+
+def test_grid_codec_agrees_with_the_key_oracle():
+    for m in range(1, 6):
+        for n in range(1, 6):
+            for ideal in enumerate_ideals(grid_poset(m, n)):
+                w = word_oracles.grid_word(ideal)
+                assert encode_grid(ideal) == w, (m, n, w)
+                assert decode_grid(w, m, n) == ideal, (m, n, w)
+                assert word_oracles.grid_ideal(w, m, n) == ideal, (m, n, w)
+
+
+def test_k_codecs_agree_with_the_key_oracle():
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for ideal in enumerate_ideals(k_product_poset(m, n)):
+                full = word_oracles.k_is_full_rank(ideal)
+                assert is_full_rank(ideal) == full, (m, n, ideal.mask)
+                assert dual_ideal(ideal) == word_oracles.k_dual(ideal)
+                if full:
+                    w = word_oracles.k_word_fullrank(ideal)
+                    assert encode_K_fullrank(ideal) == w, (m, n, w)
+                    assert decode_K_fullrank(w, m, n) == ideal, (m, n, w)
+                    assert word_oracles.k_ideal_fullrank(w, m, n) == ideal
+                    with pytest.raises(InvalidSubset):
+                        encode_K_starred(ideal)
+                else:
+                    sw = word_oracles.k_word_starred(ideal)
+                    assert encode_K_starred(ideal) == sw, (m, n, sw)
+                    assert decode_K_starred(sw, m, n) == (
+                        word_oracles.k_ideal_starred(sw, m, n)
+                    ), (m, n, sw)
+                    with pytest.raises(InvalidSubset):
+                        encode_K_fullrank(ideal)
+
+
+@pytest.mark.parametrize("decode,word,m,n", [
+    (decode_grid, "0x111", 1, 3),
+    (decode_K_fullrank, "0x111", 1, 2),
+    (decode_K_starred, "1*0x11", 1, 2),
+])
+def test_decoders_reject_a_stray_letter(decode, word, m, n):
+    # the word has the right counts of zeros and ones around the stray letter
+    with pytest.raises(ValueError):
+        decode(word, m, n)
 
 
 def test_frozen_starred_orbit():

@@ -3,8 +3,14 @@
 psi_bar_cases is the five-case block table for the starred step.  It reads
 the plain form of the word, unlike the run shift that rowmotion.words.psi_bar
 uses, so the two agree only if both descriptions of the step are right.
+
+The fiber readers below read an ideal of [m]x[n] or [m]xK(n-1) through its
+element keys: the largest column of each grid row, and for K the top rank of
+each fiber together with the middle it holds when it holds exactly one.  The
+codecs in rowmotion.words fix each fiber by its size alone instead.
 """
 
+from rowmotion.constructions import grid_poset, k_product_poset
 from rowmotion.words import (
     parse_blocks,
     plain_to_starred,
@@ -70,3 +76,133 @@ def _cases(word: str, n: int) -> str:
         parts.append("0" * b + "1" * a)
     parts.append("0" * (blocks[-1][1] + 1) + "1" * blocks[-1][0])
     return "".join(parts)
+
+
+
+# -- key-based fiber reading -------------------------------------------------
+
+
+def _word(values: list[int], n_cols: int) -> str:
+    """Word of a fiber profile, fiber 1 first: the i-th zero from the left
+    follows as many ones as fiber m+1-i has cells."""
+    word = ["1"] * (len(values) + n_cols)
+    for i, v in enumerate(reversed(values)):
+        word[v + i] = "0"
+    return "".join(word)
+
+
+def _values(word: str) -> list[int]:
+    """Inverse of _word, fiber 1 first."""
+    zeros = [pos for pos, ch in enumerate(word) if ch == "0"]
+    return [pos - i for i, pos in enumerate(zeros)][::-1]
+
+
+def grid_word(ideal) -> str:
+    """Word of an ideal of [m]x[n] from the largest column of each row."""
+    keys = ideal.poset.keys
+    m = max(i for i, _ in keys)
+    n = max(j for _, j in keys)
+    rows = [0] * (m + 1)
+    for idx in ideal.members:
+        i, j = keys[idx]
+        rows[i] = max(rows[i], j)
+    return _word(rows[1:], n)
+
+
+def grid_ideal(word: str, m: int, n: int):
+    return grid_poset(m, n).ideal_of_keys(
+        (i, j) for i, v in enumerate(_values(word), start=1)
+        for j in range(1, v + 1)
+    )
+
+
+def _k_rank(key: str, n: int) -> int:
+    return n if key.endswith("'") else int(key)
+
+
+def k_fiber_levels(ideal) -> tuple[int, int, list[tuple[int, str | None]]]:
+    """Per-fiber (level, polarity) pairs.
+
+    A full-rank fiber of level j holds everything of rank <= j and gets
+    polarity None; a fiber holding exactly one of the two middle elements gets
+    level n and polarity "n" or "n'".
+    """
+    poset = ideal.poset
+    m = max(c for c, _ in poset.keys)
+    n = poset.n_elements // (2 * m)
+    mid, mid2 = str(n), str(n) + "'"
+    fibers: list[set[str]] = [set() for _ in range(m + 1)]
+    for idx in ideal.members:
+        c, kkey = poset.keys[idx]
+        fibers[c].add(kkey)
+    out = []
+    for c in range(1, m + 1):
+        s = fibers[c]
+        has1, has2 = mid in s, mid2 in s
+        if has1 != has2:
+            out.append((n, mid if has1 else mid2))
+        else:
+            top = max((_k_rank(k, n) for k in s), default=0)
+            out.append((top, None))
+    return m, n, out
+
+
+def k_level_keys(level: int, n: int, polarity: str | None) -> list[str]:
+    """Keys of the K ideal at a level of the plain (polarity None) or starred
+    reading."""
+    mid, mid2 = str(n), str(n) + "'"
+    if polarity is not None:
+        return [str(i) for i in range(1, n)] + [polarity]
+    keys = [str(i) for i in range(1, min(level, n - 1) + 1)]
+    if level >= n:
+        keys += [mid, mid2]
+        keys += [str(i) for i in range(n + 1, level + 1)]
+    return keys
+
+
+def k_is_full_rank(ideal) -> bool:
+    _, _, levels = k_fiber_levels(ideal)
+    return all(pol is None for _, pol in levels)
+
+
+def k_word_fullrank(ideal) -> str:
+    _, n, levels = k_fiber_levels(ideal)
+    return _word([lev for lev, _ in levels], 2 * n - 1)
+
+
+def k_word_starred(ideal) -> str:
+    _, n, levels = k_fiber_levels(ideal)
+    values = [n if pol is not None else lev if lev <= n - 1 else lev + 1
+              for lev, pol in levels]
+    return plain_to_starred(_word(values, 2 * n))
+
+
+def k_ideal_fullrank(word: str, m: int, n: int):
+    return k_product_poset(m, n).ideal_of_keys(
+        (c, key) for c, v in enumerate(_values(word), start=1)
+        for key in k_level_keys(v, n, None)
+    )
+
+
+def k_ideal_starred(sword: str, m: int, n: int):
+    """The representative holding the unprimed middle."""
+    keys = []
+    for c, v in enumerate(_values(starred_to_plain(sword)), start=1):
+        if v == n:
+            fiber = k_level_keys(n, n, str(n))
+        else:
+            fiber = k_level_keys(v if v < n else v - 1, n, None)
+        keys += [(c, key) for key in fiber]
+    return k_product_poset(m, n).ideal_of_keys(keys)
+
+
+def k_dual(ideal):
+    """Swap the two middle elements in every fiber, key by key."""
+    poset = ideal.poset
+    n = poset.n_elements // (2 * max(c for c, _ in poset.keys))
+    mid, mid2 = str(n), str(n) + "'"
+    swap = {mid: mid2, mid2: mid}
+    return poset.ideal_of_keys(
+        (c, swap.get(kkey, kkey))
+        for c, kkey in (poset.keys[idx] for idx in ideal.members)
+    )
