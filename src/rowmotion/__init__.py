@@ -29,6 +29,7 @@ from .homomesy import (
     Witness,
     check_conjecture_antichains,
     check_conjecture_ideals,
+    check_conjectures,
     occurrence_counts,
     orbit_reports,
     verify_constant_average,
@@ -41,6 +42,7 @@ from .poset import (
     InvalidSubset,
     NotGraded,
     OrbitReport,
+    OrbitSums,
     Poset,
     all_orbits,
     antichain_of_ideal,
@@ -48,6 +50,7 @@ from .poset import (
     ideal_of_antichain,
     operator_order,
     orbit_of,
+    orbit_sums,
     rowmotion_antichain,
     rowmotion_ideal,
 )

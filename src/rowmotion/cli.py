@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -30,11 +31,7 @@ from .constructions import (
     build,
     to_text,
 )
-from .homomesy import (
-    check_conjecture_antichains,
-    check_conjecture_ideals,
-    orbit_reports,
-)
+from .homomesy import check_conjectures, orbit_reports
 from .poset import (
     DEFAULT_CAP,
     CapExceeded,
@@ -262,20 +259,28 @@ def _render(result: RunResult, fmt: str, show_timing: bool) -> str:
 
 
 def _emit(result: RunResult, args) -> int:
-    print(_render(result, args.format, not args.no_timing))
+    code = 0 if all(c["passed"] for c in result.checks) else 1
+    try:
+        print(_render(result, args.format, not args.no_timing))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (rowmotion ... | head); point stdout at
+        # devnull so that the flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.format == "csv":
         for c in result.checks:
             if not c["passed"]:
                 print(f"check failed: {c['name']}: {c['details']}",
                       file=sys.stderr)
-    return 0 if all(c["passed"] for c in result.checks) else 1
+    return code
 
 
 def _add_common(sub):
     sub.add_argument("--format", choices=("table", "json", "csv"),
                      default="table")
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                     help="abort if the ideal enumeration exceeds this")
+                     help="abort if the ideal enumeration, or the step "
+                     "count of step-word, exceeds this")
     sub.add_argument("--budget", action="store_true",
                      help="honor --cap beyond the default safety clamp")
     sub.add_argument("--no-timing", action="store_true")
@@ -442,16 +447,16 @@ def _cmd_verify_delta1(args) -> int:
             result.n_elements = poset.n_elements
             result.max_rank = poset.max_rank
             expected = Fraction(poset.n_elements, poset.max_rank + 1)
-            check, reports = check_constant_average(
+            check = check_constant_average(
                 poset, expected, cap,
                 f"orbit averages constant [{to_text(expr)}]",
             )
-            result.orbits = _orbit_dicts(reports)
+            result.orbits = _orbit_dicts(orbit_reports(poset, cap))
             result.checks = _check_dicts([check])
             return _finish(result, args)
     for entry in targets:
         try:
-            _, _, entry_checks = verify_catalog_entry(entry, cap)
+            _, entry_checks = verify_catalog_entry(entry, cap)
         except CapExceeded:
             witnesses.append(_skipped(entry.name, cap))
             continue
@@ -485,10 +490,7 @@ def _cmd_conjectures(args) -> int:
         targets = [_resolve_layer(args.target)]
     for root_layer, name in targets:
         try:
-            ideals_report = check_conjecture_ideals(
-                root_layer, cap, name
-            )
-            antichains_report = check_conjecture_antichains(
+            ideals_report, antichains_report = check_conjectures(
                 root_layer, cap, name
             )
         except CapExceeded:
@@ -543,6 +545,9 @@ def _cmd_encode(args) -> int:
 def _cmd_step_word(args) -> int:
     result = RunResult(command="step-word")
     word = args.word
+    cap = _entry_cap(args)
+    if args.steps > cap:
+        raise CapExceeded(f"more than {cap} steps")
     if "*" in word:
         validate_starred(word)
         steps = psi_bar_iterates(word, args.steps)

@@ -8,26 +8,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable
 
-from .poset import DEFAULT_CAP, OrbitReport, Poset, all_orbits, bits_of
+from .poset import (
+    DEFAULT_CAP,
+    IdealSet,
+    OrbitReport,
+    OrbitSums,
+    Poset,
+    add_counters,
+    all_orbits,
+    bits_of,
+    differing_columns,
+    orbit_sums,
+)
 from .roots import RootLayer
 
-# all_orbits under the name this module exports and its checkers call
+# all_orbits under the name this module exports for orbit listings
 orbit_reports = all_orbits
 
 
 @dataclass(frozen=True)
 class AverageReport:
     """Outcome of checking that every orbit has the same average antichain
-    size, with the orbits walked; failures pairs orbit indices with their
-    averages."""
+    size; failures pairs orbit indices with their averages, and
+    failure_lengths holds the lengths of those orbits in the same order."""
 
     expected: Fraction
     n_orbits: int
     passed: bool
     failures: tuple[tuple[int, Fraction], ...]
-    orbits: tuple[OrbitReport, ...]
+    failure_lengths: tuple[int, ...]
 
 
 def verify_constant_average(
@@ -36,17 +49,20 @@ def verify_constant_average(
     cap: int = DEFAULT_CAP,
 ) -> AverageReport:
     """Check every orbit average equals expected; default expectation is
-    n_elements / (max_rank + 1)."""
+    n_elements / (max_rank + 1).  An orbit of length L passes when its
+    antichain sizes add up to expected * L."""
     if expected is None:
         expected = Fraction(poset.n_elements, poset.max_rank + 1)
-    reports = tuple(orbit_reports(poset, cap))
+    sums = orbit_sums(poset, cap)
+    total = sums.antichain_sizes()
+    failing = tuple(sums.orbits_in(
+        sums.mismatches(total, lambda length: expected * length)))
     failures = tuple(
-        (k, r.average_size)
-        for k, r in enumerate(reports)
-        if r.average_size != expected
+        (index, Fraction(sums.count(total, k), length))
+        for index, k, length in failing
     )
-    return AverageReport(expected, len(reports), not failures, failures,
-                         reports)
+    return AverageReport(expected, sums.n_orbits, not failures, failures,
+                         tuple(length for _, _, length in failing))
 
 
 @dataclass(frozen=True)
@@ -61,6 +77,8 @@ class OccurrenceTable:
 
 
 def occurrence_counts(poset: Poset, orbit: OrbitReport) -> OccurrenceTable:
+    """Count one walked orbit element by element: the reference for the
+    counters of orbit_sums, which the checkers below read instead."""
     n = poset.n_elements
     ideal_counts = [0] * n
     antichain_counts = [0] * n
@@ -106,37 +124,63 @@ class ConjectureReport:
     witnesses: tuple[Witness, ...]
 
 
-def _check_pairs(
+IDEAL_IDENTITY = "ideal occurrences of element plus partner"
+ANTICHAIN_IDENTITY = "antichain occurrences of element versus partner"
+
+
+def _witnesses(
+    sums: OrbitSums,
     root_layer: RootLayer,
-    cap: int,
-    name: str,
-    counts: Callable[[OccurrenceTable, int, int], tuple[int, int]],
+    failing: list[int],
+    values: Callable[[int, int, int], tuple[int, int]],
     identity: str,
-) -> ConjectureReport:
-    """Witness every orbit and element p where counts(table, p, star[p])
-    gives two different numbers."""
+) -> tuple[Witness, ...]:
+    """Witness every orbit and element p whose leader is among failing[p];
+    values(column, p, length) gives the two numbers that differ."""
     poset = root_layer.poset
     star = root_layer.star
-    reports = orbit_reports(poset, cap)
     witnesses = []
-    for k, orbit in enumerate(reports):
-        table = occurrence_counts(poset, orbit)
+    for index, k, length in sums.orbits_in(reduce(or_, failing, 0)):
+        seed_bits = IdealSet(poset, sums.masks[k]).bit_string()
         for p in range(poset.n_elements):
-            lhs, rhs = counts(table, p, star[p])
-            if lhs != rhs:
-                witnesses.append(
-                    Witness(
-                        k,
-                        orbit.ideals[0].bit_string(),
-                        poset.labels[p],
-                        poset.labels[star[p]],
-                        lhs,
-                        rhs,
-                        identity,
-                    )
-                )
-    return ConjectureReport(
-        name or root_layer.name, len(reports), not witnesses, tuple(witnesses)
+            if failing[p] >> k & 1:
+                lhs, rhs = values(k, p, length)
+                witnesses.append(Witness(
+                    index, seed_bits, poset.labels[p],
+                    poset.labels[star[p]], lhs, rhs, identity,
+                ))
+    return tuple(witnesses)
+
+
+def check_conjectures(
+    root_layer: RootLayer,
+    cap: int = DEFAULT_CAP,
+    name: str = "",
+) -> tuple[ConjectureReport, ConjectureReport]:
+    """Both paired-count checks from one walk of the layer: the ideal form,
+    then the antichain form (see the two functions below)."""
+    star = root_layer.star
+    sums = orbit_sums(root_layer.poset, cap)
+    ideals, antichains = sums.ideals, sums.antichains
+    paired = [add_counters(c, ideals[q]) for c, q in zip(ideals, star)]
+    ideal_witnesses = _witnesses(
+        sums, root_layer,
+        [sums.mismatches(c, lambda length: length) for c in paired],
+        lambda k, p, length: (sums.count(paired[p], k), length),
+        IDEAL_IDENTITY,
+    )
+    antichain_witnesses = _witnesses(
+        sums, root_layer,
+        [differing_columns(c, antichains[q])
+         for c, q in zip(antichains, star)],
+        lambda k, p, length: (sums.count(antichains[p], k),
+                              sums.count(antichains[star[p]], k)),
+        ANTICHAIN_IDENTITY,
+    )
+    name = name or root_layer.name
+    return tuple(
+        ConjectureReport(name, sums.n_orbits, not w, w)
+        for w in (ideal_witnesses, antichain_witnesses)
     )
 
 
@@ -147,12 +191,7 @@ def check_conjecture_ideals(
 ) -> ConjectureReport:
     """In every orbit, an element and its involution partner together appear
     in as many ideals as the orbit is long."""
-    return _check_pairs(
-        root_layer, cap, name,
-        lambda t, p, q: (t.ideal_counts[p] + t.ideal_counts[q],
-                         t.orbit_length),
-        "ideal occurrences of element plus partner",
-    )
+    return check_conjectures(root_layer, cap, name)[0]
 
 
 def check_conjecture_antichains(
@@ -162,8 +201,4 @@ def check_conjecture_antichains(
 ) -> ConjectureReport:
     """In every orbit, an element and its involution partner appear in equally
     many of the orbit's antichains."""
-    return _check_pairs(
-        root_layer, cap, name,
-        lambda t, p, q: (t.antichain_counts[p], t.antichain_counts[q]),
-        "antichain occurrences of element versus partner",
-    )
+    return check_conjectures(root_layer, cap, name)[1]

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from itertools import zip_longest
+from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_CAP = 10**7
 
@@ -342,26 +343,28 @@ def orbit_of(ideal: IdealSet, cap: int = DEFAULT_CAP) -> OrbitReport:
 
 def ideal_masks(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[int]:
     """All ideals as masks, in lexicographic order of the indicator sequence
-    along the linear extension (empty ideal first, full ideal last)."""
-    n = poset.n_elements
-    if n == 0:
-        yield 0
-        return
-    strict_down = [poset.down[i] ^ (1 << i) for i in range(n)]
-    count = 0
-    stack = [(0, 0)]
-    while stack:
-        i, mask = stack.pop()
-        if i == n:
-            count += 1
-            if count > cap:
-                raise CapExceeded(f"more than {cap} ideals")
-            yield mask
-            continue
-        # push the 1-branch first so the 0-branch is explored first
-        if strict_down[i] & ~mask == 0:
-            stack.append((i + 1, mask | (1 << i)))
-        stack.append((i + 1, mask))
+    along the linear extension (empty ideal first, full ideal last).
+
+    Built level by level: after element i, the level holds every ideal of
+    the first i+1 elements, each ideal s of the level before followed by
+    s plus i when everything below i is in s.  The first i+1 elements
+    form a down-set, so no level holds more ideals than the last one, and a
+    level past the cap raises before any ideal is yielded.
+    """
+    level = [0]
+    for i in range(poset.n_elements):
+        bit = 1 << i
+        below = poset.down[i] ^ bit
+        grown = []
+        keep = grown.append
+        for s in level:
+            keep(s)
+            if below & s == below:
+                keep(s | bit)
+        if len(grown) > cap:
+            raise CapExceeded(f"more than {cap} ideals")
+        level = grown
+    yield from level
 
 
 def enumerate_ideals(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[IdealSet]:
@@ -390,5 +393,210 @@ def all_orbits(poset: Poset, cap: int = DEFAULT_CAP) -> list[OrbitReport]:
 
 def operator_order(poset: Poset, cap: int = DEFAULT_CAP) -> int:
     """Order of rowmotion on the full ideal set (lcm of orbit lengths)."""
-    lengths = [o.length for o in all_orbits(poset, cap)]
-    return math.lcm(*lengths) if lengths else 1
+    return orbit_sums(poset, cap).operator_order
+
+
+# -- bit-sliced orbit sums ----------------------------------------------------
+#
+# orbit_sums runs rowmotion on every ideal at once.  The ideals are held
+# transposed: column x is an int whose bit k says whether ideal k, in
+# ideal_masks order, holds element x.  A counter is a list of bit planes:
+# plane j holds bit j of every ideal's count.
+
+
+# _SPREAD[b][r] maps a byte to its bit b, moved to bit r: counting up from
+# 0, bit b is clear for 2**b bytes, then set for 2**b, and so on
+_SPREAD = tuple(
+    tuple((bytes(1 << b) + bytes([1 << r]) * (1 << b)) * (128 >> b)
+          for r in range(8))
+    for b in range(8)
+)
+
+
+def _columns(masks: Sequence[int], n: int) -> list[int]:
+    """Transpose masks into one int per element, bit k taken from masks[k].
+
+    Byte j of mask k sits at buf[k * width + j]; the masks k = 8q + r of one
+    residue r form a strided slice, and a table moves the wanted bit of each
+    of its bytes to bit r, so byte q of the column collects ideals 8q..8q+7.
+    """
+    width = (n + 7) // 8
+    stride = 8 * width
+    buf = b"".join(m.to_bytes(width, "little") for m in masks)
+    buf += bytes(-len(masks) % 8 * width)
+    columns = []
+    for x in range(n):
+        j, b = divmod(x, 8)
+        column = 0
+        for r, table in enumerate(_SPREAD[b]):
+            column |= int.from_bytes(
+                buf[j + r * width::stride].translate(table), "little")
+        columns.append(column)
+    return columns
+
+
+def _add(counter: list[int], columns: int) -> None:
+    """Add one to the count of every column set in columns."""
+    for j, plane in enumerate(counter):
+        if not columns:
+            return
+        counter[j] = plane ^ columns
+        columns &= plane
+    if columns:
+        counter.append(columns)
+
+
+def add_counters(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Columnwise sum of two counters."""
+    out = []
+    carry = 0
+    for x, y in zip_longest(a, b, fillvalue=0):
+        out.append(x ^ y ^ carry)
+        carry = x & y | carry & (x ^ y)
+    if carry:
+        out.append(carry)
+    return out
+
+
+def differing_columns(a: Sequence[int], b: Sequence[int]) -> int:
+    """Columns whose counts differ between two counters."""
+    out = 0
+    for x, y in zip_longest(a, b, fillvalue=0):
+        out |= x ^ y
+    return out
+
+
+class OrbitSums:
+    """Orbit statistics of every ideal, from one bit-sliced walk.
+
+    Column k stands for masks[k], the k-th ideal in ideal_masks order, and
+    its counters run once around its orbit: ideals[x] counts the orbit's
+    ideals that hold x, and antichains[x] those whose antichain (maximal
+    elements) holds x.  lengths maps each orbit length to the columns whose
+    orbits have it.  A leader is the column of the first ideal of its orbit
+    in enumeration order, the seed all_orbits starts that orbit at; orbit
+    indices count leaders in column order.
+    """
+
+    __slots__ = ("masks", "lengths", "leaders", "ideals", "antichains")
+
+    def __init__(
+        self,
+        masks: tuple[int, ...],
+        lengths: dict[int, int],
+        leaders: int,
+        ideals: tuple[list[int], ...],
+        antichains: tuple[list[int], ...],
+    ):
+        self.masks = masks
+        self.lengths = lengths
+        self.leaders = leaders
+        self.ideals = ideals
+        self.antichains = antichains
+
+    @property
+    def n_orbits(self) -> int:
+        return self.leaders.bit_count()
+
+    @property
+    def operator_order(self) -> int:
+        return math.lcm(*self.lengths)
+
+    def antichain_sizes(self) -> list[int]:
+        """Counter of the antichain sizes summed around each orbit."""
+        total: list[int] = []
+        for counter in self.antichains:
+            total = add_counters(total, counter)
+        return total
+
+    def mismatches(
+        self, counter: Sequence[int], target: Callable[[int], Fraction | int]
+    ) -> int:
+        """Columns whose count differs from target(length of their orbit)."""
+        out = 0
+        for length, columns in self.lengths.items():
+            want = Fraction(target(length))
+            if want.denominator != 1 or want < 0:
+                out |= columns
+                continue
+            value = int(want)
+            planes = [columns if value >> j & 1 else 0
+                      for j in range(value.bit_length())]
+            out |= differing_columns(counter, planes) & columns
+        return out
+
+    def orbits_in(self, columns: int) -> Iterator[tuple[int, int, int]]:
+        """(orbit index, leader column, length) of every orbit whose leader
+        is among columns, in orbit order."""
+        for k in bits_of(columns & self.leaders):
+            index = (self.leaders & ((1 << k) - 1)).bit_count()
+            length = next(t for t, c in self.lengths.items() if c >> k & 1)
+            yield index, k, length
+
+    @staticmethod
+    def count(counter: Sequence[int], k: int) -> int:
+        """Column k's count."""
+        return sum((plane >> k & 1) << j for j, plane in enumerate(counter))
+
+
+def orbit_sums(poset: Poset, cap: int = DEFAULT_CAP) -> OrbitSums:
+    """Walk every ideal's orbit at once, in as many steps as the longest.
+
+    One step takes every column from ideal I to its rowmotion image: the
+    minima of the complement are M_x = ~X_x & AND(X_y, y a lower cover of
+    x), which is also the antichain of the image, and the image is their
+    closure X'_x = M_x | OR(X'_z, z an upper cover of x), from the top down.
+    A column counts while its orbit is still open and closes when it is
+    back at its own ideal; it stops leading once an iterate comes before it
+    in enumeration order (the first differing element is missing from it).
+    """
+    masks = tuple(ideal_masks(poset, cap))
+    n = poset.n_elements
+    full = (1 << len(masks)) - 1
+    lower: list[list[int]] = [[] for _ in range(n)]
+    upper: list[list[int]] = [[] for _ in range(n)]
+    for a, b in poset.covers:
+        lower[b].append(a)
+        upper[a].append(b)
+    start = _columns(masks, n)
+    ideals = tuple([] for _ in range(n))
+    antichains = tuple([] for _ in range(n))
+    lengths = {}
+    leaders = full
+    open_ = full
+    cur = start
+    steps = 0
+    while open_:
+        steps += 1
+        if steps > len(masks):
+            raise RuntimeError("an orbit longer than the ideal set")
+        minima = []
+        for x in range(n):
+            m = full ^ cur[x]
+            for y in lower[x]:
+                m &= cur[y]
+            minima.append(m)
+        cur = [0] * n
+        for x in range(n - 1, -1, -1):
+            v = minima[x]
+            for z in upper[x]:
+                v |= cur[z]
+            cur[x] = v
+        for x in range(n):
+            _add(ideals[x], cur[x] & open_)
+            _add(antichains[x], minima[x] & open_)
+        moved = 0
+        for x in range(n):
+            moved |= cur[x] ^ start[x]
+        back = open_ & ~moved
+        if back:
+            lengths[steps] = back
+            open_ ^= back
+        undecided = leaders & open_
+        for x in range(n):
+            if not undecided:
+                break
+            differ = (cur[x] ^ start[x]) & undecided
+            leaders ^= differ & start[x]
+            undecided ^= differ
+    return OrbitSums(masks, lengths, leaders, ideals, antichains)

@@ -16,7 +16,14 @@ from .catalog import CatalogEntry, classical_layer_expr, entry_expr_poset
 from .constructions import build, grid_poset, k_product_poset
 from .homomesy import verify_constant_average
 from .isomorphism import are_isomorphic
-from .poset import DEFAULT_CAP, IdealSet, OrbitReport, Poset, ideal_masks
+from .poset import (
+    DEFAULT_CAP,
+    IdealSet,
+    OrbitReport,
+    Poset,
+    all_orbits,
+    ideal_masks,
+)
 from .roots import layer as build_layer
 from .words import (
     count_10,
@@ -63,16 +70,16 @@ def check_constant_average(
     expected: Fraction,
     cap: int = DEFAULT_CAP,
     label: str = "orbit averages constant",
-) -> tuple[CheckResult, tuple[OrbitReport, ...]]:
-    """verify_constant_average as a named check, with the orbits walked."""
+) -> CheckResult:
+    """verify_constant_average as a named check."""
     report = verify_constant_average(poset, expected, cap)
     failures = [
-        f"orbit {k} (length {report.orbits[k].length}) averages "
-        f"{_fraction_str(average)}"
-        for k, average in report.failures
+        f"orbit {k} (length {length}) averages {_fraction_str(average)}"
+        for (k, average), length in zip(report.failures,
+                                        report.failure_lengths)
     ]
     note = f"{report.n_orbits} orbits, every average {_fraction_str(expected)}"
-    return _result(label, failures, note), report.orbits
+    return _result(label, failures, note)
 
 
 def verify_grid(
@@ -84,11 +91,11 @@ def verify_grid(
     period = m + n
     checks: list[CheckResult] = []
 
-    avg_check, reports = check_constant_average(
+    checks.append(check_constant_average(
         poset, Fraction(m * n, m + n), cap,
         "orbit averages equal mn/(m+n)",
-    )
-    checks.append(avg_check)
+    ))
+    reports = tuple(all_orbits(poset, cap))
 
     order = lcm(*(r.length for r in reports)) if reports else 1
     checks.append(
@@ -202,11 +209,11 @@ def verify_k_product(
     period = m + 2 * n - 1
     checks: list[CheckResult] = []
 
-    avg_check, reports = check_constant_average(
+    checks.append(check_constant_average(
         poset, Fraction(2 * m * n, period), cap,
         "orbit averages equal 2mn/(m+2n-1)",
-    )
-    checks.append(avg_check)
+    ))
+    reports = tuple(all_orbits(poset, cap))
 
     codec = k_codec(poset)
     class_fail: list[str] = []
@@ -338,16 +345,15 @@ def verify_k_product(
 def verify_catalog_entry(
     entry: CatalogEntry,
     cap: int = DEFAULT_CAP,
-) -> tuple[Poset, tuple[OrbitReport, ...], list[CheckResult]]:
+) -> tuple[Poset, list[CheckResult]]:
     root_layer = entry.realize_layer()
     poset = root_layer.poset
     checks: list[CheckResult] = []
     expected = Fraction(poset.n_elements, poset.max_rank + 1)
-    avg_check, reports = check_constant_average(
+    checks.append(check_constant_average(
         poset, expected, cap,
         f"orbit averages constant [{entry.name}]",
-    )
-    checks.append(avg_check)
+    ))
 
     failures = []
     star = root_layer.star
@@ -370,7 +376,7 @@ def verify_catalog_entry(
                 else "posets differ",
             )
         )
-    return poset, reports, checks
+    return poset, checks
 
 
 def verify_classical_layer(
@@ -378,16 +384,15 @@ def verify_classical_layer(
     rank: int,
     pivot: int,
     cap: int = DEFAULT_CAP,
-) -> tuple[Poset, tuple[OrbitReport, ...], list[CheckResult]]:
+) -> tuple[Poset, list[CheckResult]]:
     root_layer = build_layer(family, rank, pivot)
     poset = root_layer.poset
     name = root_layer.name
     checks: list[CheckResult] = []
     expected = Fraction(poset.n_elements, poset.max_rank + 1)
-    avg_check, reports = check_constant_average(
+    checks.append(check_constant_average(
         poset, expected, cap, f"orbit averages constant [{name}]"
-    )
-    checks.append(avg_check)
+    ))
     expr = classical_layer_expr(family, rank, pivot)
     same = are_isomorphic(poset, build(expr))
     checks.append(
@@ -397,4 +402,4 @@ def verify_classical_layer(
             "isomorphic" if same else "posets differ",
         )
     )
-    return poset, reports, checks
+    return poset, checks

@@ -1,13 +1,16 @@
 """Command-line surface: grammar, formats, exit codes, schema stability."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rowmotion
 from rowmotion.cli import (
@@ -240,6 +243,21 @@ def test_step_word_rejects_garbage(capsys):
     assert code == 2
 
 
+def test_step_word_charges_its_steps_to_the_cap(capsys):
+    code, out, err = run(capsys, "step-word", "0011", "--steps", "20001")
+    assert code == 3
+    assert out == ""
+    assert "cap exceeded: more than 20000 steps" in err
+    code, out, err = run(capsys, "step-word", "0011", "--steps", "5",
+                         "--cap", "4")
+    assert code == 3
+    assert "more than 4 steps" in err
+    code, out, err = run(capsys, "step-word", "01*011", "--steps", "20001",
+                         "--cap", "30000", "--budget")
+    assert code == 0
+    assert "20001:" in out
+
+
 def test_catalog_lists_everything(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0
@@ -276,6 +294,18 @@ def test_cap_stops_before_long_orbit_walks(capsys):
     assert time.monotonic() - start < 10
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbits", "prod(chain(20),chain(20))"],
+    ["verify-grid", "9", "9"],
+])
+def test_large_inputs_are_refused_quickly(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert "more than 20000 ideals" in err
+    assert time.monotonic() - start < 5
+
+
 def test_unbudgeted_cap_is_clamped(capsys):
     # without --budget a huge --cap must not admit a huge build
     code, out, err = run(
@@ -303,9 +333,8 @@ def test_capped_sweep_with_a_failed_check_exits_1(capsys, monkeypatch):
     real = cli.verify_catalog_entry
 
     def failing(entry, cap):
-        poset, reports, checks = real(entry, cap)
-        return poset, reports, [CheckResult(c.name, False, "forced")
-                                for c in checks]
+        poset, checks = real(entry, cap)
+        return poset, [CheckResult(c.name, False, "forced") for c in checks]
 
     monkeypatch.setattr(cli, "verify_catalog_entry", failing)
     code, out, err = run(capsys, "verify-delta1", "--cap", "100")
@@ -358,3 +387,69 @@ def test_module_runs_as_a_script():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == "catalog"
+
+
+def test_a_reader_that_leaves_early_is_not_an_error():
+    # about 260 kB on one line: more than a pipe holds, so the write fails
+    src = Path(rowmotion.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rowmotion.cli", "step-word", "0011101111",
+         "--steps", "20000", "--no-timing"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.stdout.readline() == "command: step-word\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and "Error" not in err
+
+
+# -- fuzzed expressions -------------------------------------------------------
+
+_INTS = st.integers(0, 12)
+_LEAVES = st.one_of(
+    st.builds("chain({})".format, _INTS),
+    st.builds("k({})".format, _INTS),
+    st.builds("h({})".format, _INTS),
+    st.builds("layer({}{},{})".format, st.sampled_from("ABCDEFG"), _INTS,
+              _INTS),
+)
+_EXPRS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.builds("j({})".format, inner),
+        st.builds("{}({},{})".format,
+                  st.sampled_from(["prod", "osum", "dunion"]), inner, inner),
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _maybe_corrupted(draw):
+    """A grammar expression, sometimes with one character inserted,
+    replaced or deleted."""
+    text = draw(_EXPRS)
+    if draw(st.booleans()):
+        return text
+    edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+    at = draw(st.integers(0, len(text) - 1))
+    if edit == "delete":
+        return text[:at] + text[at + 1:]
+    char = draw(st.characters())
+    return text[:at] + char + text[at + (edit == "replace"):]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_maybe_corrupted())
+def test_fuzzed_expressions_exit_cleanly(text):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(["orbits", text, "--cap", "300", "--no-timing"])
+        except SystemExit as exc:  # argparse's usage error, as for "-x"
+            code = exc.code
+    assert code in (0, 2, 3), (text, err.getvalue())
+    assert (code == 0) == bool(out.getvalue())

@@ -1,0 +1,180 @@
+"""The bit-sliced orbit engine against the orbit-by-orbit walker.
+
+verify_constant_average, check_conjectures and operator_order read the
+counters of poset.orbit_sums; tests/orbit_oracles.py computes the same
+reports by walking every orbit.  The shapes are those of the acceptance
+suite, plus inputs that fail.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from orbit_oracles import walked_average, walked_conjectures, walked_order
+from rowmotion import homomesy, poset as poset_module
+from rowmotion.catalog import SPORADIC
+from rowmotion.cli import main
+from rowmotion.constructions import (
+    Chain,
+    DUnion,
+    OSum,
+    build,
+    grid_poset,
+    k_product_poset,
+)
+from rowmotion.homomesy import check_conjectures, verify_constant_average
+from rowmotion.poset import (
+    CapExceeded,
+    OrbitReport,
+    Poset,
+    ideal_masks,
+    operator_order,
+    orbit_sums,
+)
+from rowmotion.roots import layer
+
+CLAW = OSum(Chain(1), DUnion(Chain(1), DUnion(Chain(1), Chain(1))))
+
+
+def classical_layers():
+    for family, ranks in (("A", range(1, 8)), ("B", range(2, 8)),
+                          ("C", range(2, 8)), ("D", range(4, 8))):
+        for rank in ranks:
+            for pivot in range(1, rank + 1):
+                lay = layer(family, rank, pivot)
+                if lay.poset.n_elements <= 30:
+                    yield lay
+
+
+def assert_same_average(poset, expected=None):
+    engine = verify_constant_average(poset, expected)
+    assert engine == walked_average(poset, expected)
+    return engine
+
+
+def assert_same_layer(root_layer):
+    engine = check_conjectures(root_layer)
+    assert engine == walked_conjectures(root_layer)
+    assert_same_average(root_layer.poset)
+    assert operator_order(root_layer.poset) == walked_order(root_layer.poset)
+    return engine
+
+
+def test_catalog_layers():
+    for entry in SPORADIC:
+        assert_same_layer(entry.realize_layer())
+
+
+def test_classical_layers_up_to_30_elements():
+    layers = list(classical_layers())
+    assert len(layers) > 50
+    for lay in layers:
+        assert_same_layer(lay)
+
+
+def test_grids_with_m_plus_n_up_to_10():
+    for total in range(2, 11):
+        for m in range(1, total):
+            poset = grid_poset(m, total - m)
+            expected = Fraction(m * (total - m), total)
+            assert assert_same_average(poset, expected).passed
+            assert operator_order(poset) == walked_order(poset) == total
+
+
+def test_k_products_up_to_5_by_4():
+    for m in range(1, 6):
+        for n in range(1, 5):
+            poset = k_product_poset(m, n)
+            expected = Fraction(2 * m * n, m + 2 * n - 1)
+            assert assert_same_average(poset, expected).passed
+            assert operator_order(poset) == walked_order(poset)
+
+
+def test_a_failing_average_names_the_same_orbits():
+    claw = build(CLAW)
+    rep = assert_same_average(claw)
+    assert rep.expected == Fraction(4, 3)
+    assert [k for k, _ in rep.failures] == [1, 2, 3]
+    assert all(average == Fraction(3, 2) for _, average in rep.failures)
+    assert operator_order(claw) == walked_order(claw)
+    # an expectation no orbit meets fails every orbit, lengths and all,
+    # also where expected * length rounds down to the true sum (6 of 6.05)
+    # or is negative (-3 read as two bits would be 1, chain(1)'s sum)
+    for poset, expected in ((grid_poset(2, 2), Fraction(1, 7)),
+                            (grid_poset(2, 3), Fraction(121, 100)),
+                            (build(Chain(1)), Fraction(-3, 2))):
+        rep = assert_same_average(poset, expected)
+        assert len(rep.failures) == rep.n_orbits
+
+
+def test_an_identity_star_gives_the_same_witnesses():
+    lay = layer("A", 3, 2)
+    fake = dataclasses.replace(lay, star=tuple(range(lay.poset.n_elements)))
+    ideals, antichains = assert_same_layer(fake)
+    assert not ideals.passed and antichains.passed
+    assert len(ideals.witnesses) == 4
+
+
+def test_empty_and_one_element_posets():
+    for poset in (Poset.empty(), build(Chain(1))):
+        rep = assert_same_average(poset)
+        assert rep.passed and rep.n_orbits == 1
+        assert operator_order(poset) == walked_order(poset)
+
+
+def test_counters_on_a_chain():
+    # orbit of chain(2): empty -> {0} -> {0,1} -> empty
+    sums = orbit_sums(build(Chain(2)))
+    assert sums.masks == (0, 1, 3)
+    assert sums.lengths == {3: 0b111}
+    assert sums.leaders == 0b001
+    for k in range(3):
+        assert [sums.count(c, k) for c in sums.ideals] == [2, 1]
+        assert [sums.count(c, k) for c in sums.antichains] == [1, 1]
+        assert sums.count(sums.antichain_sizes(), k) == 2
+
+
+def test_checkers_walk_no_orbit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked an orbit")
+
+    for module in (poset_module, homomesy):
+        monkeypatch.setattr(module, "all_orbits", refuse)
+    monkeypatch.setattr(homomesy, "orbit_reports", refuse)
+    monkeypatch.setattr(OrbitReport, "from_seed_mask", refuse)
+    lay = layer("D", 5, 2)
+    assert verify_constant_average(lay.poset).passed
+    assert all(rep.passed for rep in check_conjectures(lay))
+    assert operator_order(grid_poset(3, 4)) == 7
+
+
+def test_conjectures_walk_each_layer_once(monkeypatch, capsys):
+    calls = []
+    real = homomesy.orbit_sums
+
+    def counted(poset, cap):
+        calls.append(poset)
+        return real(poset, cap)
+
+    monkeypatch.setattr(homomesy, "orbit_sums", counted)
+    assert main(["conjectures", "layer(D5,2)"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("poset", [grid_poset(3, 4), k_product_poset(3, 3),
+                                   build(CLAW), layer("E", 6, 2).poset])
+def test_ideal_masks_are_in_lexicographic_order(poset):
+    masks = list(ideal_masks(poset))
+    n = poset.n_elements
+    assert masks == sorted(masks, key=lambda m: [m >> i & 1 for i in range(n)])
+    assert len(set(masks)) == len(masks)
+    assert all(poset.is_ideal_mask(m) for m in masks)
+
+
+def test_ideal_masks_refuse_before_yielding():
+    masks = ideal_masks(grid_poset(4, 4), cap=69)
+    with pytest.raises(CapExceeded, match="more than 69 ideals"):
+        next(masks)
+    assert len(list(ideal_masks(grid_poset(4, 4), cap=70))) == 70
