@@ -13,8 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 from .catalog import SPORADIC, find_entry
@@ -188,16 +187,8 @@ class RunResult:
     elapsed_ms: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "poset": self.poset,
-            "n_elements": self.n_elements,
-            "max_rank": self.max_rank,
-            "orbits": self.orbits,
-            "checks": self.checks,
-            "witnesses": self.witnesses,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        # not dataclasses.asdict, which deep-copies every orbit listing
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _orbit_dicts(reports: Sequence[OrbitReport]) -> list[dict]:
@@ -443,13 +434,10 @@ def _cmd_verify_delta1(args) -> int:
         else:
             expr = parse_poset_expr(args.target)
             poset = build(expr, cap=cap)
-            result.poset = to_text(expr)
-            result.n_elements = poset.n_elements
-            result.max_rank = poset.max_rank
-            expected = Fraction(poset.n_elements, poset.max_rank + 1)
+            result = _poset_result("verify-delta1", to_text(expr), poset)
             check = check_constant_average(
-                poset, expected, cap,
-                f"orbit averages constant [{to_text(expr)}]",
+                poset, cap=cap,
+                label=f"orbit averages constant [{to_text(expr)}]",
             )
             result.orbits = _orbit_dicts(orbit_reports(poset, cap))
             result.checks = _check_dicts([check])

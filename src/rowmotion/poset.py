@@ -126,13 +126,6 @@ class Poset:
     def index_of(self, key) -> int:
         return self._key_index[key]
 
-    def rank_level_mask(self, r: int) -> int:
-        mask = 0
-        for i in range(self.n_elements):
-            if self.rank[i] == r:
-                mask |= 1 << i
-        return mask
-
     def rank_ideal_mask(self, r: int) -> int:
         """Union of the first r rank levels (the rank ideal L_r)."""
         mask = 0
@@ -349,8 +342,12 @@ def ideal_masks(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[int]:
     the first i+1 elements, each ideal s of the level before followed by
     s plus i when everything below i is in s.  The first i+1 elements
     form a down-set, so no level holds more ideals than the last one, and a
-    level past the cap raises before any ideal is yielded.
+    level past the cap raises before any ideal is yielded.  A poset on n
+    elements has at least n+1 ideals (the prefixes of the linear
+    extension), so n >= cap is refused before the first level.
     """
+    if poset.n_elements >= cap:
+        raise CapExceeded(f"more than {cap} ideals")
     level = [0]
     for i in range(poset.n_elements):
         bit = 1 << i

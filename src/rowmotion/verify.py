@@ -22,7 +22,6 @@ from .poset import (
     OrbitReport,
     Poset,
     all_orbits,
-    ideal_masks,
 )
 from .roots import layer as build_layer
 from .words import (
@@ -33,7 +32,6 @@ from .words import (
     long_sequences,
     psi,
     psi_bar,
-    psi_iterates,
     size_profile,
     window_sizes_K,
     zigzag,
@@ -67,7 +65,7 @@ def _fraction_str(f: Fraction) -> str:
 
 def check_constant_average(
     poset: Poset,
-    expected: Fraction,
+    expected: Fraction | None = None,
     cap: int = DEFAULT_CAP,
     label: str = "orbit averages constant",
 ) -> CheckResult:
@@ -78,7 +76,8 @@ def check_constant_average(
         for (k, average), length in zip(report.failures,
                                         report.failure_lengths)
     ]
-    note = f"{report.n_orbits} orbits, every average {_fraction_str(expected)}"
+    note = (f"{report.n_orbits} orbits, every average "
+            f"{_fraction_str(report.expected)}")
     return _result(label, failures, note)
 
 
@@ -87,6 +86,8 @@ def verify_grid(
     n: int,
     cap: int = DEFAULT_CAP,
 ) -> tuple[Poset, tuple[OrbitReport, ...], list[CheckResult]]:
+    """Every grid check on [m]x[n].  The codec checks read each ideal, its
+    rowmotion image and its antichain size from the orbit listing."""
     poset = grid_poset(m, n)
     period = m + n
     checks: list[CheckResult] = []
@@ -97,7 +98,7 @@ def verify_grid(
     ))
     reports = tuple(all_orbits(poset, cap))
 
-    order = lcm(*(r.length for r in reports)) if reports else 1
+    order = lcm(*(r.length for r in reports))
     checks.append(
         CheckResult(
             "operator order is m+n",
@@ -126,35 +127,32 @@ def verify_grid(
     window_fail: list[str] = []
     n_ideals = 0
     codec = grid_codec(poset)
-    for mask in ideal_masks(poset, cap):
-        n_ideals += 1
-        w = codec.encode(mask)
-        if codec.decode(w) != mask:
-            rt_fail.append(f"word {w}")
-        if codec.encode(poset.rowmotion_ideal_mask(mask)) != psi(w):
-            eq_fail.append(f"word {w}")
-        gamma = poset.maxima_mask(mask).bit_count()
-        if count_10(w) != gamma:
-            size_fail.append(f"word {w}: {count_10(w)} vs {gamma}")
-        profile = size_profile(w)
-        iterates = psi_iterates(w, period)
-        running = count_10(w)
-        total = 0
-        for i in range(1, period + 1):
-            running += profile.p_values[i - 1] + profile.q_values[i - 1]
-            total += running
-            if running != count_10(iterates[i - 1]):
-                formula_fail.append(f"word {w} step {i}")
-                break
-        if total != m * n:
-            period_fail.append(f"word {w}: climb total {total}")
-        if iterates[-1] != w:
-            period_fail.append(f"word {w} does not return")
-        seq0, seq1 = long_sequences(w)
-        for i in range(1, period + 1):
-            if zigzag(seq0.window(i), seq1.window(i)) != iterates[i - 1]:
-                window_fail.append(f"word {w} window {i}")
-                break
+    for r in reports:
+        words = [codec.encode(mask) for mask in r.masks]
+        for i, (mask, w) in enumerate(zip(r.masks, words)):
+            n_ideals += 1
+            if codec.decode(w) != mask:
+                rt_fail.append(f"word {w}")
+            if words[(i + 1) % r.length] != psi(w):
+                eq_fail.append(f"word {w}")
+            gamma = r.antichain_sizes[i]
+            if count_10(w) != gamma:
+                size_fail.append(f"word {w}: {count_10(w)} vs {gamma}")
+            rows, _ = word_iterate_rows(w)
+            step = next((j for j, _, direct, formula in rows
+                         if direct != formula), None)
+            if step is not None:
+                formula_fail.append(f"word {w} step {step}")
+            total = sum(formula for *_, formula in rows)
+            if total != m * n:
+                period_fail.append(f"word {w}: climb total {total}")
+            if rows[-1][1] != w:
+                period_fail.append(f"word {w} does not return")
+            seq0, seq1 = long_sequences(w)
+            for j, iterate, _, _ in rows:
+                if zigzag(seq0.window(j), seq1.window(j)) != iterate:
+                    window_fail.append(f"word {w} window {j}")
+                    break
     checks.append(_result("codec round-trips", rt_fail, f"{n_ideals} ideals"))
     checks.append(
         _result("codec transports the dynamics", eq_fail, f"{n_ideals} ideals")
@@ -205,54 +203,22 @@ def verify_k_product(
     n: int,
     cap: int = DEFAULT_CAP,
 ) -> tuple[Poset, tuple[OrbitReport, ...], list[CheckResult]]:
+    """Every check on [m]xK(n-1), in one pass over the orbit listing: each
+    ideal's image and antichain sizes are read from its orbit."""
     poset = k_product_poset(m, n)
     period = m + 2 * n - 1
+    expected = Fraction(2 * m * n, period)
     checks: list[CheckResult] = []
 
     checks.append(check_constant_average(
-        poset, Fraction(2 * m * n, period), cap,
-        "orbit averages equal 2mn/(m+2n-1)",
+        poset, expected, cap, "orbit averages equal 2mn/(m+2n-1)",
     ))
     reports = tuple(all_orbits(poset, cap))
 
     codec = k_codec(poset)
     class_fail: list[str] = []
-    type_one: list = []
-    type_two: list = []
-    for k, r in enumerate(reports):
-        kinds = {codec.full_rank(mask) for mask in r.masks}
-        if len(kinds) != 1:
-            class_fail.append(f"orbit {k} mixes classes")
-            continue
-        (type_one if kinds.pop() else type_two).append((k, r))
-    checks.append(
-        _result("orbits never mix the two fiber classes", class_fail,
-                f"{len(type_one)} full-rank orbits, {len(type_two)} others")
-    )
-    expected = Fraction(2 * m * n, period)
-    for label, group in (
-        ("full-rank orbit averages", type_one),
-        ("starred orbit averages", type_two),
-    ):
-        failures = [
-            f"orbit {k} averages {_fraction_str(r.average_size)}"
-            for k, r in group
-            if r.average_size != expected
-        ]
-        checks.append(
-            _result(label, failures,
-                    f"{len(group)} orbits at {_fraction_str(expected)}")
-        )
-
-    order = lcm(*(r.length for r in reports)) if reports else 1
-    checks.append(
-        CheckResult(
-            "operator order is m+2n-1",
-            order == period,
-            f"order {order}, expected {period}",
-        )
-    )
-
+    n_orbits = {True: 0, False: 0}
+    average_fail: dict[bool, list[str]] = {True: [], False: []}
     full_rt: list[str] = []
     full_eq: list[str] = []
     full_size: list[str] = []
@@ -265,45 +231,71 @@ def verify_k_product(
     n_full = 0
     n_star = 0
     seen_words: set[str] = set()
-    for mask in ideal_masks(poset, cap):
-        stepped = poset.rowmotion_ideal_mask(mask)
-        if codec.full_rank(mask):
-            n_full += 1
-            w = codec.encode_fullrank(mask)
-            if codec.decode_fullrank(w) != mask:
-                full_rt.append(f"word {w}")
-            if codec.encode_fullrank(stepped) != psi(w):
-                full_eq.append(f"word {w}")
-            gamma = poset.maxima_mask(mask).bit_count()
-            if count_10(w) + epsilon_n(w) != gamma:
-                full_size.append(f"word {w}: {count_10(w)}+{epsilon_n(w)} vs {gamma}")
+    for k, r in enumerate(reports):
+        full = [codec.full_rank(mask) for mask in r.masks]
+        if len(set(full)) != 1:
+            class_fail.append(f"orbit {k} mixes classes")
         else:
+            n_orbits[full[0]] += 1
+            if r.average_size != expected:
+                average_fail[full[0]].append(
+                    f"orbit {k} averages {_fraction_str(r.average_size)}")
+        words = [codec.encode_fullrank(mask) if f
+                 else codec.encode_starred(mask)
+                 for mask, f in zip(r.masks, full)]
+        for i, (mask, w) in enumerate(zip(r.masks, words)):
+            image = (i + 1) % r.length
+            if full[i]:
+                n_full += 1
+                if codec.decode_fullrank(w) != mask:
+                    full_rt.append(f"word {w}")
+                if words[image] != psi(w):
+                    full_eq.append(f"word {w}")
+                gamma = r.antichain_sizes[i]
+                if count_10(w) + epsilon_n(w) != gamma:
+                    full_size.append(
+                        f"word {w}: {count_10(w)}+{epsilon_n(w)} vs {gamma}")
+                continue
             n_star += 1
-            sw = codec.encode_starred(mask)
             mate = codec.dual(mask)
-            if codec.encode_starred(mate) != sw:
-                star_dual_inv.append(f"word {sw}")
-            if codec.decode_starred(sw) not in (mask, mate):
-                star_rt.append(f"word {sw}")
-            if codec.encode_starred(stepped) != psi_bar(sw):
-                star_eq.append(f"word {sw}")
-            if poset.rowmotion_ideal_mask(mate) != codec.dual(stepped):
+            if codec.encode_starred(mate) != w:
+                star_dual_inv.append(f"word {w}")
+            if codec.decode_starred(w) not in (mask, mate):
+                star_rt.append(f"word {w}")
+            if words[image] != psi_bar(w):
+                star_eq.append(f"word {w}")
+            if (poset.rowmotion_ideal_mask(mate)
+                    != codec.dual(r.masks[image])):
                 dual_comm.append(f"ideal {IdealSet(poset, mask).bit_string()}")
-            if sw not in seen_words:
-                seen_words.add(sw)
-                sizes = window_sizes_K(sw)
-                direct = []
-                cur = mask
+            if w not in seen_words:
+                seen_words.add(w)
+                direct = [r.antichain_sizes[(i + j) % r.length]
+                          for j in range(1, period + 1)]
+                if window_sizes_K(w) != direct:
+                    window_fail.append(f"word {w}")
+                cur = w
                 for _ in range(period):
-                    cur = poset.rowmotion_ideal_mask(cur)
-                    direct.append(poset.maxima_mask(cur).bit_count())
-                if sizes != direct:
-                    window_fail.append(f"word {sw}")
-                cur_w = sw
-                for _ in range(period):
-                    cur_w = psi_bar(cur_w)
-                if cur_w != sw:
-                    word_period_fail.append(f"word {sw}")
+                    cur = psi_bar(cur)
+                if cur != w:
+                    word_period_fail.append(f"word {w}")
+    checks.append(
+        _result("orbits never mix the two fiber classes", class_fail,
+                f"{n_orbits[True]} full-rank orbits, {n_orbits[False]} others")
+    )
+    for label, full in (("full-rank orbit averages", True),
+                        ("starred orbit averages", False)):
+        checks.append(
+            _result(label, average_fail[full],
+                    f"{n_orbits[full]} orbits at {_fraction_str(expected)}")
+        )
+    order = lcm(*(r.length for r in reports))
+    checks.append(
+        CheckResult(
+            "operator order is m+2n-1",
+            order == period,
+            f"order {order}, expected {period}",
+        )
+    )
     checks.append(
         _result("full-rank codec round-trips", full_rt, f"{n_full} ideals")
     )
@@ -348,12 +340,9 @@ def verify_catalog_entry(
 ) -> tuple[Poset, list[CheckResult]]:
     root_layer = entry.realize_layer()
     poset = root_layer.poset
-    checks: list[CheckResult] = []
-    expected = Fraction(poset.n_elements, poset.max_rank + 1)
-    checks.append(check_constant_average(
-        poset, expected, cap,
-        f"orbit averages constant [{entry.name}]",
-    ))
+    checks = [check_constant_average(
+        poset, cap=cap, label=f"orbit averages constant [{entry.name}]",
+    )]
 
     failures = []
     star = root_layer.star
@@ -388,11 +377,9 @@ def verify_classical_layer(
     root_layer = build_layer(family, rank, pivot)
     poset = root_layer.poset
     name = root_layer.name
-    checks: list[CheckResult] = []
-    expected = Fraction(poset.n_elements, poset.max_rank + 1)
-    checks.append(check_constant_average(
-        poset, expected, cap, f"orbit averages constant [{name}]"
-    ))
+    checks = [check_constant_average(
+        poset, cap=cap, label=f"orbit averages constant [{name}]",
+    )]
     expr = classical_layer_expr(family, rank, pivot)
     same = are_isomorphic(poset, build(expr))
     checks.append(

@@ -329,9 +329,6 @@ class MarkedSequence:
             hi += 1
         return self.symbols[lo : hi + 1]
 
-    def window_count(self) -> int:
-        return len(self.own_positions()) - self.width
-
 
 def _runs(word: str) -> list[tuple[str, int]]:
     return [(ch, len(list(g))) for ch, g in groupby(word)]

@@ -306,6 +306,15 @@ def test_large_inputs_are_refused_quickly(capsys, argv):
     assert time.monotonic() - start < 5
 
 
+def test_many_elements_are_refused_before_enumerating(capsys):
+    # 20000 elements give more than 20000 ideals, known before any level
+    start = time.monotonic()
+    code, out, err = run(capsys, "orbits", "chain(20000)")
+    assert code == 3
+    assert "cap exceeded: more than 20000 ideals" in err
+    assert time.monotonic() - start < 2
+
+
 def test_unbudgeted_cap_is_clamped(capsys):
     # without --budget a huge --cap must not admit a huge build
     code, out, err = run(

@@ -178,3 +178,11 @@ def test_ideal_masks_refuse_before_yielding():
     with pytest.raises(CapExceeded, match="more than 69 ideals"):
         next(masks)
     assert len(list(ideal_masks(grid_poset(4, 4), cap=70))) == 70
+
+
+def test_ideal_masks_refuse_by_element_count():
+    # n elements give at least n+1 ideals: the prefixes of the extension
+    chain = build(Chain(6))
+    with pytest.raises(CapExceeded, match="more than 6 ideals"):
+        next(ideal_masks(chain, cap=6))
+    assert len(list(ideal_masks(chain, cap=7))) == 7

@@ -1,0 +1,131 @@
+"""The verification suites of rowmotion.verify: their counts, and that each
+named check fails when the map it checks is wrong."""
+
+import re
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+import rowmotion.verify as verify
+from rowmotion.catalog import classical_layer_expr
+from rowmotion.cli import main
+from rowmotion.constructions import build
+from rowmotion.poset import Poset, ideal_masks
+
+
+def _counts(checks, unit):
+    """{check name: N} for every check whose note reads 'N <unit>'."""
+    out = {}
+    for c in checks:
+        found = re.match(rf"(\d+) {unit}\b", c.details)
+        if found:
+            out[c.name] = int(found.group(1))
+    return out
+
+
+def _failed(checks):
+    return {c.name for c in checks if not c.passed}
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 3), (4, 2)])
+def test_grid_notes_count_every_ideal(m, n):
+    poset, reports, checks = verify.verify_grid(m, n)
+    assert not _failed(checks)
+    ideals = _counts(checks, "ideals")
+    words = _counts(checks, "words")
+    assert len(ideals) == 3 and len(words) == 3
+    assert set(ideals.values()) == set(words.values()) == {comb(m + n, m)}
+    assert sum(r.length for r in reports) == comb(m + n, m)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2), (2, 3)])
+def test_k_notes_count_every_ideal(m, n):
+    poset, reports, checks = verify.verify_k_product(m, n)
+    assert not _failed(checks)
+    ideals = _counts(checks, "ideals")
+    full = {ideals[name] for name in ideals if name.startswith("full-rank")}
+    starred = {ideals[name] for name in ideals if not name.startswith("full")}
+    assert len(full) == 1 and len(starred) == 1
+    total = sum(1 for _ in ideal_masks(poset))
+    assert full.pop() + starred.pop() == total
+    assert sum(r.length for r in reports) == total
+
+
+def _sorted_word(word):
+    # a map that is not rowmotion: it settles on one word and stays there
+    return "".join(sorted(word))
+
+
+@pytest.mark.parametrize("name,wrong,suite,args,names", [
+    ("psi", _sorted_word, "verify_grid", (3, 4), {
+        "codec transports the dynamics",
+        "profile formula matches iterated sizes",
+        "size total over one period is mn",
+        "windows rebuild every iterate",
+    }),
+    ("psi", _sorted_word, "verify_k_product", (3, 2), {
+        "full-rank codec transports the dynamics",
+    }),
+    ("psi_bar", _sorted_word, "verify_k_product", (3, 2), {
+        "starred codec transports the dynamics",
+        "starred word returns after m+2n-1 steps",
+    }),
+    ("window_sizes_K", lambda sword: [0], "verify_k_product", (3, 2), {
+        "marked-sequence windows give iterate sizes",
+    }),
+])
+def test_a_wrong_word_map_fails_its_checks(monkeypatch, capsys, name, wrong,
+                                           suite, args, names):
+    monkeypatch.setattr(verify, name, wrong)
+    _, _, checks = getattr(verify, suite)(*args)
+    assert _failed(checks) == names
+    assert all("word " in c.details for c in checks if c.name in names)
+    command = "verify-grid" if suite == "verify_grid" else "verify-k"
+    code = main([command, *map(str, args), "--no-timing"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count("[FAIL]") == len(names)
+
+
+def test_suites_step_each_ideal_once_for_the_listing(monkeypatch):
+    # the codec checks read each image from the listing; the only step
+    # beyond the walk is the middle swap's image, once per starred ideal
+    calls = []
+    step = Poset.rowmotion_ideal_mask
+
+    def counted(self, mask):
+        calls.append(mask)
+        return step(self, mask)
+
+    monkeypatch.setattr(Poset, "rowmotion_ideal_mask", counted)
+    verify.verify_grid(4, 4)
+    assert len(calls) == comb(8, 4)
+    calls.clear()
+    _, _, checks = verify.verify_k_product(4, 3)
+    ideals = _counts(checks, "ideals")
+    n_star = ideals["starred codec transports the dynamics"]
+    total = ideals["full-rank codec transports the dynamics"] + n_star
+    assert len(calls) == total + n_star
+
+
+@pytest.mark.parametrize("family,rank,pivot", [
+    ("A", 3, 1), ("D", 5, 2), ("C", 4, 4),
+])
+def test_classical_layer_passes_every_check(family, rank, pivot):
+    poset, checks = verify.verify_classical_layer(family, rank, pivot)
+    assert isinstance(poset, Poset)
+    assert poset.n_elements == build(
+        classical_layer_expr(family, rank, pivot)).n_elements
+    assert len(checks) == 2 and not _failed(checks)
+    expected = Fraction(poset.n_elements, poset.max_rank + 1)
+    assert checks[0].details.endswith(
+        f"every average {expected.numerator}/{expected.denominator}")
+
+
+def test_average_note_reads_the_default_expectation():
+    # [2]x[3]: 6 elements over ranks 1..4, 10 ideals in two orbits of 5
+    poset = build(classical_layer_expr("A", 4, 2))
+    check = verify.check_constant_average(poset)
+    assert check.passed
+    assert check.details == "2 orbits, every average 6/5"
