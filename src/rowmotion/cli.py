@@ -269,7 +269,7 @@ def _emit(result: RunResult, args) -> int:
 def _add_common(sub):
     sub.add_argument("--format", choices=("table", "json", "csv"),
                      default="table")
-    sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    sub.add_argument("--cap", type=_positive, default=DEFAULT_CAP,
                      help="abort if the ideal enumeration, or the step "
                      "count of step-word, exceeds this")
     sub.add_argument("--budget", action="store_true",
@@ -381,19 +381,15 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_verify_grid(args) -> int:
+    word = args.word
+    if word is not None and sorted(word) != ["0"] * args.m + ["1"] * args.n:
+        raise ValueError(f"--word needs {args.m} zeros and {args.n} ones")
     poset, reports, checks = verify_grid(args.m, args.n, _entry_cap(args))
     result = _poset_result(
         "verify-grid", f"prod(chain({args.m}),chain({args.n}))", poset
     )
     result.orbits = _orbit_dicts(reports)
-    if args.word is not None:
-        word = args.word
-        if word.count("0") != args.m or word.count("1") != args.n or set(
-            word
-        ) - {"0", "1"}:
-            raise ValueError(
-                f"--word needs {args.m} zeros and {args.n} ones"
-            )
+    if word is not None:
         rows, ok = word_iterate_rows(word)
         details = " ".join(f"{i}:{w}:{direct}" for i, w, direct, _ in rows)
         checks = checks + [

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import add
 
 from .catalog import CatalogEntry, classical_layer_expr, entry_expr_poset
 from .constructions import build, grid_poset, k_product_poset
@@ -87,7 +89,8 @@ def verify_grid(
     cap: int = DEFAULT_CAP,
 ) -> tuple[Poset, tuple[OrbitReport, ...], list[CheckResult]]:
     """Every grid check on [m]x[n].  The codec checks read each ideal, its
-    rowmotion image and its antichain size from the orbit listing."""
+    rowmotion iterates and their antichain sizes from the orbit listing;
+    psi runs once per word, for the transport check."""
     poset = grid_poset(m, n)
     period = m + n
     checks: list[CheckResult] = []
@@ -129,28 +132,29 @@ def verify_grid(
     codec = grid_codec(poset)
     for r in reports:
         words = [codec.encode(mask) for mask in r.masks]
+        sizes = r.antichain_sizes
         for i, (mask, w) in enumerate(zip(r.masks, words)):
             n_ideals += 1
             if codec.decode(w) != mask:
                 rt_fail.append(f"word {w}")
             if words[(i + 1) % r.length] != psi(w):
                 eq_fail.append(f"word {w}")
-            gamma = r.antichain_sizes[i]
-            if count_10(w) != gamma:
-                size_fail.append(f"word {w}: {count_10(w)} vs {gamma}")
-            rows, _ = word_iterate_rows(w)
-            step = next((j for j, _, direct, formula in rows
-                         if direct != formula), None)
+            if count_10(w) != sizes[i]:
+                size_fail.append(f"word {w}: {count_10(w)} vs {sizes[i]}")
+            # the j-th iterate of w is the j-th ideal after it on the orbit
+            ahead = [(i + j) % r.length for j in range(1, period + 1)]
+            formula = _formula_sizes(w)
+            step = next((j for j, (k, f) in enumerate(zip(ahead, formula), 1)
+                         if sizes[k] != f), None)
             if step is not None:
                 formula_fail.append(f"word {w} step {step}")
-            total = sum(formula for *_, formula in rows)
-            if total != m * n:
-                period_fail.append(f"word {w}: climb total {total}")
-            if rows[-1][1] != w:
+            if sum(formula) != m * n:
+                period_fail.append(f"word {w}: climb total {sum(formula)}")
+            if words[ahead[-1]] != w:
                 period_fail.append(f"word {w} does not return")
             seq0, seq1 = long_sequences(w)
-            for j, iterate, _, _ in rows:
-                if zigzag(seq0.window(j), seq1.window(j)) != iterate:
+            for j, k in enumerate(ahead, start=1):
+                if zigzag(seq0.window(j), seq1.window(j)) != words[k]:
                     window_fail.append(f"word {w} window {j}")
                     break
     checks.append(_result("codec round-trips", rt_fail, f"{n_ideals} ideals"))
@@ -176,22 +180,25 @@ def verify_grid(
     return poset, reports, checks
 
 
+def _formula_sizes(word: str) -> list[int]:
+    """Antichain sizes of the first m+n iterates of a word, from its P/Q
+    profile."""
+    profile = size_profile(word)
+    steps = map(add, profile.p_values, profile.q_values)
+    return list(accumulate(steps, initial=count_10(word)))[1:]
+
+
 def word_iterate_rows(word: str) -> tuple[list[tuple[int, str, int, int]], bool]:
     """Rows (step, word, direct size, formula size) over one period, plus
     whether every comparison agreed and the word returned."""
-    m, n = word.count("0"), word.count("1")
-    period = m + n
-    profile = size_profile(word)
     rows = []
     ok = True
     cur = word
-    running = count_10(word)
-    for i in range(1, period + 1):
+    for i, formula in enumerate(_formula_sizes(word), start=1):
         cur = psi(cur)
-        running += profile.p_values[i - 1] + profile.q_values[i - 1]
         direct = count_10(cur)
-        rows.append((i, cur, direct, running))
-        if direct != running:
+        rows.append((i, cur, direct, formula))
+        if direct != formula:
             ok = False
     if cur != word:
         ok = False
@@ -204,7 +211,8 @@ def verify_k_product(
     cap: int = DEFAULT_CAP,
 ) -> tuple[Poset, tuple[OrbitReport, ...], list[CheckResult]]:
     """Every check on [m]xK(n-1), in one pass over the orbit listing: each
-    ideal's image and antichain sizes are read from its orbit."""
+    ideal's iterates and antichain sizes are read from its orbit, and
+    psi_bar runs once per starred ideal, for the transport check."""
     poset = k_product_poset(m, n)
     period = m + 2 * n - 1
     expected = Fraction(2 * m * n, period)
@@ -269,14 +277,10 @@ def verify_k_product(
                 dual_comm.append(f"ideal {IdealSet(poset, mask).bit_string()}")
             if w not in seen_words:
                 seen_words.add(w)
-                direct = [r.antichain_sizes[(i + j) % r.length]
-                          for j in range(1, period + 1)]
-                if window_sizes_K(w) != direct:
+                ahead = [(i + j) % r.length for j in range(1, period + 1)]
+                if window_sizes_K(w) != [r.antichain_sizes[k] for k in ahead]:
                     window_fail.append(f"word {w}")
-                cur = w
-                for _ in range(period):
-                    cur = psi_bar(cur)
-                if cur != w:
+                if words[ahead[-1]] != w:
                     word_period_fail.append(f"word {w}")
     checks.append(
         _result("orbits never mix the two fiber classes", class_fail,

@@ -25,7 +25,7 @@ Words are plain strings; positions are 1-based in all public descriptions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, groupby
 from operator import or_
 from typing import Iterable, Sequence
@@ -204,22 +204,13 @@ class SizeProfile:
     """Per-step antichain-size increments along a word's orbit.
 
     p_values[i-1] is the gain at step i (0 or 1), q_values[i-1] the loss
-    (0 or -1), for i in 1..m+n.  source names the rule that produced them:
-    "block-sets" for words starting with 0 and ending with 1, which also
-    record the four index sets of the block form, and "marked-sequence"
-    for every other word.
+    (0 or -1), for i in 1..m+n.
     """
 
     m: int
     n: int
     p_values: tuple[int, ...]
     q_values: tuple[int, ...]
-    k: int | None
-    set_a: frozenset[int] | None
-    set_b: frozenset[int] | None
-    set_c: frozenset[int] | None
-    set_d: frozenset[int] | None
-    source: str
 
     def p(self, i: int) -> int:
         if not 1 <= i <= self.m + self.n:
@@ -232,57 +223,17 @@ class SizeProfile:
         return self.q_values[i - 1]
 
 
-def _dash_after_flags(long_one: str) -> list[bool]:
-    """For the j-th one counted from the right end of the display (j starts
-    at 1), whether a '-' immediately follows it in display order."""
-    flags = []
-    for pos, ch in enumerate(long_one):
-        if ch == "1":
-            flags.append(pos + 1 < len(long_one) and long_one[pos + 1] == "-")
-    flags.reverse()
-    return flags
-
-
 def size_profile(word: str) -> SizeProfile:
-    """The P/Q profile of a word, by one rule: the block sets for words that
-    start with 0 and end with 1, the dashes of the marked ones sequence for
-    every other word."""
+    """The P/Q profile of a word, read from the dashes of its marked ones
+    sequence: counting the ones from the right end of the display, step i
+    loses one when the i-th one is followed by a dash and gains one when
+    the (n+i)-th is."""
     m, n = word.count("0"), word.count("1")
-    if not (word.startswith("0") and word.endswith("1")):
-        _, long_one = long_sequences(word)
-        dash = _dash_after_flags(long_one.symbols)
-        p_vals = tuple(int(dash[n + i - 1]) for i in range(1, m + n + 1))
-        q_vals = tuple(-int(dash[i - 1]) for i in range(1, m + n + 1))
-        return SizeProfile(m, n, p_vals, q_vals, None,
-                           None, None, None, None, "marked-sequence")
-
-    zero_runs = [len(list(g)) for ch, g in groupby(word) if ch == "0"]
-    one_runs = [len(list(g)) for ch, g in groupby(word) if ch == "1"]
-    k = len(zero_runs)
-    a = []
-    total = 0
-    for z in zero_runs:
-        total += z
-        a.append(total)
-    b = []
-    total = 0
-    for o in reversed(one_runs):
-        total += o
-        b.append(total)
-    set_a = frozenset(x + 1 for x in a)
-    set_b = frozenset(m + 1 + b[i] for i in range(k - 1))
-    set_c = frozenset(b[i] + 1 for i in range(k))
-    set_d = frozenset(n + 1 + a[i] for i in range(k - 1))
-    p_vals = tuple(
-        int(i in set_b or (i <= m + 1 and i not in set_a))
-        for i in range(1, m + n + 1)
-    )
-    q_vals = tuple(
-        -int(i in set_c or (n + 2 <= i <= n + m and i not in set_d))
-        for i in range(1, m + n + 1)
-    )
-    return SizeProfile(m, n, p_vals, q_vals, k,
-                       set_a, set_b, set_c, set_d, "block-sets")
+    ones = long_sequences(word)[1]
+    dash = [ones.symbols[p + 1 : p + 2] == "-" for p in ones.positions]
+    p_vals = tuple(int(dash[n + i]) for i in range(m + n))
+    q_vals = tuple(-int(dash[i]) for i in range(m + n))
+    return SizeProfile(m, n, p_vals, q_vals)
 
 
 def size_by_formula(word: str, i: int) -> int:
@@ -312,13 +263,14 @@ class MarkedSequence:
     kind: str
     width: int
 
-    def own_positions(self) -> list[int]:
-        return [p for p, ch in enumerate(self.symbols) if ch == self.kind]
+    @cached_property
+    def positions(self) -> list[int]:
+        """Own-symbol positions in window order, computed once."""
+        own = [p for p, ch in enumerate(self.symbols) if ch == self.kind]
+        return own[::-1] if self.kind == "1" else own
 
     def window(self, i: int) -> str:
-        positions = self.own_positions()
-        if self.kind == "1":
-            positions.reverse()
+        positions = self.positions
         if i < 1 or i + self.width > len(positions):
             raise ValueError(f"window {i} out of range")
         chosen = positions[i : i + self.width]

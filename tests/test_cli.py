@@ -172,6 +172,19 @@ def test_verify_grid_word_rows(capsys):
     assert "10:0011101111:1" in out
 
 
+def test_verify_grid_checks_the_word_before_the_suite(capsys, monkeypatch):
+    import rowmotion.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran the suite")
+
+    monkeypatch.setattr(cli, "verify_grid", refuse)
+    for word in ("01", "0011101112"):
+        code, out, err = run(capsys, "verify-grid", "3", "7", "--word", word)
+        assert code == 2 and out == ""
+        assert "--word needs 3 zeros and 7 ones" in err
+
+
 def test_verify_k_passes(capsys):
     code, out, _ = run(capsys, "verify-k", "2", "2")
     assert code == 0
@@ -313,6 +326,16 @@ def test_many_elements_are_refused_before_enumerating(capsys):
     assert code == 3
     assert "cap exceeded: more than 20000 ideals" in err
     assert time.monotonic() - start < 2
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_is_a_usage_error(capsys, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(["orbits", "prod(chain(3),chain(3))", "--cap", cap])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--cap: must be at least 1" in captured.err
 
 
 def test_unbudgeted_cap_is_clamped(capsys):

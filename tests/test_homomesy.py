@@ -8,6 +8,7 @@ from rowmotion.constructions import build, Chain, grid_poset
 from rowmotion.homomesy import (
     check_conjecture_antichains,
     check_conjecture_ideals,
+    check_conjectures,
     occurrence_counts,
     orbit_reports,
     verify_constant_average,
@@ -95,3 +96,30 @@ def test_witness_dicts_are_serializable():
     d = w.as_dict()
     assert d["element"] == "a" and d["partner"] == "b"
     assert d["lhs"] == 3 and d["rhs"] == 2
+
+
+COEFFICIENT_ONE_SYSTEMS = [
+    *(("A", rank) for rank in range(1, 11)),
+    *(("B", rank) for rank in range(2, 11)),
+    *(("C", rank) for rank in range(2, 11)),
+    *(("D", rank) for rank in range(3, 11)),
+    ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
+]
+
+
+def test_every_layer_up_to_rank_10_is_homomesic():
+    # the pivot layers of every irreducible system of rank at most 10
+    n_layers = n_large = n_elements = 0
+    for family, rank in COEFFICIENT_ONE_SYSTEMS:
+        for pivot in range(1, rank + 1):
+            lay = layer(family, rank, pivot)
+            poset = lay.poset
+            rep = verify_constant_average(poset)
+            assert rep.passed, lay.name
+            assert rep.expected == Fraction(poset.n_elements,
+                                            poset.max_rank + 1)
+            assert all(r.passed for r in check_conjectures(lay)), lay.name
+            n_layers += 1
+            n_large += poset.n_elements > 30
+            n_elements += poset.n_elements
+    assert (n_layers, n_large, n_elements) == (242, 56, 5117)

@@ -24,7 +24,6 @@ from rowmotion.words import (
     psi_bar,
     psi_iterates,
     size_by_formula,
-    size_profile,
     starred_to_plain,
     validate_starred,
 )
@@ -75,9 +74,6 @@ def test_formula_total_is_area(word):
 @given(binary_words(max_zeros=8, max_ones=8))
 def test_formula_matches_iteration(word):
     m, n = word.count("0"), word.count("1")
-    # both sources of the profile face the direct iteration
-    profile = size_profile(word)
-    assert profile.source in ("block-sets", "marked-sequence")
     sizes = [count_10(w) for w in psi_iterates(word, m + n)]
     for i in range(1, m + n + 1):
         assert size_by_formula(word, i) == sizes[i - 1]

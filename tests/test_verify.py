@@ -12,6 +12,7 @@ from rowmotion.catalog import classical_layer_expr
 from rowmotion.cli import main
 from rowmotion.constructions import build
 from rowmotion.poset import Poset, ideal_masks
+from rowmotion.words import SizeProfile
 
 
 def _counts(checks, unit):
@@ -57,22 +58,33 @@ def _sorted_word(word):
     return "".join(sorted(word))
 
 
+def _flat_profile(word):
+    # a profile that never gains or loses: every iterate keeps w's size
+    m, n = word.count("0"), word.count("1")
+    return SizeProfile(m, n, (0,) * (m + n), (0,) * (m + n))
+
+
+# psi and psi_bar feed only the transport checks: every later iterate is
+# read from the orbit listing
 @pytest.mark.parametrize("name,wrong,suite,args,names", [
     ("psi", _sorted_word, "verify_grid", (3, 4), {
         "codec transports the dynamics",
-        "profile formula matches iterated sizes",
-        "size total over one period is mn",
-        "windows rebuild every iterate",
     }),
     ("psi", _sorted_word, "verify_k_product", (3, 2), {
         "full-rank codec transports the dynamics",
     }),
     ("psi_bar", _sorted_word, "verify_k_product", (3, 2), {
         "starred codec transports the dynamics",
-        "starred word returns after m+2n-1 steps",
     }),
     ("window_sizes_K", lambda sword: [0], "verify_k_product", (3, 2), {
         "marked-sequence windows give iterate sizes",
+    }),
+    ("size_profile", _flat_profile, "verify_grid", (3, 4), {
+        "profile formula matches iterated sizes",
+        "size total over one period is mn",
+    }),
+    ("zigzag", lambda window0, window1: "", "verify_grid", (3, 4), {
+        "windows rebuild every iterate",
     }),
 ])
 def test_a_wrong_word_map_fails_its_checks(monkeypatch, capsys, name, wrong,
@@ -107,6 +119,33 @@ def test_suites_step_each_ideal_once_for_the_listing(monkeypatch):
     n_star = ideals["starred codec transports the dynamics"]
     total = ideals["full-rank codec transports the dynamics"] + n_star
     assert len(calls) == total + n_star
+
+
+def test_suites_step_each_word_once_for_the_transport(monkeypatch):
+    # psi and psi_bar run once per word, for the transport check alone
+    calls = {"psi": 0, "psi_bar": 0}
+
+    def counted(name):
+        real = getattr(verify, name)
+
+        def step(word):
+            calls[name] += 1
+            return real(word)
+        return step
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name))
+    _, _, checks = verify.verify_grid(4, 4)
+    assert not _failed(checks)
+    assert calls == {"psi": comb(8, 4), "psi_bar": 0}
+    calls["psi"] = 0
+    _, _, checks = verify.verify_k_product(4, 3)
+    assert not _failed(checks)
+    ideals = _counts(checks, "ideals")
+    assert calls == {
+        "psi": ideals["full-rank codec transports the dynamics"],
+        "psi_bar": ideals["starred codec transports the dynamics"],
+    }
 
 
 @pytest.mark.parametrize("family,rank,pivot", [

@@ -167,21 +167,31 @@ def test_hand_drawn_words_decode():
 
 
 def test_profile_sets_for_running_example():
+    sets = word_oracles.block_set_profile(W)
+    assert sets.k == 2
+    assert sorted(sets.set_a) == [3, 4]
+    assert sorted(sets.set_b) == [8]
+    assert sorted(sets.set_c) == [5, 8]
+    assert sorted(sets.set_d) == [10]
     prof = size_profile(W)
-    assert prof.m == 3 and prof.n == 7 and prof.k == 2
-    assert sorted(prof.set_a) == [3, 4]
-    assert sorted(prof.set_b) == [8]
-    assert sorted(prof.set_c) == [5, 8]
-    assert sorted(prof.set_d) == [10]
+    assert prof.m == 3 and prof.n == 7
     assert [i for i in range(1, 11) if prof.p(i) == 1] == [1, 2, 8]
     assert [i for i in range(1, 11) if prof.q(i) == -1] == [5, 8, 9]
-    assert prof.source == "block-sets"
+    assert (prof.p_values, prof.q_values) == (sets.p_values, sets.q_values)
 
 
-def test_profile_source_depends_on_word_shape():
-    # only words that start 0 and end 1 go through the set construction
-    assert size_profile("1100011111").source == "marked-sequence"
-    assert size_profile("0011101111").source == "block-sets"
+def test_profile_matches_the_block_sets_up_to_length_14():
+    # every word from 0 to 1: 2**(length-2) of each length, 8191 in all
+    checked = 0
+    for length in range(2, 15):
+        for middle in itertools.product("01", repeat=length - 2):
+            word = "0" + "".join(middle) + "1"
+            sets = word_oracles.block_set_profile(word)
+            prof = size_profile(word)
+            assert (prof.p_values, prof.q_values) == (
+                sets.p_values, sets.q_values), word
+            checked += 1
+    assert checked == 8191
 
 
 def test_size_formula_matches_direct_counts():

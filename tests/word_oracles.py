@@ -4,11 +4,18 @@ psi_bar_cases is the five-case block table for the starred step.  It reads
 the plain form of the word, unlike the run shift that rowmotion.words.psi_bar
 uses, so the two agree only if both descriptions of the step are right.
 
+block_set_profile is the paper's P/Q rule for words that start with 0 and
+end with 1: four index sets read off the block form.  rowmotion.words
+reads the same profile from the dashes of the marked ones sequence.
+
 The fiber readers below read an ideal of [m]x[n] or [m]xK(n-1) through its
 element keys: the largest column of each grid row, and for K the top rank of
 each fiber together with the middle it holds when it holds exactly one.  The
 codecs in rowmotion.words fix each fiber by its size alone instead.
 """
+
+from dataclasses import dataclass
+from itertools import accumulate, groupby
 
 from rowmotion.constructions import grid_poset, k_product_poset
 from rowmotion.words import (
@@ -77,6 +84,45 @@ def _cases(word: str, n: int) -> str:
     parts.append("0" * (blocks[-1][1] + 1) + "1" * blocks[-1][0])
     return "".join(parts)
 
+# -- the block-set profile ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BlockSets:
+    """The k zero runs of a word and the index sets A-D of its block form,
+    with the P/Q values they give for steps 1..m+n."""
+
+    k: int
+    set_a: frozenset[int]
+    set_b: frozenset[int]
+    set_c: frozenset[int]
+    set_d: frozenset[int]
+    p_values: tuple[int, ...]
+    q_values: tuple[int, ...]
+
+
+def block_set_profile(word: str) -> BlockSets:
+    if not (word.startswith("0") and word.endswith("1")):
+        raise ValueError("the block sets need a word from 0 to 1")
+    m, n = word.count("0"), word.count("1")
+    zero_runs = [len(list(g)) for ch, g in groupby(word) if ch == "0"]
+    one_runs = [len(list(g)) for ch, g in groupby(word) if ch == "1"]
+    k = len(zero_runs)
+    a = list(accumulate(zero_runs))
+    b = list(accumulate(reversed(one_runs)))
+    set_a = frozenset(x + 1 for x in a)
+    set_b = frozenset(m + 1 + b[i] for i in range(k - 1))
+    set_c = frozenset(b[i] + 1 for i in range(k))
+    set_d = frozenset(n + 1 + a[i] for i in range(k - 1))
+    p_values = tuple(
+        int(i in set_b or (i <= m + 1 and i not in set_a))
+        for i in range(1, m + n + 1)
+    )
+    q_values = tuple(
+        -int(i in set_c or (n + 2 <= i <= n + m and i not in set_d))
+        for i in range(1, m + n + 1)
+    )
+    return BlockSets(k, set_a, set_b, set_c, set_d, p_values, q_values)
 
 
 # -- key-based fiber reading -------------------------------------------------
