@@ -278,7 +278,11 @@ def _add_common(sub):
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return value

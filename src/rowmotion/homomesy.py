@@ -8,15 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import or_
-from typing import Callable
 
 from .poset import (
     DEFAULT_CAP,
     IdealSet,
     OrbitReport,
-    OrbitSums,
     Poset,
     add_counters,
     all_orbits,
@@ -50,19 +46,24 @@ def verify_constant_average(
 ) -> AverageReport:
     """Check every orbit average equals expected; default expectation is
     n_elements / (max_rank + 1).  An orbit of length L passes when its
-    antichain sizes add up to expected * L."""
+    antichain sizes add up to expected * L; only a failing check lists the
+    orbits, to name the failing ones."""
     if expected is None:
         expected = Fraction(poset.n_elements, poset.max_rank + 1)
     sums = orbit_sums(poset, cap)
-    total = sums.antichain_sizes()
-    failing = tuple(sums.orbits_in(
-        sums.mismatches(total, lambda length: expected * length)))
-    failures = tuple(
-        (index, Fraction(sums.count(total, k), length))
-        for index, k, length in failing
+    failing = ()
+    if sums.mismatches(sums.antichain_sizes(),
+                       lambda length: expected * length):
+        failing = tuple(
+            (k, orbit) for k, orbit in enumerate(all_orbits(poset, cap))
+            if orbit.average_size != expected)
+        if not failing:
+            raise RuntimeError("the orbit listing and the orbit sums disagree")
+    return AverageReport(
+        expected, sums.n_orbits, not failing,
+        tuple((k, orbit.average_size) for k, orbit in failing),
+        tuple(orbit.length for _, orbit in failing),
     )
-    return AverageReport(expected, sums.n_orbits, not failures, failures,
-                         tuple(length for _, _, length in failing))
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,8 @@ class OccurrenceTable:
 
 
 def occurrence_counts(poset: Poset, orbit: OrbitReport) -> OccurrenceTable:
-    """Count one walked orbit element by element: the reference for the
-    counters of orbit_sums, which the checkers below read instead."""
+    """Count one orbit element by element: the counters of orbit_sums for
+    that orbit, which check_conjectures reads to name failing orbits."""
     n = poset.n_elements
     ideal_counts = [0] * n
     antichain_counts = [0] * n
@@ -128,59 +129,48 @@ IDEAL_IDENTITY = "ideal occurrences of element plus partner"
 ANTICHAIN_IDENTITY = "antichain occurrences of element versus partner"
 
 
-def _witnesses(
-    sums: OrbitSums,
-    root_layer: RootLayer,
-    failing: list[int],
-    values: Callable[[int, int, int], tuple[int, int]],
-    identity: str,
-) -> tuple[Witness, ...]:
-    """Witness every orbit and element p whose leader is among failing[p];
-    values(column, p, length) gives the two numbers that differ."""
-    poset = root_layer.poset
-    star = root_layer.star
-    witnesses = []
-    for index, k, length in sums.orbits_in(reduce(or_, failing, 0)):
-        seed_bits = IdealSet(poset, sums.masks[k]).bit_string()
-        for p in range(poset.n_elements):
-            if failing[p] >> k & 1:
-                lhs, rhs = values(k, p, length)
-                witnesses.append(Witness(
-                    index, seed_bits, poset.labels[p],
-                    poset.labels[star[p]], lhs, rhs, identity,
-                ))
-    return tuple(witnesses)
-
-
 def check_conjectures(
     root_layer: RootLayer,
     cap: int = DEFAULT_CAP,
     name: str = "",
 ) -> tuple[ConjectureReport, ConjectureReport]:
     """Both paired-count checks from one walk of the layer: the ideal form,
-    then the antichain form (see the two functions below)."""
+    then the antichain form (see the two functions below).  Only a failing
+    check lists the orbits, to name them with their occurrence counts."""
+    poset = root_layer.poset
     star = root_layer.star
-    sums = orbit_sums(root_layer.poset, cap)
+    sums = orbit_sums(poset, cap)
     ideals, antichains = sums.ideals, sums.antichains
-    paired = [add_counters(c, ideals[q]) for c, q in zip(ideals, star)]
-    ideal_witnesses = _witnesses(
-        sums, root_layer,
-        [sums.mismatches(c, lambda length: length) for c in paired],
-        lambda k, p, length: (sums.count(paired[p], k), length),
-        IDEAL_IDENTITY,
+    failing = (
+        any(sums.mismatches(add_counters(ideals[p], ideals[q]),
+                            lambda length: length)
+            for p, q in enumerate(star)),
+        any(differing_columns(antichains[p], antichains[q])
+            for p, q in enumerate(star)),
     )
-    antichain_witnesses = _witnesses(
-        sums, root_layer,
-        [differing_columns(c, antichains[q])
-         for c, q in zip(antichains, star)],
-        lambda k, p, length: (sums.count(antichains[p], k),
-                              sums.count(antichains[star[p]], k)),
-        ANTICHAIN_IDENTITY,
-    )
+    witnesses = ([], [])
+    if any(failing):
+        for k, orbit in enumerate(all_orbits(poset, cap)):
+            t = occurrence_counts(poset, orbit)
+            seed_bits = IdealSet(poset, orbit.masks[0]).bit_string()
+            for p, q in enumerate(star):
+                for found, identity, lhs, rhs in (
+                    (witnesses[0], IDEAL_IDENTITY,
+                     t.ideal_counts[p] + t.ideal_counts[q], t.orbit_length),
+                    (witnesses[1], ANTICHAIN_IDENTITY,
+                     t.antichain_counts[p], t.antichain_counts[q]),
+                ):
+                    if lhs != rhs:
+                        found.append(Witness(
+                            k, seed_bits, poset.labels[p], poset.labels[q],
+                            lhs, rhs, identity,
+                        ))
+        if tuple(map(bool, witnesses)) != failing:
+            raise RuntimeError("the orbit listing and the orbit sums disagree")
     name = name or root_layer.name
     return tuple(
-        ConjectureReport(name, sums.n_orbits, not w, w)
-        for w in (ideal_witnesses, antichain_witnesses)
+        ConjectureReport(name, sums.n_orbits, not w, tuple(w))
+        for w in witnesses
     )
 
 

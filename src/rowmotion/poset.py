@@ -373,18 +373,36 @@ def all_orbits(poset: Poset, cap: int = DEFAULT_CAP) -> list[OrbitReport]:
     """Partition all ideals into rowmotion orbits, deterministically.
 
     Orbits are listed by their first seed in enumeration order, and each orbit
-    starts at that seed.
+    starts at that seed.  One _step of every ideal, transposed back, gives
+    each ideal's image and the image's antichain: the cycles of the image
+    permutation are the orbits.
     """
-    seen: set[int] = set()
+    masks = list(ideal_masks(poset, cap))
+    n = poset.n_elements
+    minima, image = _step(_columns(masks, n), *_covers(poset),
+                          (1 << len(masks)) - 1)
+    # row k: the image of masks[k] in the low n bits, its antichain above
+    rows = _columns(image + minima, len(masks))
+    index = {mask: k for k, mask in enumerate(masks)}
+    successor = [index[row & poset.full_mask] for row in rows]
+    seen = bytearray(len(masks))
     orbits = []
-    # materialize first: orbits of a capped ideal set stay within the cap,
-    # while walking before the count is known could run far past it
-    for mask in list(ideal_masks(poset, cap)):
-        if mask in seen:
-            continue
-        report = OrbitReport.from_seed_mask(poset, mask, cap)
-        seen.update(report.masks)
-        orbits.append(report)
+    for seed in range(len(masks)):
+        cycle = []
+        k = seed
+        while not seen[k]:
+            seen[k] = 1
+            cycle.append(k)
+            k = successor[k]
+        if k != seed:
+            raise RuntimeError("a rowmotion cycle that misses its seed")
+        if cycle:
+            # an ideal's antichain sits in the row of its predecessor
+            sizes = tuple((rows[k] >> n).bit_count()
+                          for k in cycle[-1:] + cycle[:-1])
+            orbits.append(OrbitReport(
+                poset, len(cycle), tuple(masks[k] for k in cycle), sizes,
+                Fraction(sum(sizes), len(cycle))))
     return orbits
 
 
@@ -393,10 +411,10 @@ def operator_order(poset: Poset, cap: int = DEFAULT_CAP) -> int:
     return orbit_sums(poset, cap).operator_order
 
 
-# -- bit-sliced orbit sums ----------------------------------------------------
+# -- the bit-sliced step and orbit sums ---------------------------------------
 #
-# orbit_sums runs rowmotion on every ideal at once.  The ideals are held
-# transposed: column x is an int whose bit k says whether ideal k, in
+# _step runs rowmotion on every ideal at once, once for all_orbits and until
+# every ideal is back for orbit_sums.  The ideals are held transposed: column x is an int whose bit k says whether ideal k, in
 # ideal_masks order, holds element x.  A counter is a list of bit planes:
 # plane j holds bit j of every ideal's count.
 
@@ -466,34 +484,28 @@ def differing_columns(a: Sequence[int], b: Sequence[int]) -> int:
 class OrbitSums:
     """Orbit statistics of every ideal, from one bit-sliced walk.
 
-    Column k stands for masks[k], the k-th ideal in ideal_masks order, and
-    its counters run once around its orbit: ideals[x] counts the orbit's
-    ideals that hold x, and antichains[x] those whose antichain (maximal
-    elements) holds x.  lengths maps each orbit length to the columns whose
-    orbits have it.  A leader is the column of the first ideal of its orbit
-    in enumeration order, the seed all_orbits starts that orbit at; orbit
-    indices count leaders in column order.
+    Column k stands for the k-th ideal in ideal_masks order, and its
+    counters run once around its orbit: ideals[x] counts the orbit's ideals
+    that hold x, and antichains[x] those whose antichain (maximal elements)
+    holds x.  lengths maps each orbit length to the columns whose orbits
+    have it.
     """
 
-    __slots__ = ("masks", "lengths", "leaders", "ideals", "antichains")
+    __slots__ = ("lengths", "ideals", "antichains")
 
     def __init__(
         self,
-        masks: tuple[int, ...],
         lengths: dict[int, int],
-        leaders: int,
         ideals: tuple[list[int], ...],
         antichains: tuple[list[int], ...],
     ):
-        self.masks = masks
         self.lengths = lengths
-        self.leaders = leaders
         self.ideals = ideals
         self.antichains = antichains
 
     @property
     def n_orbits(self) -> int:
-        return self.leaders.bit_count()
+        return sum(c.bit_count() // t for t, c in self.lengths.items())
 
     @property
     def operator_order(self) -> int:
@@ -522,63 +534,62 @@ class OrbitSums:
             out |= differing_columns(counter, planes) & columns
         return out
 
-    def orbits_in(self, columns: int) -> Iterator[tuple[int, int, int]]:
-        """(orbit index, leader column, length) of every orbit whose leader
-        is among columns, in orbit order."""
-        for k in bits_of(columns & self.leaders):
-            index = (self.leaders & ((1 << k) - 1)).bit_count()
-            length = next(t for t, c in self.lengths.items() if c >> k & 1)
-            yield index, k, length
 
-    @staticmethod
-    def count(counter: Sequence[int], k: int) -> int:
-        """Column k's count."""
-        return sum((plane >> k & 1) << j for j, plane in enumerate(counter))
+def _covers(poset: Poset) -> tuple[list[list[int]], list[list[int]]]:
+    """Lower and upper covers of every element."""
+    lower = [[] for _ in range(poset.n_elements)]
+    upper = [[] for _ in range(poset.n_elements)]
+    for a, b in poset.covers:
+        lower[b].append(a)
+        upper[a].append(b)
+    return lower, upper
+
+
+def _step(cur: Sequence[int], lower: list[list[int]], upper: list[list[int]],
+          full: int) -> tuple[list[int], list[int]]:
+    """Rowmotion on every column at once: (minima, image).
+
+    The minima of the complement are M_x = ~X_x & AND(X_y, y a lower cover
+    of x), which is also the antichain of the image, and the image is their
+    closure X'_x = M_x | OR(X'_z, z an upper cover of x), from the top down.
+    """
+    n = len(cur)
+    minima = []
+    for x in range(n):
+        m = full ^ cur[x]
+        for y in lower[x]:
+            m &= cur[y]
+        minima.append(m)
+    image = [0] * n
+    for x in range(n - 1, -1, -1):
+        v = minima[x]
+        for z in upper[x]:
+            v |= image[z]
+        image[x] = v
+    return minima, image
 
 
 def orbit_sums(poset: Poset, cap: int = DEFAULT_CAP) -> OrbitSums:
     """Walk every ideal's orbit at once, in as many steps as the longest.
 
-    One step takes every column from ideal I to its rowmotion image: the
-    minima of the complement are M_x = ~X_x & AND(X_y, y a lower cover of
-    x), which is also the antichain of the image, and the image is their
-    closure X'_x = M_x | OR(X'_z, z an upper cover of x), from the top down.
-    A column counts while its orbit is still open and closes when it is
-    back at its own ideal; it stops leading once an iterate comes before it
-    in enumeration order (the first differing element is missing from it).
+    Each _step takes every column from ideal I to its rowmotion image.  A
+    column counts while its orbit is still open and closes when it is back
+    at its own ideal.
     """
-    masks = tuple(ideal_masks(poset, cap))
+    masks = list(ideal_masks(poset, cap))
     n = poset.n_elements
-    full = (1 << len(masks)) - 1
-    lower: list[list[int]] = [[] for _ in range(n)]
-    upper: list[list[int]] = [[] for _ in range(n)]
-    for a, b in poset.covers:
-        lower[b].append(a)
-        upper[a].append(b)
-    start = _columns(masks, n)
+    full = open_ = (1 << len(masks)) - 1
+    lower, upper = _covers(poset)
+    cur = start = _columns(masks, n)
     ideals = tuple([] for _ in range(n))
     antichains = tuple([] for _ in range(n))
     lengths = {}
-    leaders = full
-    open_ = full
-    cur = start
     steps = 0
     while open_:
         steps += 1
         if steps > len(masks):
             raise RuntimeError("an orbit longer than the ideal set")
-        minima = []
-        for x in range(n):
-            m = full ^ cur[x]
-            for y in lower[x]:
-                m &= cur[y]
-            minima.append(m)
-        cur = [0] * n
-        for x in range(n - 1, -1, -1):
-            v = minima[x]
-            for z in upper[x]:
-                v |= cur[z]
-            cur[x] = v
+        minima, cur = _step(cur, lower, upper, full)
         for x in range(n):
             _add(ideals[x], cur[x] & open_)
             _add(antichains[x], minima[x] & open_)
@@ -589,11 +600,4 @@ def orbit_sums(poset: Poset, cap: int = DEFAULT_CAP) -> OrbitSums:
         if back:
             lengths[steps] = back
             open_ ^= back
-        undecided = leaders & open_
-        for x in range(n):
-            if not undecided:
-                break
-            differ = (cur[x] ^ start[x]) & undecided
-            leaders ^= differ & start[x]
-            undecided ^= differ
-    return OrbitSums(masks, lengths, leaders, ideals, antichains)
+    return OrbitSums(lengths, ideals, antichains)

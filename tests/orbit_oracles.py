@@ -1,9 +1,11 @@
 """Walker references for the bit-sliced orbit engine.
 
-Each function walks the orbits one at a time with rowmotion.poset.all_orbits
-and counts them with rowmotion.homomesy.occurrence_counts.  The checkers in
-rowmotion.homomesy and poset.operator_order read the counters of
-poset.orbit_sums instead, so the two agree only if both are right.
+walked_orbits lists the orbits by walking them one at a time, one
+rowmotion step per ideal; poset.all_orbits reads the same listing from one
+bit-sliced step.  The other functions count the walked orbits with
+rowmotion.homomesy.occurrence_counts.  The checkers in rowmotion.homomesy
+and poset.operator_order read the counters of poset.orbit_sums instead, so
+the two agree only if both are right.
 """
 
 import math
@@ -17,14 +19,26 @@ from rowmotion.homomesy import (
     Witness,
     occurrence_counts,
 )
-from rowmotion.poset import all_orbits
+from rowmotion.poset import OrbitReport, ideal_masks
+
+
+def walked_orbits(poset):
+    """all_orbits, seed by seed: each ideal not yet seen starts an orbit."""
+    seen = set()
+    orbits = []
+    for mask in ideal_masks(poset):
+        if mask not in seen:
+            report = OrbitReport.from_seed_mask(poset, mask)
+            seen.update(report.masks)
+            orbits.append(report)
+    return orbits
 
 
 def walked_average(poset, expected=None) -> AverageReport:
     """verify_constant_average, orbit by orbit."""
     if expected is None:
         expected = Fraction(poset.n_elements, poset.max_rank + 1)
-    orbits = all_orbits(poset)
+    orbits = walked_orbits(poset)
     failing = [(k, o) for k, o in enumerate(orbits)
                if o.average_size != expected]
     return AverageReport(
@@ -46,7 +60,7 @@ def walked_conjectures(root_layer, name=""):
          lambda t, p, q: (t.antichain_counts[p], t.antichain_counts[q])),
     )
     witnesses = ([], [])
-    orbits = all_orbits(poset)
+    orbits = walked_orbits(poset)
     for k, orbit in enumerate(orbits):
         table = occurrence_counts(poset, orbit)
         for (identity, counts), found in zip(forms, witnesses):
@@ -64,4 +78,4 @@ def walked_conjectures(root_layer, name=""):
 
 def walked_order(poset) -> int:
     """operator_order, as the lcm of the walked orbit lengths."""
-    return math.lcm(*(o.length for o in all_orbits(poset)))
+    return math.lcm(*(o.length for o in walked_orbits(poset)))

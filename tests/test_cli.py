@@ -338,6 +338,31 @@ def test_cap_below_one_is_a_usage_error(capsys, cap):
     assert "--cap: must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["orbits", "chain(3)", "--cap", "abc"], "--cap"),
+    (["verify-grid", "x", "3"], "m"),
+])
+def test_a_non_integer_is_a_usage_error(capsys, argv, name):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {name}: expected an integer of at least 1" in captured.err
+    assert "_positive" not in captured.err
+
+
+def test_a_long_chain_is_listed_in_seconds(capsys):
+    # one orbit of 3000 ideals, from one bit-sliced step
+    start = time.monotonic()
+    code, out, err = run(capsys, "orbits", "chain(2999)", "--cap", "3000",
+                         "--format", "csv")
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[1] == "3000"
+    assert time.monotonic() - start < 5
+
+
 def test_unbudgeted_cap_is_clamped(capsys):
     # without --budget a huge --cap must not admit a huge build
     code, out, err = run(

@@ -1,9 +1,10 @@
 """The bit-sliced orbit engine against the orbit-by-orbit walker.
 
+all_orbits reads the listing from one bit-sliced step, and
 verify_constant_average, check_conjectures and operator_order read the
 counters of poset.orbit_sums; tests/orbit_oracles.py computes the same
-reports by walking every orbit.  The shapes are those of the acceptance
-suite, plus inputs that fail.
+listing and reports by walking every orbit.  The shapes are those of the
+acceptance suite, plus inputs that fail.
 """
 
 import dataclasses
@@ -11,7 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from orbit_oracles import walked_average, walked_conjectures, walked_order
+from orbit_oracles import (
+    walked_average,
+    walked_conjectures,
+    walked_order,
+    walked_orbits,
+)
 from rowmotion import homomesy, poset as poset_module
 from rowmotion.catalog import SPORADIC
 from rowmotion.cli import main
@@ -28,6 +34,7 @@ from rowmotion.poset import (
     CapExceeded,
     OrbitReport,
     Poset,
+    all_orbits,
     ideal_masks,
     operator_order,
     orbit_sums,
@@ -48,6 +55,7 @@ def classical_layers():
 
 
 def assert_same_average(poset, expected=None):
+    assert all_orbits(poset) == walked_orbits(poset)
     engine = verify_constant_average(poset, expected)
     assert engine == walked_average(poset, expected)
     return engine
@@ -116,6 +124,15 @@ def test_an_identity_star_gives_the_same_witnesses():
     assert len(ideals.witnesses) == 4
 
 
+def test_a_shifted_star_gives_the_same_witnesses():
+    # p -> p+1 mod n pairs distinct elements, so both forms fail
+    lay = layer("A", 3, 2)
+    n = lay.poset.n_elements
+    fake = dataclasses.replace(lay, star=tuple((p + 1) % n for p in range(n)))
+    ideals, antichains = assert_same_layer(fake)
+    assert len(ideals.witnesses) == 4 and len(antichains.witnesses) == 2
+
+
 def test_empty_and_one_element_posets():
     for poset in (Poset.empty(), build(Chain(1))):
         rep = assert_same_average(poset)
@@ -126,13 +143,76 @@ def test_empty_and_one_element_posets():
 def test_counters_on_a_chain():
     # orbit of chain(2): empty -> {0} -> {0,1} -> empty
     sums = orbit_sums(build(Chain(2)))
-    assert sums.masks == (0, 1, 3)
     assert sums.lengths == {3: 0b111}
-    assert sums.leaders == 0b001
+    assert sums.n_orbits == 1
+
+    def count(counter, k):
+        return sum((plane >> k & 1) << j for j, plane in enumerate(counter))
+
     for k in range(3):
-        assert [sums.count(c, k) for c in sums.ideals] == [2, 1]
-        assert [sums.count(c, k) for c in sums.antichains] == [1, 1]
-        assert sums.count(sums.antichain_sizes(), k) == 2
+        assert [count(c, k) for c in sums.ideals] == [2, 1]
+        assert [count(c, k) for c in sums.antichains] == [1, 1]
+        assert count(sums.antichain_sizes(), k) == 2
+
+
+def test_a_failing_check_lists_its_poset_once(monkeypatch):
+    calls = []
+    real = homomesy.all_orbits
+
+    def counted(poset, cap):
+        calls.append(poset)
+        return real(poset, cap)
+
+    monkeypatch.setattr(homomesy, "all_orbits", counted)
+    assert not verify_constant_average(build(CLAW)).passed
+    assert len(calls) == 1
+    lay = layer("A", 3, 2)
+    fake = dataclasses.replace(lay, star=tuple(range(lay.poset.n_elements)))
+    assert not check_conjectures(fake)[0].passed
+    assert len(calls) == 2
+
+
+def test_counters_that_fail_need_a_named_orbit(monkeypatch):
+    # a listing that names no failing orbit is an engine fault, not a pass
+    monkeypatch.setattr(homomesy, "all_orbits", lambda poset, cap: [])
+    with pytest.raises(RuntimeError, match="listing and the orbit sums disagree"):
+        verify_constant_average(build(CLAW))
+    lay = layer("A", 3, 2)
+    fake = dataclasses.replace(lay, star=tuple(range(lay.poset.n_elements)))
+    with pytest.raises(RuntimeError, match="listing and the orbit sums disagree"):
+        check_conjectures(fake)
+    # the listing also fails a form the counters pass
+    monkeypatch.undo()
+    monkeypatch.setattr(homomesy, "differing_columns", lambda a, b: 0)
+    n = lay.poset.n_elements
+    shifted = dataclasses.replace(
+        lay, star=tuple((p + 1) % n for p in range(n)))
+    with pytest.raises(RuntimeError, match="listing and the orbit sums disagree"):
+        check_conjectures(shifted)
+
+
+def test_a_cycle_that_misses_its_seed_raises(monkeypatch):
+    # a step that sends every ideal to the empty one is no permutation:
+    # the walk from the second ideal ends at the first, not at its seed
+    def collapse(cur, lower, upper, full):
+        return [0] * len(cur), [0] * len(cur)
+
+    monkeypatch.setattr(poset_module, "_step", collapse)
+    with pytest.raises(RuntimeError, match="misses its seed"):
+        all_orbits(grid_poset(2, 2))
+
+
+def test_all_orbits_walks_no_orbit(monkeypatch):
+    shapes = [grid_poset(4, 4), k_product_poset(3, 3), layer("E", 6, 2).poset]
+    walked = [walked_orbits(poset) for poset in shapes]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked an orbit")
+
+    monkeypatch.setattr(OrbitReport, "from_seed_mask", refuse)
+    monkeypatch.setattr(Poset, "rowmotion_ideal_mask", refuse)
+    for poset, orbits in zip(shapes, walked):
+        assert all_orbits(poset) == orbits
 
 
 def test_checkers_walk_no_orbit(monkeypatch):

@@ -101,8 +101,9 @@ def test_a_wrong_word_map_fails_its_checks(monkeypatch, capsys, name, wrong,
 
 
 def test_suites_step_each_ideal_once_for_the_listing(monkeypatch):
-    # the codec checks read each image from the listing; the only step
-    # beyond the walk is the middle swap's image, once per starred ideal
+    # the listing comes from one bit-sliced step and the codec checks read
+    # each image from it; the only mask step is the middle swap's image,
+    # once per starred ideal
     calls = []
     step = Poset.rowmotion_ideal_mask
 
@@ -112,13 +113,10 @@ def test_suites_step_each_ideal_once_for_the_listing(monkeypatch):
 
     monkeypatch.setattr(Poset, "rowmotion_ideal_mask", counted)
     verify.verify_grid(4, 4)
-    assert len(calls) == comb(8, 4)
-    calls.clear()
+    assert calls == []
     _, _, checks = verify.verify_k_product(4, 3)
     ideals = _counts(checks, "ideals")
-    n_star = ideals["starred codec transports the dynamics"]
-    total = ideals["full-rank codec transports the dynamics"] + n_star
-    assert len(calls) == total + n_star
+    assert len(calls) == ideals["starred codec transports the dynamics"] > 0
 
 
 def test_suites_step_each_word_once_for_the_transport(monkeypatch):
