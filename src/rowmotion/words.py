@@ -269,17 +269,30 @@ class MarkedSequence:
         own = [p for p, ch in enumerate(self.symbols) if ch == self.kind]
         return own[::-1] if self.kind == "1" else own
 
+    @cached_property
+    def windows(self) -> tuple[str, ...]:
+        """Every window in one pass, windows[i-1] == window(i).  Positions
+        run up for kind '0' and down for kind '1', so a window's display
+        ends are the positions of its first and last own symbols.  A
+        sequence of width 0 has no windows."""
+        symbols, positions, width = self.symbols, self.positions, self.width
+        if not width:
+            return ()
+        firsts, lasts = positions[1:], positions[width:]
+        ends = zip(lasts, firsts) if self.kind == "1" else zip(firsts, lasts)
+        out = []
+        for lo, hi in ends:
+            if lo > 0 and symbols[lo - 1] == "-":
+                lo -= 1
+            if hi + 1 < len(symbols) and symbols[hi + 1] == "-":
+                hi += 1
+            out.append(symbols[lo : hi + 1])
+        return tuple(out)
+
     def window(self, i: int) -> str:
-        positions = self.positions
-        if i < 1 or i + self.width > len(positions):
+        if not 1 <= i <= len(self.windows):
             raise ValueError(f"window {i} out of range")
-        chosen = positions[i : i + self.width]
-        lo, hi = min(chosen), max(chosen)
-        if lo > 0 and self.symbols[lo - 1] == "-":
-            lo -= 1
-        if hi + 1 < len(self.symbols) and self.symbols[hi + 1] == "-":
-            hi += 1
-        return self.symbols[lo : hi + 1]
+        return self.windows[i - 1]
 
 
 def _runs(word: str) -> list[tuple[str, int]]:
@@ -628,6 +641,4 @@ def count_dash_zero(window: str) -> int:
 def window_sizes_K(sword: str) -> list[int]:
     """Antichain sizes of the first m+2n-1 rowmotion iterates, read from the
     windows of the marked zero sequence."""
-    m, n = validate_starred(sword)
-    seq = long_zero_sequence_K(sword)
-    return [count_dash_zero(seq.window(i)) for i in range(1, m + 2 * n)]
+    return [count_dash_zero(w) for w in long_zero_sequence_K(sword).windows]

@@ -12,7 +12,7 @@ from rowmotion.catalog import classical_layer_expr
 from rowmotion.cli import main
 from rowmotion.constructions import build
 from rowmotion.poset import Poset, ideal_masks
-from rowmotion.words import SizeProfile
+from rowmotion.words import SizeProfile, long_sequences, psi, psi_iterates
 
 
 def _counts(checks, unit):
@@ -144,6 +144,47 @@ def test_suites_step_each_word_once_for_the_transport(monkeypatch):
         "psi": ideals["full-rank codec transports the dynamics"],
         "psi_bar": ideals["starred codec transports the dynamics"],
     }
+
+
+def test_grid_rebuilds_each_window_pair_once(monkeypatch):
+    # every iterate is rebuilt from the same window pair by each of its
+    # m+n predecessors; there are as many distinct pairs as ideals
+    calls = []
+    real = verify.zigzag
+
+    def counted(window0, window1):
+        calls.append((window0, window1))
+        return real(window0, window1)
+
+    monkeypatch.setattr(verify, "zigzag", counted)
+    for m, n in [(4, 4), (3, 4)]:
+        calls.clear()
+        _, _, checks = verify.verify_grid(m, n)
+        assert not _failed(checks)
+        assert len(calls) == len(set(calls)) == comb(m + n, m)
+
+
+def test_a_zigzag_wrong_on_one_pair_fails_the_windows_check(monkeypatch):
+    # the pair rebuilt once must still be compared for every word that
+    # reaches it
+    real = verify.zigzag
+    low, high = long_sequences("0101011")
+    bad = (low.window(1), high.window(1))
+
+    def wrong(window0, window1):
+        word = real(window0, window1)
+        return word[1:] + word[0] if (window0, window1) == bad else word
+
+    monkeypatch.setattr(verify, "zigzag", wrong)
+    _, _, checks = verify.verify_grid(3, 4)
+    assert _failed(checks) == {"windows rebuild every iterate"}
+    # each of the seven words on the orbit of 0101011 reaches the pair at
+    # the window that rebuilds psi(0101011)
+    (check,) = [c for c in checks if not c.passed]
+    named = re.findall(r"word ([01]{7}) window (\d)", check.details)
+    assert len(named) == 5 and check.details.endswith("; and 2 more")
+    for word, j in named:
+        assert psi_iterates(word, int(j))[-1] == psi("0101011")
 
 
 @pytest.mark.parametrize("family,rank,pivot", [

@@ -246,6 +246,40 @@ def test_zigzag_rejects_mismatched_windows():
         zigzag("-0-0-", "-111-")  # both claim a leading run of the other
 
 
+@pytest.mark.parametrize("kind,none", [(0, "111"), (1, "000")])
+def test_windows_out_of_range_raise(kind, none):
+    seq = long_sequences(W)[kind]
+    assert seq.window(len(W))
+    for i in (0, len(W) + 1):
+        with pytest.raises(ValueError):
+            seq.window(i)
+    # a word with no zeros (no ones) gives a zero (ones) form of width 0
+    empty = long_sequences(none)[kind]
+    assert empty.width == 0
+    for i in range(len(empty.positions) + 2):
+        with pytest.raises(ValueError):
+            empty.window(i)
+
+
+def _sliced_windows(seq):
+    if not seq.width:
+        return ()
+    return tuple(word_oracles.sliced_window(seq, i)
+                 for i in range(1, len(seq.positions) - seq.width + 1))
+
+
+def test_windows_match_the_sliced_oracle():
+    for length in range(13):
+        for letters in itertools.product("01", repeat=length):
+            for seq in long_sequences("".join(letters)):
+                assert seq.windows == _sliced_windows(seq), seq
+    for m in range(1, 6):
+        for n in range(1, 5):
+            for sword in all_starred_words(m, n):
+                seq = long_zero_sequence_K(sword)
+                assert seq.windows == _sliced_windows(seq), sword
+
+
 # -- two-strand codecs ----------------------------------------------------------
 
 

@@ -4,6 +4,10 @@ psi_bar_cases is the five-case block table for the starred step.  It reads
 the plain form of the word, unlike the run shift that rowmotion.words.psi_bar
 uses, so the two agree only if both descriptions of the step are right.
 
+sliced_window is the window of a marked sequence read from the slice of
+its own-symbol positions, with min and max for the ends; the windows
+property of rowmotion.words.MarkedSequence takes the ends in one pass.
+
 block_set_profile is the paper's P/Q rule for words that start with 0 and
 end with 1: four index sets read off the block form.  rowmotion.words
 reads the same profile from the dashes of the marked ones sequence.
@@ -83,6 +87,22 @@ def _cases(word: str, n: int) -> str:
         parts.append("0" * b + "1" * a)
     parts.append("0" * (blocks[-1][1] + 1) + "1" * blocks[-1][0])
     return "".join(parts)
+
+# -- the sliced window -------------------------------------------------------
+
+
+def sliced_window(seq, i: int) -> str:
+    """Window i of a MarkedSequence from its chosen own-symbol positions."""
+    positions = seq.positions
+    if i < 1 or i + seq.width > len(positions):
+        raise ValueError(f"window {i} out of range")
+    chosen = positions[i : i + seq.width]
+    lo, hi = min(chosen), max(chosen)
+    if lo > 0 and seq.symbols[lo - 1] == "-":
+        lo -= 1
+    if hi + 1 < len(seq.symbols) and seq.symbols[hi + 1] == "-":
+        hi += 1
+    return seq.symbols[lo : hi + 1]
 
 # -- the block-set profile ---------------------------------------------------
 
