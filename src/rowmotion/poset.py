@@ -338,30 +338,49 @@ def ideal_masks(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[int]:
     """All ideals as masks, in lexicographic order of the indicator sequence
     along the linear extension (empty ideal first, full ideal last).
 
-    Built level by level: after element i, the level holds every ideal of
-    the first i+1 elements, each ideal s of the level before followed by
-    s plus i when everything below i is in s.  The first i+1 elements
-    form a down-set, so no level holds more ideals than the last one, and a
-    level past the cap raises before any ideal is yielded.  A poset on n
-    elements has at least n+1 ideals (the prefixes of the linear
-    extension), so n >= cap is refused before the first level.
+    A depth-first search that visits each ideal once, so its work grows
+    with the ideals it yields.  Each ideal is grown from the empty one by
+    adding its members in increasing order.  A stack entry holds an ideal s
+    and the elements addable to s above the last one added.  Each such j,
+    taken lowest first, gives the child s plus j, whose addable elements
+    are those of s above j and the upper covers of j whose strict down-set
+    now lies in s plus j.  The stack pops the largest j first, so s plus a
+    larger element, and every ideal grown from it, comes before s plus a
+    smaller one: the lexicographic order, with element 0 most significant.
+
+    A poset on n elements has at least n+1 ideals (the prefixes of the
+    linear extension), so n >= cap is refused before the search; otherwise
+    the (cap+1)-th ideal found raises.  The masks are collected first, so
+    a refusal comes before anything is yielded.
     """
-    if poset.n_elements >= cap:
+    n = poset.n_elements
+    if n >= cap:
         raise CapExceeded(f"more than {cap} ideals")
-    level = [0]
-    for i in range(poset.n_elements):
-        bit = 1 << i
-        below = poset.down[i] ^ bit
-        grown = []
-        keep = grown.append
-        for s in level:
-            keep(s)
-            if below & s == below:
-                keep(s | bit)
-        if len(grown) > cap:
+    # grow[j]: (bit, strict down-set) of each upper cover of j
+    grow = [[] for _ in range(n)]
+    minimal = poset.full_mask
+    for j, z in poset.covers:
+        grow[j].append((1 << z, poset.down[z] ^ (1 << z)))
+        minimal &= ~(1 << z)
+    masks = []
+    record = masks.append
+    stack = [(0, minimal)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        s, addable = pop()
+        record(s)
+        if len(masks) > cap:
             raise CapExceeded(f"more than {cap} ideals")
-        level = grown
-    yield from level
+        while addable:
+            low = addable & -addable
+            addable ^= low
+            t = s | low
+            rest = addable
+            for bit, below in grow[low.bit_length() - 1]:
+                if below & t == below:
+                    rest |= bit
+            push((t, rest))
+    yield from masks
 
 
 def enumerate_ideals(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[IdealSet]:
@@ -414,9 +433,10 @@ def operator_order(poset: Poset, cap: int = DEFAULT_CAP) -> int:
 # -- the bit-sliced step and orbit sums ---------------------------------------
 #
 # _step runs rowmotion on every ideal at once, once for all_orbits and until
-# every ideal is back for orbit_sums.  The ideals are held transposed: column x is an int whose bit k says whether ideal k, in
-# ideal_masks order, holds element x.  A counter is a list of bit planes:
-# plane j holds bit j of every ideal's count.
+# every ideal is back for orbit_sums.  The ideals are held transposed:
+# column x is an int whose bit k says whether ideal k, in ideal_masks
+# order, holds element x.  A counter is a list of bit planes: plane j holds
+# bit j of every ideal's count.
 
 
 # _SPREAD[b][r] maps a byte to its bit b, moved to bit r: counting up from

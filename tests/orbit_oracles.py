@@ -1,5 +1,8 @@
-"""Walker references for the bit-sliced orbit engine.
+"""Walker and enumeration references for the bit-sliced orbit engine.
 
+level_ideal_masks builds the ideals level by level, one prefix of the
+linear extension at a time; poset.ideal_masks yields the same masks in the
+same order from a depth-first search that visits each ideal once.
 walked_orbits lists the orbits by walking them one at a time, one
 rowmotion step per ideal; poset.all_orbits reads the same listing from one
 bit-sliced step.  The other functions count the walked orbits with
@@ -10,6 +13,7 @@ the two agree only if both are right.
 
 import math
 from fractions import Fraction
+from typing import Iterator
 
 from rowmotion.homomesy import (
     ANTICHAIN_IDENTITY,
@@ -19,7 +23,43 @@ from rowmotion.homomesy import (
     Witness,
     occurrence_counts,
 )
-from rowmotion.poset import OrbitReport, ideal_masks
+from rowmotion.poset import (
+    DEFAULT_CAP,
+    CapExceeded,
+    OrbitReport,
+    Poset,
+    ideal_masks,
+)
+
+
+def level_ideal_masks(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[int]:
+    """All ideals as masks, in lexicographic order of the indicator sequence
+    along the linear extension (empty ideal first, full ideal last).
+
+    Built level by level: after element i, the level holds every ideal of
+    the first i+1 elements, each ideal s of the level before followed by
+    s plus i when everything below i is in s.  The first i+1 elements
+    form a down-set, so no level holds more ideals than the last one, and a
+    level past the cap raises before any ideal is yielded.  A poset on n
+    elements has at least n+1 ideals (the prefixes of the linear
+    extension), so n >= cap is refused before the first level.
+    """
+    if poset.n_elements >= cap:
+        raise CapExceeded(f"more than {cap} ideals")
+    level = [0]
+    for i in range(poset.n_elements):
+        bit = 1 << i
+        below = poset.down[i] ^ bit
+        grown = []
+        keep = grown.append
+        for s in level:
+            keep(s)
+            if below & s == below:
+                keep(s | bit)
+        if len(grown) > cap:
+            raise CapExceeded(f"more than {cap} ideals")
+        level = grown
+    yield from level
 
 
 def walked_orbits(poset):

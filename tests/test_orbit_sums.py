@@ -4,15 +4,18 @@ all_orbits reads the listing from one bit-sliced step, and
 verify_constant_average, check_conjectures and operator_order read the
 counters of poset.orbit_sums; tests/orbit_oracles.py computes the same
 listing and reports by walking every orbit.  The shapes are those of the
-acceptance suite, plus inputs that fail.
+acceptance suite, plus inputs that fail.  ideal_masks is held to the
+level-by-level enumeration of the same module.
 """
 
 import dataclasses
+import time
 from fractions import Fraction
 
 import pytest
 
 from orbit_oracles import (
+    level_ideal_masks,
     walked_average,
     walked_conjectures,
     walked_order,
@@ -24,13 +27,17 @@ from rowmotion.cli import main
 from rowmotion.constructions import (
     Chain,
     DUnion,
+    J,
+    K,
     OSum,
+    Prod,
     build,
     grid_poset,
     k_product_poset,
 )
 from rowmotion.homomesy import check_conjectures, verify_constant_average
 from rowmotion.poset import (
+    DEFAULT_CAP,
     CapExceeded,
     OrbitReport,
     Poset,
@@ -39,7 +46,7 @@ from rowmotion.poset import (
     operator_order,
     orbit_sums,
 )
-from rowmotion.roots import layer
+from rowmotion.roots import FAMILY_RANK_RANGE, layer
 
 CLAW = OSum(Chain(1), DUnion(Chain(1), DUnion(Chain(1), Chain(1))))
 
@@ -266,3 +273,68 @@ def test_ideal_masks_refuse_by_element_count():
     with pytest.raises(CapExceeded, match="more than 6 ideals"):
         next(ideal_masks(chain, cap=6))
     assert len(list(ideal_masks(chain, cap=7))) == 7
+
+
+def catalog_realizations():
+    for entry in SPORADIC:
+        yield entry.realize_poset()
+        if entry.expr is not None:
+            yield build(entry.expr)
+
+
+def layers_up_to_rank_8():
+    for family, (low, high) in FAMILY_RANK_RANGE.items():
+        for rank in range(low, min(high or 8, 8) + 1):
+            for pivot in range(1, rank + 1):
+                yield layer(family, rank, pivot).poset
+
+
+ENUMERATED = {
+    "catalog": catalog_realizations,
+    "layers": layers_up_to_rank_8,
+    "grids": lambda: (grid_poset(m, n) for m in range(1, 12)
+                      for n in range(1, 13 - m)),
+    "k_products": lambda: (k_product_poset(m, n) for m in range(1, 6)
+                           for n in range(1, 5)),
+    "chains": lambda: (build(Chain(n)) for n in range(1, 41)),
+    "others": lambda: (build(CLAW), build(DUnion(Chain(3), Chain(3))),
+                       build(J(Prod(Chain(3), Chain(4))))),
+}
+
+
+def enumeration(enumerate_masks, poset, cap):
+    """The masks, or the message of the refusal."""
+    try:
+        return list(enumerate_masks(poset, cap))
+    except CapExceeded as exc:
+        return f"CapExceeded: {exc}"
+
+
+@pytest.mark.parametrize("shapes", sorted(ENUMERATED))
+def test_ideal_masks_match_the_level_oracle(shapes):
+    posets = list(ENUMERATED[shapes]())
+    assert len(posets) >= 3
+    for poset in posets:
+        count = len(enumeration(level_ideal_masks, poset, DEFAULT_CAP))
+        n = poset.n_elements
+        for cap in (DEFAULT_CAP, count - 1, count, n, n + 1, 1):
+            want = enumeration(level_ideal_masks, poset, cap)
+            assert enumeration(ideal_masks, poset, cap) == want, (poset, cap)
+
+
+def test_ideal_masks_work_grows_with_the_ideals():
+    # a chain's prefixes are its only ideals; enumerating the partial
+    # ideals of every prefix instead would make about n*n/2 masks of up to
+    # n bits here
+    chain = build(Chain(8000))
+    start = time.perf_counter()
+    masks = list(ideal_masks(chain, cap=8001))
+    assert time.perf_counter() - start < 1
+    assert len(masks) == 8001
+    assert masks[0] == 0 and masks[1] == 1 and masks[-1] == chain.full_mask
+
+
+def test_ideal_masks_refuse_a_wide_poset_on_the_first_next():
+    masks = ideal_masks(build(Prod(Chain(2), K(100))), cap=20000)
+    with pytest.raises(CapExceeded, match="^more than 20000 ideals$"):
+        next(masks)
