@@ -401,7 +401,7 @@ def all_orbits(poset: Poset, cap: int = DEFAULT_CAP) -> list[OrbitReport]:
     minima, image = _step(_columns(masks, n), *_covers(poset),
                           (1 << len(masks)) - 1)
     # row k: the image of masks[k] in the low n bits, its antichain above
-    rows = _columns(image + minima, len(masks))
+    rows = _rows(image + minima, len(masks))
     index = {mask: k for k, mask in enumerate(masks)}
     successor = [index[row & poset.full_mask] for row in rows]
     seen = bytearray(len(masks))
@@ -435,8 +435,11 @@ def operator_order(poset: Poset, cap: int = DEFAULT_CAP) -> int:
 # _step runs rowmotion on every ideal at once, once for all_orbits and until
 # every ideal is back for orbit_sums.  The ideals are held transposed:
 # column x is an int whose bit k says whether ideal k, in ideal_masks
-# order, holds element x.  A counter is a list of bit planes: plane j holds
-# bit j of every ideal's count.
+# order, holds element x.  _columns transposes the masks forward, with 8
+# strided slices per element.  _rows transposes all_orbits' image and
+# antichain columns back, with 8 shift-and-mask gathers per column (16 per
+# element) and one from_bytes per ideal.  A counter is a list of bit
+# planes: plane j holds bit j of every ideal's count.
 
 
 # _SPREAD[b][r] maps a byte to its bit b, moved to bit r: counting up from
@@ -468,6 +471,32 @@ def _columns(masks: Sequence[int], n: int) -> list[int]:
                 buf[j + r * width::stride].translate(table), "little")
         columns.append(column)
     return columns
+
+
+def _rows(columns: Sequence[int], k: int) -> list[int]:
+    """Transpose columns into k rows, bit x of row i taken from columns[x]:
+    the inverse of _columns, one block of 8 columns at a time.
+
+    Row i = 8q + r takes width bytes at buf[i * width].  Byte q of a column
+    holds rows 8q..8q+7; its bit r, moved to bit 0 and then to bit b for
+    column 8a + b, gives byte a of row 8q + r for every q at once, and the
+    rows of one residue r form a strided slice.
+    """
+    width = (len(columns) + 7) // 8
+    if not width:
+        return [0] * k
+    depth = (k + 7) // 8
+    low = int.from_bytes(b"\1" * depth, "little")  # bit 0 of every byte
+    buf = bytearray(8 * depth * width)
+    for r in range(8):
+        for a in range(width):
+            gathered = 0
+            for b, column in enumerate(columns[8 * a:8 * a + 8]):
+                gathered |= (column >> r & low) << b
+            buf[r * width + a::8 * width] = gathered.to_bytes(depth, "little")
+    view = memoryview(buf)
+    return [int.from_bytes(view[i:i + width], "little")
+            for i in range(0, k * width, width)]
 
 
 def _add(counter: list[int], columns: int) -> None:

@@ -5,10 +5,12 @@ verify_constant_average, check_conjectures and operator_order read the
 counters of poset.orbit_sums; tests/orbit_oracles.py computes the same
 listing and reports by walking every orbit.  The shapes are those of the
 acceptance suite, plus inputs that fail.  ideal_masks is held to the
-level-by-level enumeration of the same module.
+level-by-level enumeration of the same module, and _rows, the listing's
+back-transpose, to _columns, which computes the same transpose.
 """
 
 import dataclasses
+import random
 import time
 from fractions import Fraction
 
@@ -147,6 +149,17 @@ def test_empty_and_one_element_posets():
         assert operator_order(poset) == walked_order(poset)
 
 
+def test_rows_transpose_back_like_columns():
+    # _columns and _rows compute the same transpose, one output at a time
+    # and one input block at a time; sizes straddle the 8-bit blocks
+    rng = random.Random(10)
+    for n in (0, 1, 7, 8, 9, 64, 65, 128):
+        for k in (1, 7, 8, 9, 12870):
+            columns = [rng.getrandbits(k) for _ in range(n)]
+            assert (poset_module._rows(columns, k)
+                    == poset_module._columns(columns, k)), (n, k)
+
+
 def test_counters_on_a_chain():
     # orbit of chain(2): empty -> {0} -> {0,1} -> empty
     sums = orbit_sums(build(Chain(2)))
@@ -210,7 +223,9 @@ def test_a_cycle_that_misses_its_seed_raises(monkeypatch):
 
 
 def test_all_orbits_walks_no_orbit(monkeypatch):
-    shapes = [grid_poset(4, 4), k_product_poset(3, 3), layer("E", 6, 2).poset]
+    # grid 6x9 has 54 elements and 5005 ideals, neither a multiple of 8
+    shapes = [grid_poset(4, 4), grid_poset(6, 9), k_product_poset(3, 3),
+              layer("E", 6, 2).poset]
     walked = [walked_orbits(poset) for poset in shapes]
 
     def refuse(*args, **kwargs):

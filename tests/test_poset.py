@@ -9,6 +9,7 @@ from rowmotion.poset import (
     CapExceeded,
     InvalidSubset,
     NotGraded,
+    OrbitReport,
     Poset,
     all_orbits,
     antichain_of_ideal,
@@ -170,6 +171,15 @@ def test_orbit_walk_respects_cap():
     assert orbit_of(c.ideal(())).length == 6
     with pytest.raises(CapExceeded):
         orbit_of(c.ideal(()), cap=4)
+
+
+def test_orbit_cap_admits_an_orbit_of_exactly_cap_ideals():
+    # chain(2) has one orbit, of length 3: the cap is the largest length kept
+    c = build(Chain(2))
+    assert OrbitReport.from_seed_mask(c, 0, 3).length == 3
+    assert orbit_of(c.ideal(()), cap=3).length == 3
+    with pytest.raises(CapExceeded, match=r"^more than 2 ideals in one orbit$"):
+        OrbitReport.from_seed_mask(c, 0, 2)
 
 
 def test_all_orbits_partition_the_ideals():

@@ -11,9 +11,11 @@ and 0 otherwise.
 
 The command set is every argv of perfbench/expected.json (read, never
 written), verify-grid m n for m+n <= 10, verify-k m n for m <= 6 and n <= 4,
-verify-delta1 and conjectures with and without --cap 100, and the cap
-boundaries of chain(6) and of the 4x4 grid.  Each runs in json and table
-format, and orbits also in csv.
+verify-delta1 and conjectures with and without --cap 100, the cap
+boundaries of chain(6) and of the 4x4 grid, and listings whose ideal counts
+straddle a byte (chain(1), chain(7) and chain(8), with 2, 8 and 9 ideals),
+prod(chain(2),chain(4)) and one long listing, chain(4999) under --cap 5000.
+Each runs in json and table format, and orbits also in csv.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ def base_commands() -> list[tuple[str, ...]]:
     for expr, caps in (("chain(6)", (6, 7)),
                        ("prod(chain(4),chain(4))", (69, 70))):
         commands += [("orbits", expr, "--cap", str(cap)) for cap in caps]
+    commands += [("orbits", expr) for expr in (
+        "chain(1)", "chain(7)", "chain(8)", "prod(chain(2),chain(4))")]
+    commands += [("orbits", "chain(4999)", "--cap", "5000")]
     return list(dict.fromkeys(commands))
 
 
