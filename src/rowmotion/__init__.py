@@ -42,7 +42,6 @@ from .poset import (
     InvalidSubset,
     NotGraded,
     OrbitReport,
-    OrbitSums,
     Poset,
     all_orbits,
     antichain_of_ideal,
@@ -50,7 +49,6 @@ from .poset import (
     ideal_of_antichain,
     operator_order,
     orbit_of,
-    orbit_sums,
     rowmotion_antichain,
     rowmotion_ideal,
 )

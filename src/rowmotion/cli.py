@@ -30,7 +30,7 @@ from .constructions import (
     build,
     to_text,
 )
-from .homomesy import check_conjectures, orbit_reports
+from .homomesy import check_conjectures, orbit_reports, verify_constant_average
 from .poset import (
     DEFAULT_CAP,
     CapExceeded,
@@ -435,12 +435,10 @@ def _cmd_verify_delta1(args) -> int:
             expr = parse_poset_expr(args.target)
             poset = build(expr, cap=cap)
             result = _poset_result("verify-delta1", to_text(expr), poset)
-            check = check_constant_average(
-                poset, cap=cap,
-                label=f"orbit averages constant [{to_text(expr)}]",
-            )
-            result.orbits = _orbit_dicts(orbit_reports(poset, cap))
-            result.checks = _check_dicts([check])
+            average = verify_constant_average(poset, cap=cap)
+            result.orbits = _orbit_dicts(average.orbits)
+            result.checks = _check_dicts([check_constant_average(
+                average, f"orbit averages constant [{to_text(expr)}]")])
             return _finish(result, args)
     for entry in targets:
         try:

@@ -14,11 +14,9 @@ from .poset import (
     IdealSet,
     OrbitReport,
     Poset,
-    add_counters,
+    _list_orbits,
     all_orbits,
     bits_of,
-    differing_columns,
-    orbit_sums,
 )
 from .roots import RootLayer
 
@@ -30,13 +28,15 @@ orbit_reports = all_orbits
 class AverageReport:
     """Outcome of checking that every orbit has the same average antichain
     size; failures pairs orbit indices with their averages, and
-    failure_lengths holds the lengths of those orbits in the same order."""
+    failure_lengths holds the lengths of those orbits in the same order.
+    orbits is the listing the check read."""
 
     expected: Fraction
     n_orbits: int
     passed: bool
     failures: tuple[tuple[int, Fraction], ...]
     failure_lengths: tuple[int, ...]
+    orbits: tuple[OrbitReport, ...]
 
 
 def verify_constant_average(
@@ -44,25 +44,20 @@ def verify_constant_average(
     expected: Fraction | None = None,
     cap: int = DEFAULT_CAP,
 ) -> AverageReport:
-    """Check every orbit average equals expected; default expectation is
-    n_elements / (max_rank + 1).  An orbit of length L passes when its
-    antichain sizes add up to expected * L; only a failing check lists the
-    orbits, to name the failing ones."""
+    """List the orbits once and check every orbit average equals expected;
+    default expectation is n_elements / (max_rank + 1).  An orbit of length
+    L passes when its antichain sizes add up to expected * L."""
     if expected is None:
         expected = Fraction(poset.n_elements, poset.max_rank + 1)
-    sums = orbit_sums(poset, cap)
-    failing = ()
-    if sums.mismatches(sums.antichain_sizes(),
-                       lambda length: expected * length):
-        failing = tuple(
-            (k, orbit) for k, orbit in enumerate(all_orbits(poset, cap))
-            if orbit.average_size != expected)
-        if not failing:
-            raise RuntimeError("the orbit listing and the orbit sums disagree")
+    orbits = tuple(all_orbits(poset, cap))
+    num, den = expected.numerator, expected.denominator
+    failing = tuple((k, orbit) for k, orbit in enumerate(orbits)
+                    if sum(orbit.antichain_sizes) * den != num * orbit.length)
     return AverageReport(
-        expected, sums.n_orbits, not failing,
+        expected, len(orbits), not failing,
         tuple((k, orbit.average_size) for k, orbit in failing),
         tuple(orbit.length for _, orbit in failing),
+        orbits,
     )
 
 
@@ -78,8 +73,8 @@ class OccurrenceTable:
 
 
 def occurrence_counts(poset: Poset, orbit: OrbitReport) -> OccurrenceTable:
-    """Count one orbit element by element: the counters of orbit_sums for
-    that orbit, which check_conjectures reads to name failing orbits."""
+    """Count one orbit element by element, walking its masks;
+    check_conjectures reads the same counts from the orbit listing."""
     n = poset.n_elements
     ideal_counts = [0] * n
     antichain_counts = [0] * n
@@ -91,6 +86,30 @@ def occurrence_counts(poset: Poset, orbit: OrbitReport) -> OccurrenceTable:
     return OccurrenceTable(
         orbit.length, tuple(ideal_counts), tuple(antichain_counts)
     )
+
+
+def _listed_occurrences(
+    columns: list[int], minima: list[int], cycle: list[int]
+) -> OccurrenceTable:
+    """occurrence_counts of one orbit of a listing, by popcount.  With S
+    the bit set of the orbit's positions, element x lies in
+    (columns[x] & S).bit_count() of its ideals and in
+    (minima[x] & S).bit_count() of their antichains: the minima are the
+    antichains of the images, and an orbit's images are the orbit itself."""
+    orbit = _positions(cycle)
+    return OccurrenceTable(
+        len(cycle),
+        tuple([(c & orbit).bit_count() for c in columns]),
+        tuple([(c & orbit).bit_count() for c in minima]),
+    )
+
+
+def _positions(cycle: list[int]) -> int:
+    """The bit set of a cycle's positions."""
+    orbit = 0
+    for i in cycle:
+        orbit |= 1 << i
+    return orbit
 
 
 @dataclass(frozen=True)
@@ -134,42 +153,45 @@ def check_conjectures(
     cap: int = DEFAULT_CAP,
     name: str = "",
 ) -> tuple[ConjectureReport, ConjectureReport]:
-    """Both paired-count checks from one walk of the layer: the ideal form,
-    then the antichain form (see the two functions below).  Only a failing
-    check lists the orbits, to name them with their occurrence counts."""
+    """Both paired-count checks from one listing of the layer: the ideal
+    form, then the antichain form (see the two functions below).
+
+    With L an orbit's length and S the bit set of its positions, S above S
+    counts I(p) + I(q) in the column of p stacked above that of its partner
+    q, and A(p) + L - A(q) in the minima of p stacked above the complement
+    of those of q: both forms hold where every such count is L.  A failing
+    orbit is counted element by element to name its witnesses."""
     poset = root_layer.poset
     star = root_layer.star
-    sums = orbit_sums(poset, cap)
-    ideals, antichains = sums.ideals, sums.antichains
-    failing = (
-        any(sums.mismatches(add_counters(ideals[p], ideals[q]),
-                            lambda length: length)
-            for p, q in enumerate(star)),
-        any(differing_columns(antichains[p], antichains[q])
-            for p, q in enumerate(star)),
-    )
+    masks, columns, minima, cycles = _list_orbits(poset, cap)
+    full = (1 << len(masks)) - 1
+    pairs = sorted({(min(p, q), max(p, q)) for p, q in enumerate(star)})
+    stacked = [columns[p] << len(masks) | columns[q] for p, q in pairs]
+    stacked += [minima[p] << len(masks) | full ^ minima[q] for p, q in pairs]
     witnesses = ([], [])
-    if any(failing):
-        for k, orbit in enumerate(all_orbits(poset, cap)):
-            t = occurrence_counts(poset, orbit)
-            seed_bits = IdealSet(poset, orbit.masks[0]).bit_string()
-            for p, q in enumerate(star):
-                for found, identity, lhs, rhs in (
-                    (witnesses[0], IDEAL_IDENTITY,
-                     t.ideal_counts[p] + t.ideal_counts[q], t.orbit_length),
-                    (witnesses[1], ANTICHAIN_IDENTITY,
-                     t.antichain_counts[p], t.antichain_counts[q]),
-                ):
-                    if lhs != rhs:
-                        found.append(Witness(
-                            k, seed_bits, poset.labels[p], poset.labels[q],
-                            lhs, rhs, identity,
-                        ))
-        if tuple(map(bool, witnesses)) != failing:
-            raise RuntimeError("the orbit listing and the orbit sums disagree")
+    for k, cycle in enumerate(cycles):
+        orbit = _positions(cycle)
+        orbit |= orbit << len(masks)
+        if (list(map(int.bit_count, map(orbit.__and__, stacked)))
+                == [len(cycle)] * len(stacked)):
+            continue
+        t = _listed_occurrences(columns, minima, cycle)
+        seed_bits = IdealSet(poset, masks[cycle[0]]).bit_string()
+        for p, q in enumerate(star):
+            for found, identity, lhs, rhs in (
+                (witnesses[0], IDEAL_IDENTITY,
+                 t.ideal_counts[p] + t.ideal_counts[q], t.orbit_length),
+                (witnesses[1], ANTICHAIN_IDENTITY,
+                 t.antichain_counts[p], t.antichain_counts[q]),
+            ):
+                if lhs != rhs:
+                    found.append(Witness(
+                        k, seed_bits, poset.labels[p], poset.labels[q],
+                        lhs, rhs, identity,
+                    ))
     name = name or root_layer.name
     return tuple(
-        ConjectureReport(name, sums.n_orbits, not w, tuple(w))
+        ConjectureReport(name, len(cycles), not w, tuple(w))
         for w in witnesses
     )
 

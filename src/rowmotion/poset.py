@@ -9,11 +9,11 @@ maxima, minima, one rowmotion step) are a handful of integer bit operations.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_CAP = 10**7
 
@@ -295,18 +295,22 @@ class OrbitReport:
     """One rowmotion orbit with its antichain-size statistics.
 
     The orbit is held as ideal masks, starting at the seed; ideals wraps
-    them as validated IdealSets on first read.
+    them as validated IdealSets on first read, and average_size is the
+    exact mean of the antichain sizes, computed on each read.
     """
 
     poset: Poset
     length: int
     masks: tuple[int, ...]
     antichain_sizes: tuple[int, ...]
-    average_size: Fraction
 
     @cached_property
     def ideals(self) -> tuple[IdealSet, ...]:
         return tuple(IdealSet(self.poset, m) for m in self.masks)
+
+    @property
+    def average_size(self) -> Fraction:
+        return Fraction(sum(self.antichain_sizes), self.length)
 
     @classmethod
     def from_seed_mask(
@@ -326,7 +330,6 @@ class OrbitReport:
             length=len(masks),
             masks=tuple(masks),
             antichain_sizes=sizes,
-            average_size=Fraction(sum(sizes), len(masks)),
         )
 
 
@@ -388,25 +391,28 @@ def enumerate_ideals(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[IdealSet]
         yield IdealSet(poset, mask)
 
 
-def all_orbits(poset: Poset, cap: int = DEFAULT_CAP) -> list[OrbitReport]:
-    """Partition all ideals into rowmotion orbits, deterministically.
+def _list_orbits(
+    poset: Poset, cap: int
+) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+    """Every orbit from one bit-sliced step: (masks, columns, minima, cycles).
 
-    Orbits are listed by their first seed in enumeration order, and each orbit
-    starts at that seed.  One _step of every ideal, transposed back, gives
-    each ideal's image and the image's antichain: the cycles of the image
-    permutation are the orbits.
+    masks holds the ideals in ideal_masks order, and bit k of a column
+    stands for masks[k]: columns[x] says whether the ideal holds x, and
+    minima[x] whether the antichain of its image does.  One _step of every
+    ideal, with its image transposed back, gives the image permutation;
+    cycles lists each of its cycles, an orbit, as positions in masks, by
+    its first seed in enumeration order and starting at that seed.
     """
     masks = list(ideal_masks(poset, cap))
-    n = poset.n_elements
-    minima, image = _step(_columns(masks, n), *_covers(poset),
-                          (1 << len(masks)) - 1)
-    # row k: the image of masks[k] in the low n bits, its antichain above
-    rows = _rows(image + minima, len(masks))
+    columns = _columns(masks, poset.n_elements)
+    minima, image = _step(columns, *_covers(poset), (1 << len(masks)) - 1)
     index = {mask: k for k, mask in enumerate(masks)}
-    successor = [index[row & poset.full_mask] for row in rows]
+    successor = list(map(index.__getitem__, _rows(image, len(masks))))
     seen = bytearray(len(masks))
-    orbits = []
+    cycles = []
     for seed in range(len(masks)):
+        if seen[seed]:
+            continue
         cycle = []
         k = seed
         while not seen[k]:
@@ -415,31 +421,41 @@ def all_orbits(poset: Poset, cap: int = DEFAULT_CAP) -> list[OrbitReport]:
             k = successor[k]
         if k != seed:
             raise RuntimeError("a rowmotion cycle that misses its seed")
-        if cycle:
-            # an ideal's antichain sits in the row of its predecessor
-            sizes = tuple((rows[k] >> n).bit_count()
-                          for k in cycle[-1:] + cycle[:-1])
-            orbits.append(OrbitReport(
-                poset, len(cycle), tuple(masks[k] for k in cycle), sizes,
-                Fraction(sum(sizes), len(cycle))))
-    return orbits
+        cycles.append(cycle)
+    return masks, columns, minima, cycles
+
+
+def all_orbits(poset: Poset, cap: int = DEFAULT_CAP) -> list[OrbitReport]:
+    """Partition all ideals into rowmotion orbits, deterministically.
+
+    Orbits are listed by their first seed in enumeration order, and each orbit
+    starts at that seed.
+    """
+    masks, _, minima, cycles = _list_orbits(poset, cap)
+    # sizes[k]: the antichain size of the image of masks[k], which is the
+    # antichain size of the next ideal on the cycle
+    sizes = [a.bit_count() for a in _rows(minima, len(masks))]
+    return [OrbitReport(poset, len(c), tuple(map(masks.__getitem__, c)),
+                        tuple(map(sizes.__getitem__, c[-1:] + c[:-1])))
+            for c in cycles]
 
 
 def operator_order(poset: Poset, cap: int = DEFAULT_CAP) -> int:
     """Order of rowmotion on the full ideal set (lcm of orbit lengths)."""
-    return orbit_sums(poset, cap).operator_order
+    *_, cycles = _list_orbits(poset, cap)
+    return math.lcm(*map(len, cycles))
 
 
-# -- the bit-sliced step and orbit sums ---------------------------------------
+# -- the bit-sliced step ------------------------------------------------------
 #
-# _step runs rowmotion on every ideal at once, once for all_orbits and until
-# every ideal is back for orbit_sums.  The ideals are held transposed:
-# column x is an int whose bit k says whether ideal k, in ideal_masks
-# order, holds element x.  _columns transposes the masks forward, with 8
-# strided slices per element.  _rows transposes all_orbits' image and
-# antichain columns back, with 8 shift-and-mask gathers per column (16 per
-# element) and one from_bytes per ideal.  A counter is a list of bit
-# planes: plane j holds bit j of every ideal's count.
+# _step runs rowmotion on every ideal at once, once per listing, in
+# _list_orbits; every orbit statistic is read from that one listing.  The
+# ideals are held transposed: column x is an int whose bit k says whether
+# ideal k, in ideal_masks order, holds element x.  _columns transposes the
+# masks forward, with 8 strided slices per element.  _rows transposes the
+# image columns back, and all_orbits the antichain columns, with 8
+# shift-and-mask gathers per column; rows of up to 64 bits come out of one
+# unpack, wider ones take one from_bytes per ideal.
 
 
 # _SPREAD[b][r] maps a byte to its bit b, moved to bit r: counting up from
@@ -477,111 +493,31 @@ def _rows(columns: Sequence[int], k: int) -> list[int]:
     """Transpose columns into k rows, bit x of row i taken from columns[x]:
     the inverse of _columns, one block of 8 columns at a time.
 
-    Row i = 8q + r takes width bytes at buf[i * width].  Byte q of a column
-    holds rows 8q..8q+7; its bit r, moved to bit 0 and then to bit b for
-    column 8a + b, gives byte a of row 8q + r for every q at once, and the
-    rows of one residue r form a strided slice.
+    Row i = 8q + r takes width bytes at buf[i * stride].  Byte q of a
+    column holds rows 8q..8q+7; its bit r, moved to bit 0 and then to bit b
+    for column 8a + b, gives byte a of row 8q + r for every q at once, and
+    the rows of one residue r form a strided slice.  Rows of up to 8 bytes
+    are padded to 8 and read in one unpack.
     """
     width = (len(columns) + 7) // 8
     if not width:
         return [0] * k
     depth = (k + 7) // 8
+    stride = max(width, 8)
     low = int.from_bytes(b"\1" * depth, "little")  # bit 0 of every byte
-    buf = bytearray(8 * depth * width)
+    buf = bytearray(8 * depth * stride)
     for r in range(8):
         for a in range(width):
             gathered = 0
             for b, column in enumerate(columns[8 * a:8 * a + 8]):
                 gathered |= (column >> r & low) << b
-            buf[r * width + a::8 * width] = gathered.to_bytes(depth, "little")
+            buf[r * stride + a::8 * stride] = gathered.to_bytes(
+                depth, "little")
+    if stride == 8:
+        return list(struct.unpack_from(f"<{k}Q", buf))
     view = memoryview(buf)
     return [int.from_bytes(view[i:i + width], "little")
             for i in range(0, k * width, width)]
-
-
-def _add(counter: list[int], columns: int) -> None:
-    """Add one to the count of every column set in columns."""
-    for j, plane in enumerate(counter):
-        if not columns:
-            return
-        counter[j] = plane ^ columns
-        columns &= plane
-    if columns:
-        counter.append(columns)
-
-
-def add_counters(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Columnwise sum of two counters."""
-    out = []
-    carry = 0
-    for x, y in zip_longest(a, b, fillvalue=0):
-        out.append(x ^ y ^ carry)
-        carry = x & y | carry & (x ^ y)
-    if carry:
-        out.append(carry)
-    return out
-
-
-def differing_columns(a: Sequence[int], b: Sequence[int]) -> int:
-    """Columns whose counts differ between two counters."""
-    out = 0
-    for x, y in zip_longest(a, b, fillvalue=0):
-        out |= x ^ y
-    return out
-
-
-class OrbitSums:
-    """Orbit statistics of every ideal, from one bit-sliced walk.
-
-    Column k stands for the k-th ideal in ideal_masks order, and its
-    counters run once around its orbit: ideals[x] counts the orbit's ideals
-    that hold x, and antichains[x] those whose antichain (maximal elements)
-    holds x.  lengths maps each orbit length to the columns whose orbits
-    have it.
-    """
-
-    __slots__ = ("lengths", "ideals", "antichains")
-
-    def __init__(
-        self,
-        lengths: dict[int, int],
-        ideals: tuple[list[int], ...],
-        antichains: tuple[list[int], ...],
-    ):
-        self.lengths = lengths
-        self.ideals = ideals
-        self.antichains = antichains
-
-    @property
-    def n_orbits(self) -> int:
-        return sum(c.bit_count() // t for t, c in self.lengths.items())
-
-    @property
-    def operator_order(self) -> int:
-        return math.lcm(*self.lengths)
-
-    def antichain_sizes(self) -> list[int]:
-        """Counter of the antichain sizes summed around each orbit."""
-        total: list[int] = []
-        for counter in self.antichains:
-            total = add_counters(total, counter)
-        return total
-
-    def mismatches(
-        self, counter: Sequence[int], target: Callable[[int], Fraction | int]
-    ) -> int:
-        """Columns whose count differs from target(length of their orbit)."""
-        out = 0
-        for length, columns in self.lengths.items():
-            want = Fraction(target(length))
-            if want.denominator != 1 or want < 0:
-                out |= columns
-                continue
-            value = int(want)
-            planes = [columns if value >> j & 1 else 0
-                      for j in range(value.bit_length())]
-            out |= differing_columns(counter, planes) & columns
-        return out
 
 
 def _covers(poset: Poset) -> tuple[list[list[int]], list[list[int]]]:
@@ -616,37 +552,3 @@ def _step(cur: Sequence[int], lower: list[list[int]], upper: list[list[int]],
             v |= image[z]
         image[x] = v
     return minima, image
-
-
-def orbit_sums(poset: Poset, cap: int = DEFAULT_CAP) -> OrbitSums:
-    """Walk every ideal's orbit at once, in as many steps as the longest.
-
-    Each _step takes every column from ideal I to its rowmotion image.  A
-    column counts while its orbit is still open and closes when it is back
-    at its own ideal.
-    """
-    masks = list(ideal_masks(poset, cap))
-    n = poset.n_elements
-    full = open_ = (1 << len(masks)) - 1
-    lower, upper = _covers(poset)
-    cur = start = _columns(masks, n)
-    ideals = tuple([] for _ in range(n))
-    antichains = tuple([] for _ in range(n))
-    lengths = {}
-    steps = 0
-    while open_:
-        steps += 1
-        if steps > len(masks):
-            raise RuntimeError("an orbit longer than the ideal set")
-        minima, cur = _step(cur, lower, upper, full)
-        for x in range(n):
-            _add(ideals[x], cur[x] & open_)
-            _add(antichains[x], minima[x] & open_)
-        moved = 0
-        for x in range(n):
-            moved |= cur[x] ^ start[x]
-        back = open_ & ~moved
-        if back:
-            lengths[steps] = back
-            open_ ^= back
-    return OrbitSums(lengths, ideals, antichains)

@@ -16,15 +16,9 @@ from operator import add
 
 from .catalog import CatalogEntry, classical_layer_expr, entry_expr_poset
 from .constructions import build, grid_poset, k_product_poset
-from .homomesy import verify_constant_average
+from .homomesy import AverageReport, verify_constant_average
 from .isomorphism import are_isomorphic
-from .poset import (
-    DEFAULT_CAP,
-    IdealSet,
-    OrbitReport,
-    Poset,
-    all_orbits,
-)
+from .poset import DEFAULT_CAP, IdealSet, OrbitReport, Poset
 from .roots import layer as build_layer
 from .words import (
     count_10,
@@ -66,13 +60,10 @@ def _fraction_str(f: Fraction) -> str:
 
 
 def check_constant_average(
-    poset: Poset,
-    expected: Fraction | None = None,
-    cap: int = DEFAULT_CAP,
+    report: AverageReport,
     label: str = "orbit averages constant",
 ) -> CheckResult:
-    """verify_constant_average as a named check."""
-    report = verify_constant_average(poset, expected, cap)
+    """A report of verify_constant_average as a named check."""
     failures = [
         f"orbit {k} (length {length}) averages {_fraction_str(average)}"
         for (k, average), length in zip(report.failures,
@@ -96,11 +87,10 @@ def verify_grid(
     period = m + n
     checks: list[CheckResult] = []
 
+    average = verify_constant_average(poset, Fraction(m * n, m + n), cap)
     checks.append(check_constant_average(
-        poset, Fraction(m * n, m + n), cap,
-        "orbit averages equal mn/(m+n)",
-    ))
-    reports = tuple(all_orbits(poset, cap))
+        average, "orbit averages equal mn/(m+n)"))
+    reports = average.orbits
 
     order = lcm(*(r.length for r in reports))
     checks.append(
@@ -224,10 +214,10 @@ def verify_k_product(
     expected = Fraction(2 * m * n, period)
     checks: list[CheckResult] = []
 
+    average = verify_constant_average(poset, expected, cap)
     checks.append(check_constant_average(
-        poset, expected, cap, "orbit averages equal 2mn/(m+2n-1)",
-    ))
-    reports = tuple(all_orbits(poset, cap))
+        average, "orbit averages equal 2mn/(m+2n-1)"))
+    reports = average.orbits
 
     codec = k_codec(poset)
     class_fail: list[str] = []
@@ -351,7 +341,8 @@ def verify_catalog_entry(
     root_layer = entry.realize_layer()
     poset = root_layer.poset
     checks = [check_constant_average(
-        poset, cap=cap, label=f"orbit averages constant [{entry.name}]",
+        verify_constant_average(poset, cap=cap),
+        f"orbit averages constant [{entry.name}]",
     )]
 
     failures = []
@@ -388,7 +379,8 @@ def verify_classical_layer(
     poset = root_layer.poset
     name = root_layer.name
     checks = [check_constant_average(
-        poset, cap=cap, label=f"orbit averages constant [{name}]",
+        verify_constant_average(poset, cap=cap),
+        f"orbit averages constant [{name}]",
     )]
     expr = classical_layer_expr(family, rank, pivot)
     same = are_isomorphic(poset, build(expr))

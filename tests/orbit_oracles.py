@@ -5,10 +5,11 @@ linear extension at a time; poset.ideal_masks yields the same masks in the
 same order from a depth-first search that visits each ideal once.
 walked_orbits lists the orbits by walking them one at a time, one
 rowmotion step per ideal; poset.all_orbits reads the same listing from one
-bit-sliced step.  The other functions count the walked orbits with
-rowmotion.homomesy.occurrence_counts.  The checkers in rowmotion.homomesy
-and poset.operator_order read the counters of poset.orbit_sums instead, so
-the two agree only if both are right.
+bit-sliced step.  The other functions check the walked orbits, counting
+them with rowmotion.homomesy.occurrence_counts.  The checkers in
+rowmotion.homomesy and poset.operator_order read the one bit-sliced
+listing instead, and count an orbit by popcounts over its columns, so the
+two agree only if both are right.
 """
 
 import math
@@ -85,6 +86,7 @@ def walked_average(poset, expected=None) -> AverageReport:
         expected, len(orbits), not failing,
         tuple((k, o.average_size) for k, o in failing),
         tuple(o.length for _, o in failing),
+        tuple(orbits),
     )
 
 

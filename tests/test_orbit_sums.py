@@ -1,10 +1,12 @@
 """The bit-sliced orbit engine against the orbit-by-orbit walker.
 
 all_orbits reads the listing from one bit-sliced step, and
-verify_constant_average, check_conjectures and operator_order read the
-counters of poset.orbit_sums; tests/orbit_oracles.py computes the same
-listing and reports by walking every orbit.  The shapes are those of the
-acceptance suite, plus inputs that fail.  ideal_masks is held to the
+verify_constant_average, check_conjectures and operator_order read that
+same listing: the averages from its orbits, the per-orbit counts by
+popcounts over its columns, the order from its lengths.
+tests/orbit_oracles.py computes the same listing, counts and reports by
+walking every orbit.  The shapes are those of the acceptance suite, plus
+inputs that fail.  ideal_masks is held to the
 level-by-level enumeration of the same module, and _rows, the listing's
 back-transpose, to _columns, which computes the same transpose.
 """
@@ -37,7 +39,11 @@ from rowmotion.constructions import (
     grid_poset,
     k_product_poset,
 )
-from rowmotion.homomesy import check_conjectures, verify_constant_average
+from rowmotion.homomesy import (
+    check_conjectures,
+    occurrence_counts,
+    verify_constant_average,
+)
 from rowmotion.poset import (
     DEFAULT_CAP,
     CapExceeded,
@@ -46,11 +52,11 @@ from rowmotion.poset import (
     all_orbits,
     ideal_masks,
     operator_order,
-    orbit_sums,
 )
 from rowmotion.roots import FAMILY_RANK_RANGE, layer
 
 CLAW = OSum(Chain(1), DUnion(Chain(1), DUnion(Chain(1), Chain(1))))
+CLAW_TEXT = "osum(chain(1),dunion(chain(1),dunion(chain(1),chain(1))))"
 
 
 def classical_layers():
@@ -63,8 +69,18 @@ def classical_layers():
                     yield lay
 
 
+def listed_counts(poset):
+    """The per-orbit counts check_conjectures reads from the listing."""
+    _, columns, minima, cycles = poset_module._list_orbits(poset, DEFAULT_CAP)
+    return [homomesy._listed_occurrences(columns, minima, cycle)
+            for cycle in cycles]
+
+
 def assert_same_average(poset, expected=None):
-    assert all_orbits(poset) == walked_orbits(poset)
+    walked = walked_orbits(poset)
+    assert all_orbits(poset) == walked
+    assert listed_counts(poset) == [occurrence_counts(poset, orbit)
+                                    for orbit in walked]
     engine = verify_constant_average(poset, expected)
     assert engine == walked_average(poset, expected)
     return engine
@@ -117,7 +133,7 @@ def test_a_failing_average_names_the_same_orbits():
     assert operator_order(claw) == walked_order(claw)
     # an expectation no orbit meets fails every orbit, lengths and all,
     # also where expected * length rounds down to the true sum (6 of 6.05)
-    # or is negative (-3 read as two bits would be 1, chain(1)'s sum)
+    # or is negative
     for poset, expected in ((grid_poset(2, 2), Fraction(1, 7)),
                             (grid_poset(2, 3), Fraction(121, 100)),
                             (build(Chain(1)), Fraction(-3, 2))):
@@ -142,6 +158,52 @@ def test_a_shifted_star_gives_the_same_witnesses():
     assert len(ideals.witnesses) == 4 and len(antichains.witnesses) == 2
 
 
+@pytest.mark.parametrize("family,rank,pivot", [
+    ("A", 4, 2), ("D", 4, 1), ("A", 5, 3),
+])
+def test_swapped_partners_give_the_same_witnesses(family, rank, pivot):
+    # swapping the partners of two elements fails some orbits and not
+    # others, so an orbit counted over the wrong positions, elements or
+    # columns is caught whether it passes or fails
+    lay = layer(family, rank, pivot)
+    n = lay.poset.n_elements
+    partial = 0
+    for a in range(n):
+        for b in range(a + 1, n):
+            star = list(lay.star)
+            star[a], star[b] = star[b], star[a]
+            fake = dataclasses.replace(lay, star=tuple(star))
+            reports = check_conjectures(fake)
+            assert reports == walked_conjectures(fake), (a, b)
+            partial += any(
+                0 < len({w.orbit_index for w in rep.witnesses}) < rep.n_orbits
+                for rep in reports)
+    assert partial >= n
+
+
+def test_only_failing_orbits_are_counted_element_by_element(monkeypatch):
+    # the paired counts decide each orbit; an orbit is counted element by
+    # element only to name its witnesses
+    counted = []
+    real = homomesy._listed_occurrences
+
+    def spy(columns, minima, cycle):
+        counted.append(cycle[0])
+        return real(columns, minima, cycle)
+
+    monkeypatch.setattr(homomesy, "_listed_occurrences", spy)
+    for entry in SPORADIC[:6]:
+        assert all(rep.passed for rep in check_conjectures(
+            entry.realize_layer()))
+    assert counted == []
+    lay = layer("A", 5, 3)
+    star = list(lay.star)
+    star[0], star[1] = star[1], star[0]
+    reports = check_conjectures(dataclasses.replace(lay, star=tuple(star)))
+    failing = {w.orbit_index for rep in reports for w in rep.witnesses}
+    assert 0 < len(counted) == len(failing) < reports[0].n_orbits
+
+
 def test_empty_and_one_element_posets():
     for poset in (Poset.empty(), build(Chain(1))):
         rep = assert_same_average(poset)
@@ -162,53 +224,44 @@ def test_rows_transpose_back_like_columns():
 
 def test_counters_on_a_chain():
     # orbit of chain(2): empty -> {0} -> {0,1} -> empty
-    sums = orbit_sums(build(Chain(2)))
-    assert sums.lengths == {3: 0b111}
-    assert sums.n_orbits == 1
-
-    def count(counter, k):
-        return sum((plane >> k & 1) << j for j, plane in enumerate(counter))
-
-    for k in range(3):
-        assert [count(c, k) for c in sums.ideals] == [2, 1]
-        assert [count(c, k) for c in sums.antichains] == [1, 1]
-        assert count(sums.antichain_sizes(), k) == 2
+    (table,) = listed_counts(build(Chain(2)))
+    assert table.orbit_length == 3
+    assert table.ideal_counts == (2, 1)
+    assert table.antichain_counts == (1, 1)
 
 
-def test_a_failing_check_lists_its_poset_once(monkeypatch):
+def count_listings(monkeypatch):
+    """The posets listed from here on: each listing runs _step once."""
     calls = []
-    real = homomesy.all_orbits
+    real = poset_module._step
 
-    def counted(poset, cap):
-        calls.append(poset)
-        return real(poset, cap)
+    def counted(cur, lower, upper, full):
+        calls.append(len(cur))
+        return real(cur, lower, upper, full)
 
-    monkeypatch.setattr(homomesy, "all_orbits", counted)
+    monkeypatch.setattr(poset_module, "_step", counted)
+    return calls
+
+
+def test_a_failing_check_lists_its_poset_once(monkeypatch, capsys):
+    calls = count_listings(monkeypatch)
     assert not verify_constant_average(build(CLAW)).passed
-    assert len(calls) == 1
+    assert calls == [4]
     lay = layer("A", 3, 2)
     fake = dataclasses.replace(lay, star=tuple(range(lay.poset.n_elements)))
     assert not check_conjectures(fake)[0].passed
-    assert len(calls) == 2
-
-
-def test_counters_that_fail_need_a_named_orbit(monkeypatch):
-    # a listing that names no failing orbit is an engine fault, not a pass
-    monkeypatch.setattr(homomesy, "all_orbits", lambda poset, cap: [])
-    with pytest.raises(RuntimeError, match="listing and the orbit sums disagree"):
-        verify_constant_average(build(CLAW))
-    lay = layer("A", 3, 2)
-    fake = dataclasses.replace(lay, star=tuple(range(lay.poset.n_elements)))
-    with pytest.raises(RuntimeError, match="listing and the orbit sums disagree"):
-        check_conjectures(fake)
-    # the listing also fails a form the counters pass
-    monkeypatch.undo()
-    monkeypatch.setattr(homomesy, "differing_columns", lambda a, b: 0)
-    n = lay.poset.n_elements
-    shifted = dataclasses.replace(
-        lay, star=tuple((p + 1) % n for p in range(n)))
-    with pytest.raises(RuntimeError, match="listing and the orbit sums disagree"):
-        check_conjectures(shifted)
+    assert calls == [4, 4]
+    # the failing check also gives the command its orbits
+    calls.clear()
+    assert main(["verify-delta1", CLAW_TEXT, "--format", "json"]) == 1
+    assert calls == [4]
+    calls.clear()
+    assert main(["verify-grid", "3", "4"]) == 0
+    assert calls == [12]
+    calls.clear()
+    assert main(["verify-k", "3", "3"]) == 0
+    assert calls == [k_product_poset(3, 3).n_elements]
+    capsys.readouterr()
 
 
 def test_a_cycle_that_misses_its_seed_raises(monkeypatch):
@@ -241,10 +294,10 @@ def test_checkers_walk_no_orbit(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("walked an orbit")
 
-    for module in (poset_module, homomesy):
-        monkeypatch.setattr(module, "all_orbits", refuse)
-    monkeypatch.setattr(homomesy, "orbit_reports", refuse)
     monkeypatch.setattr(OrbitReport, "from_seed_mask", refuse)
+    monkeypatch.setattr(Poset, "rowmotion_ideal_mask", refuse)
+    monkeypatch.setattr(Poset, "maxima_mask", refuse)
+    monkeypatch.setattr(homomesy, "occurrence_counts", refuse)
     lay = layer("D", 5, 2)
     assert verify_constant_average(lay.poset).passed
     assert all(rep.passed for rep in check_conjectures(lay))
@@ -252,17 +305,21 @@ def test_checkers_walk_no_orbit(monkeypatch):
 
 
 def test_conjectures_walk_each_layer_once(monkeypatch, capsys):
-    calls = []
-    real = homomesy.orbit_sums
-
-    def counted(poset, cap):
-        calls.append(poset)
-        return real(poset, cap)
-
-    monkeypatch.setattr(homomesy, "orbit_sums", counted)
+    calls = count_listings(monkeypatch)
     assert main(["conjectures", "layer(D5,2)"]) == 0
-    assert len(calls) == 1
+    assert calls == [layer("D", 5, 2).poset.n_elements]
     capsys.readouterr()
+
+
+def test_a_long_orbit_is_listed_in_one_step(capsys):
+    # chain(2000) has one orbit through all 2001 ideals; stepping every
+    # ideal once per step until it closes took several seconds
+    start = time.perf_counter()
+    assert main(["verify-delta1", "chain(2000)", "--budget",
+                 "--cap", "3000"]) == 0
+    assert time.perf_counter() - start < 1
+    capsys.readouterr()
+    assert operator_order(build(Chain(1200))) == 1201
 
 
 @pytest.mark.parametrize("poset", [grid_poset(3, 4), k_product_poset(3, 3),

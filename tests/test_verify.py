@@ -204,6 +204,6 @@ def test_classical_layer_passes_every_check(family, rank, pivot):
 def test_average_note_reads_the_default_expectation():
     # [2]x[3]: 6 elements over ranks 1..4, 10 ideals in two orbits of 5
     poset = build(classical_layer_expr("A", 4, 2))
-    check = verify.check_constant_average(poset)
+    check = verify.check_constant_average(verify.verify_constant_average(poset))
     assert check.passed
     assert check.details == "2 orbits, every average 6/5"

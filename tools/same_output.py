@@ -15,6 +15,10 @@ verify-delta1 and conjectures with and without --cap 100, the cap
 boundaries of chain(6) and of the 4x4 grid, and listings whose ideal counts
 straddle a byte (chain(1), chain(7) and chain(8), with 2, 8 and 9 ideals),
 prod(chain(2),chain(4)) and one long listing, chain(4999) under --cap 5000.
+verify-delta1 also runs on three expressions: the claw
+osum(chain(1),dunion(chain(1),dunion(chain(1),chain(1)))), whose averages
+are not constant (exit 1), the 3x4 grid, and chain(300), one long orbit.
+conjectures also runs on layer(D5,2), layer(A7,4) and layer(E7,7).
 Each runs in json and table format, and orbits also in csv.
 """
 
@@ -67,6 +71,11 @@ def base_commands() -> list[tuple[str, ...]]:
     commands += [("orbits", expr) for expr in (
         "chain(1)", "chain(7)", "chain(8)", "prod(chain(2),chain(4))")]
     commands += [("orbits", "chain(4999)", "--cap", "5000")]
+    commands += [("verify-delta1", expr) for expr in (
+        "osum(chain(1),dunion(chain(1),dunion(chain(1),chain(1))))",
+        "prod(chain(3),chain(4))", "chain(300)")]
+    commands += [("conjectures", expr) for expr in (
+        "layer(D5,2)", "layer(A7,4)", "layer(E7,7)")]
     return list(dict.fromkeys(commands))
 
 
