@@ -190,13 +190,10 @@ def layer(family: str, rank: int, pivot: int) -> RootLayer:
         (v, heights[v], ",".join(str(c) for c in v)) for v in members
     ]
     member_set = set(members)
-    covers = []
-    for v in members:
-        for w in members:
-            if heights[w] == heights[v] + 1 and all(
-                a <= b for a, b in zip(v, w)
-            ):
-                covers.append((v, w))
+    # a cover is a height-1 componentwise step, so a unit vector: the covers
+    # of v are the members v + alpha_j
+    covers = [(v, w) for v in members for j in range(rank)
+              if (w := v[:j] + (v[j] + 1,) + v[j + 1:]) in member_set]
     poset = Poset.from_cover_data(elements, covers)
     images = _parabolic_longest_images(system.cartan, pivot)
     l = rank

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
-from operator import add
 
 from .catalog import CatalogEntry, classical_layer_expr, entry_expr_poset
 from .constructions import build, grid_poset, k_product_poset
@@ -23,12 +21,12 @@ from .roots import layer as build_layer
 from .words import (
     count_10,
     epsilon_n,
+    formula_sizes,
     grid_codec,
     k_codec,
     long_sequences,
     psi,
     psi_bar,
-    size_profile,
     window_sizes_K,
     zigzag,
 )
@@ -136,13 +134,15 @@ def verify_grid(
                 size_fail.append(f"word {w}: {count_10(w)} vs {sizes[i]}")
             # the j-th iterate of w is the j-th ideal after it on the orbit
             ahead = [(i + j) % r.length for j in range(1, period + 1)]
-            formula = _formula_sizes(w)
+            formula = formula_sizes(w)
             step = next((j for j, (k, f) in enumerate(zip(ahead, formula), 1)
                          if sizes[k] != f), None)
             if step is not None:
                 formula_fail.append(f"word {w} step {step}")
             if sum(formula) != m * n:
                 period_fail.append(f"word {w}: climb total {sum(formula)}")
+            # restates "operator order is m+n" word by word, so that a
+            # failure names the words that do not return
             if words[ahead[-1]] != w:
                 period_fail.append(f"word {w} does not return")
             seq0, seq1 = long_sequences(w)
@@ -176,21 +176,13 @@ def verify_grid(
     return poset, reports, checks
 
 
-def _formula_sizes(word: str) -> list[int]:
-    """Antichain sizes of the first m+n iterates of a word, from its P/Q
-    profile."""
-    profile = size_profile(word)
-    steps = map(add, profile.p_values, profile.q_values)
-    return list(accumulate(steps, initial=count_10(word)))[1:]
-
-
 def word_iterate_rows(word: str) -> tuple[list[tuple[int, str, int, int]], bool]:
     """Rows (step, word, direct size, formula size) over one period, plus
     whether every comparison agreed and the word returned."""
     rows = []
     ok = True
     cur = word
-    for i, formula in enumerate(_formula_sizes(word), start=1):
+    for i, formula in enumerate(formula_sizes(word), start=1):
         cur = psi(cur)
         direct = count_10(cur)
         rows.append((i, cur, direct, formula))
@@ -276,6 +268,8 @@ def verify_k_product(
                 ahead = [(i + j) % r.length for j in range(1, period + 1)]
                 if window_sizes_K(w) != [r.antichain_sizes[k] for k in ahead]:
                     window_fail.append(f"word {w}")
+                # restates "operator order is m+2n-1" word by word, so
+                # that a failure names the words that do not return
                 if words[ahead[-1]] != w:
                     word_period_fail.append(f"word {w}")
     checks.append(

@@ -18,22 +18,51 @@ grid_codec or k_codec, keeps the masks of these prefixes for every fiber
 and works on ideal masks; the public encode/decode functions wrap it for
 IdealSets.
 
+Every word step and marked sequence reads one decomposition, the block
+form: the pairs (symbol run, zero run after it), a symbol being a one or
+the star.  psi is one run shift on it, psi_bar is that shift followed by
+one star push, and one builder makes the marked zero and ones sequences of
+plain and starred words alike.
+
 Words are plain strings; positions are 1-based in all public descriptions
 (storage is 0-based).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, groupby
-from operator import or_
-from typing import Iterable, Sequence
+from itertools import accumulate, zip_longest
+from operator import add, or_
+from typing import Callable, Iterable, Sequence
 
 from .constructions import grid_poset, k_product_poset
 from .poset import IdealSet, InvalidSubset, Poset
 
-# -- blocks and the basic map psi --------------------------------------------
+# -- the block form and the basic map psi ------------------------------------
+
+_ZERO_RUNS = re.compile("(0+)")
+
+
+def _blocks(word: str) -> tuple[list[str], list[int]]:
+    """The block form: pairs (symbol run j, length of the zero run after
+    it), as two parallel lists.  A symbol is a one or the star; the first
+    symbol run may be empty and the last zero run may have length 0."""
+    parts = _ZERO_RUNS.split(word)
+    runs = parts[0::2]
+    zeros = [len(z) for z in parts[1::2]]
+    if runs[-1] or not zeros:
+        zeros.append(0)
+    else:
+        runs.pop()
+    return runs, zeros
+
+
+def _binary_blocks(word: str) -> tuple[list[str], list[int]]:
+    if set(word) - {"0", "1"}:
+        raise ValueError(f"not a binary word: {word!r}")
+    return _blocks(word)
 
 
 def parse_blocks(word: str) -> list[tuple[int, int]]:
@@ -42,24 +71,8 @@ def parse_blocks(word: str) -> list[tuple[int, int]]:
     The first ones-count and the last zeros-count may be 0; all other entries
     are positive.  parse_blocks("0110") == [(0, 1), (2, 1)].
     """
-    if set(word) - {"0", "1"}:
-        raise ValueError(f"not a binary word: {word!r}")
-    runs = [(ch, len(list(g))) for ch, g in groupby(word)]
-    blocks: list[tuple[int, int]] = []
-    pending_ones = 0
-    if runs and runs[0][0] == "0":
-        pending_ones = -1  # leading zero run: open an (0, b) block
-    for ch, c in runs:
-        if ch == "1":
-            pending_ones = c
-        else:
-            blocks.append((max(pending_ones, 0), c))
-            pending_ones = -1
-    if pending_ones >= 0:
-        blocks.append((pending_ones, 0))
-    if not word:
-        blocks = [(0, 0)]
-    return blocks
+    runs, zeros = _binary_blocks(word)
+    return [(len(r), z) for r, z in zip(runs, zeros)]
 
 
 def unparse_blocks(blocks: list[tuple[int, int]]) -> str:
@@ -71,6 +84,21 @@ def count_10(word: str) -> int:
     return word.count("10")
 
 
+def _shift(runs: list[str], zeros: list[int], starred: bool = False) -> str:
+    """The run shift of a block form: one zero leaves the first run and
+    joins the last, a one is fed in at the front and one retired at the
+    back, and every zero run slides in front of the symbol run it used to
+    follow.  On a single pair this swaps the two runs.  A starred word then
+    pushes its star through the shifted symbol runs."""
+    zeros[0] -= 1
+    zeros[-1] += 1
+    runs[0] = "1" + runs[0]
+    runs[-1] = runs[-1][:-1]
+    if starred:
+        _push(runs)
+    return "".join("0" * z + r for z, r in zip(zeros, runs))
+
+
 def psi(word: str) -> str:
     """One rowmotion step on the word side.
 
@@ -79,27 +107,21 @@ def psi(word: str) -> str:
     0^{b_1-1}1^{a_1+1}...0^{b_i}1^{a_i}...0^{b_s+1}1^{a_s-1}; a word of a
     single block pair 1^a 0^b just swaps to 0^b 1^a.
     """
-    blocks = parse_blocks(word)
-    s = len(blocks)
-    if s == 1:
-        a, b = blocks[0]
-        return "0" * b + "1" * a
-    parts = []
-    for j, (a, b) in enumerate(blocks):
-        nb = b - 1 if j == 0 else b + 1 if j == s - 1 else b
-        na = a + 1 if j == 0 else a - 1 if j == s - 1 else a
-        parts.append("0" * nb + "1" * na)
-    return "".join(parts)
+    return _shift(*_binary_blocks(word))
+
+
+def _iterates(step: Callable[[str], str], word: str, steps: int) -> list[str]:
+    out = []
+    cur = word
+    for _ in range(steps):
+        cur = step(cur)
+        out.append(cur)
+    return out
 
 
 def psi_iterates(word: str, steps: int) -> list[str]:
     """[psi(w), psi^2(w), ..., psi^steps(w)]."""
-    out = []
-    cur = word
-    for _ in range(steps):
-        cur = psi(cur)
-        out.append(cur)
-    return out
+    return _iterates(psi, word, steps)
 
 
 # -- fiber codecs -------------------------------------------------------------
@@ -236,14 +258,20 @@ def size_profile(word: str) -> SizeProfile:
     return SizeProfile(m, n, p_vals, q_vals)
 
 
+def formula_sizes(word: str) -> list[int]:
+    """Antichain sizes of the first m+n iterates of a word, from its P/Q
+    profile."""
+    profile = size_profile(word)
+    steps = map(add, profile.p_values, profile.q_values)
+    return list(accumulate(steps, initial=count_10(word)))[1:]
+
+
 def size_by_formula(word: str, i: int) -> int:
     """|antichain of the i-th rowmotion iterate| without iterating."""
-    profile = size_profile(word)
-    if not 1 <= i <= profile.m + profile.n:
-        raise ValueError(f"step {i} outside 1..{profile.m + profile.n}")
-    return count_10(word) + sum(
-        profile.p_values[j] + profile.q_values[j] for j in range(i)
-    )
+    sizes = formula_sizes(word)
+    if not 1 <= i <= len(sizes):
+        raise ValueError(f"step {i} outside 1..{len(sizes)}")
+    return sizes[i - 1]
 
 
 # -- long sequences and windows ------------------------------------------------
@@ -295,8 +323,21 @@ class MarkedSequence:
         return self.windows[i - 1]
 
 
-def _runs(word: str) -> list[tuple[str, int]]:
-    return [(ch, len(list(g))) for ch, g in groupby(word)]
+_OTHER_RUNS = {"0": re.compile("[^0]+"), "1": re.compile("[^1]+")}
+
+
+def _marked(word: str, own: str) -> str:
+    """The marked sequence of a word in its own symbol: the word with every
+    run of other symbols dashed out, then every such run in reverse order
+    contributing own symbols joined by dashes, one per symbol of the run
+    and one fewer for the run that holds the star, then the dashed word
+    again."""
+    other = _OTHER_RUNS[own]
+    dashed = other.sub("-", word)
+    pair = "-" + own
+    middle = "".join([(pair * len(run))[1 + ("*" in run):]
+                      for run in reversed(other.findall(word))])
+    return dashed + middle + dashed
 
 
 def long_sequences(word: str) -> tuple[MarkedSequence, MarkedSequence]:
@@ -308,18 +349,11 @@ def long_sequences(word: str) -> tuple[MarkedSequence, MarkedSequence]:
     built the same way with the roles swapped; m+2n ones, read right to left.
     """
     m, n = word.count("0"), word.count("1")
-    runs = _runs(word)
-    z = "".join("-" if ch == "1" else "0" * c for ch, c in runs)
-    m0 = "".join(
-        "0" + "-0" * (c - 1) for ch, c in reversed(runs) if ch == "1"
-    )
-    o = "".join("-" if ch == "0" else "1" * c for ch, c in runs)
-    m1 = "".join(
-        "1" + "-1" * (c - 1) for ch, c in reversed(runs) if ch == "0"
-    )
+    if m + n != len(word):
+        raise ValueError(f"not a binary word: {word!r}")
     return (
-        MarkedSequence(z + m0 + z, "0", m),
-        MarkedSequence(o + m1 + o, "1", n),
+        MarkedSequence(_marked(word, "0"), "0", m),
+        MarkedSequence(_marked(word, "1"), "1", n),
     )
 
 
@@ -349,13 +383,9 @@ def zigzag(window0: str, window1: str) -> str:
         raise ValueError("windows do not interlock")
     first, second = (zero_runs, one_runs) if not lead0 else (one_runs, zero_runs)
     ch_first, ch_second = ("0", "1") if not lead0 else ("1", "0")
-    parts = []
-    for idx in range(len(first) + len(second)):
-        if idx % 2 == 0:
-            parts.append(ch_first * first[idx // 2])
-        else:
-            parts.append(ch_second * second[idx // 2])
-    return "".join(parts)
+    # interlocking windows leave the first symbol at most one run ahead
+    return "".join(ch_first * a + ch_second * b
+                   for a, b in zip_longest(first, second, fillvalue=0))
 
 
 # -- the two-strand product codecs ---------------------------------------------
@@ -443,18 +473,16 @@ def epsilon_n(word: str) -> int:
     ones = word.count("1")
     if ones % 2 == 0:
         raise ValueError("expected an odd number of ones")
-    n = (ones + 1) // 2
-    return _nth_one_followed_by_zero(word, n)
+    pos = _nth_one(word, (ones + 1) // 2)
+    return int(word[pos + 1 : pos + 2] == "0")
 
 
-def _nth_one_followed_by_zero(word: str, n: int) -> int:
-    seen = 0
-    for pos, ch in enumerate(word):
-        if ch == "1":
-            seen += 1
-            if seen == n:
-                return int(pos + 1 < len(word) and word[pos + 1] == "0")
-    raise ValueError(f"word has fewer than {n} ones")
+def _nth_one(word: str, n: int) -> int:
+    """Position of the n-th one of a word that has at least n ones."""
+    pos = -1
+    for _ in range(n):
+        pos = word.index("1", pos + 1)
+    return pos
 
 
 # -- starred codec --------------------------------------------------------------
@@ -489,16 +517,10 @@ def plain_to_starred(word: str) -> str:
     ones = word.count("1")
     if ones == 0 or ones % 2:
         raise ValueError("expected a positive even number of ones")
-    n = ones // 2
-    if not _nth_one_followed_by_zero(word, n):
+    pos = _nth_one(word, ones // 2)
+    if word[pos + 1 : pos + 2] != "0":
         raise ValueError("the middle one must be immediately followed by 0")
-    seen = 0
-    for pos, ch in enumerate(word):
-        if ch == "1":
-            seen += 1
-            if seen == n:
-                return word[:pos] + "*" + word[pos + 1 :]
-    raise AssertionError
+    return word[:pos] + "*" + word[pos + 1 :]
 
 
 def encode_K_starred(ideal: IdealSet) -> str:
@@ -520,59 +542,30 @@ def dual_ideal(ideal: IdealSet) -> IdealSet:
 # -- the starred dynamics ---------------------------------------------------------
 
 
-def _starred_runs(sword: str) -> tuple[list[str], list[int]]:
-    """Pairs (symbol run j, zero run after it) flattened into two lists; the
-    first symbol run may be empty and the last zero run may have length 0."""
-    runs: list[str] = [""]
-    zeros: list[int] = []
-    for is_zero, g in groupby(sword, key=lambda c: c == "0"):
-        chunk = "".join(g)
-        if is_zero:
-            zeros.append(len(chunk))
-        else:
-            if len(zeros) == len(runs):
-                # a zero run just closed the previous pair; open a new one
-                runs.append(chunk)
-            else:
-                runs[-1] = chunk
-    if len(zeros) < len(runs):
-        zeros.append(0)
-    if len(runs) != len(zeros):
-        raise AssertionError(f"bad decomposition of {sword!r}")
-    return runs, zeros
-
-
-def psi_bar(sword: str) -> str:
-    """One rowmotion step on starred words: shift the zero runs, feed a one
-    in at the front, retire one at the back, and push through the star."""
-    validate_starred(sword)
-    runs, zeros = _starred_runs(sword)
-    if len(runs) < 2:
-        raise ValueError("starred words have at least two block pairs")
-    zeros[0] -= 1
-    zeros[-1] += 1
-    runs[0] = "1" + runs[0]
-    if not runs[-1] or runs[-1][-1] != "1":
-        raise ValueError("the last run must end with a plain one")
-    runs[-1] = runs[-1][:-1]
+def _push(runs: list[str]) -> None:
+    """The star push on symbol runs: the star swaps with the one right
+    before it; when that one shares the star's run, the one now right after
+    the star moves to the front of the next run."""
     q = next(j for j, r in enumerate(runs) if "*" in r)
     if runs[q] == "*":
         runs[q - 1] = runs[q - 1][:-1] + "*"
         runs[q] = "1"
     else:
         runs[q] = runs[q][:-2] + "*"
+        if q + 1 == len(runs):
+            runs.append("")
         runs[q + 1] = "1" + runs[q + 1]
-    # every zero run slides in front of the symbol run it used to follow
-    return "".join("0" * z + r for z, r in zip(zeros, runs))
+
+
+def psi_bar(sword: str) -> str:
+    """One rowmotion step on starred words: the run shift of psi, then the
+    star push."""
+    validate_starred(sword)
+    return _shift(*_blocks(sword), starred=True)
 
 
 def psi_bar_iterates(sword: str, steps: int) -> list[str]:
-    out = []
-    cur = sword
-    for _ in range(steps):
-        cur = psi_bar(cur)
-        out.append(cur)
-    return out
+    return _iterates(psi_bar, sword, steps)
 
 
 def p_pattern(pattern: str) -> str:
@@ -587,17 +580,9 @@ def p_pattern(pattern: str) -> str:
     q = next(j for j, seg in enumerate(segments) if "*" in seg)
     if not segments[q].endswith("*"):
         raise ValueError("the star must end its segment")
-    if segments[q] == "*":
-        if q == 0 or not segments[q - 1]:
-            raise ValueError("no one available before a bare star")
-        segments[q - 1] = segments[q - 1][:-1] + "*"
-        segments[q] = "1"
-    else:
-        segments[q] = segments[q][:-2] + "*"
-        if q + 1 < len(segments):
-            segments[q + 1] = "1" + segments[q + 1]
-        else:
-            segments.append("1")
+    if segments[q] == "*" and (q == 0 or not segments[q - 1]):
+        raise ValueError("no one available before a bare star")
+    _push(segments)
     return "-".join(segments)
 
 
@@ -610,35 +595,11 @@ def long_zero_sequence_K(sword: str) -> MarkedSequence:
     dashed word again; 2m+2n-1 zeros in total.  Windows of width m count
     "-0" occurrences to give antichain sizes along the orbit.
     """
-    m, n = validate_starred(sword)
-    runs = _runs_marked(sword)
-    z = "".join("-" if syms != {"0"} else "0" * c for syms, c in runs)
-    middle_parts = []
-    for syms, c in reversed(runs):
-        if syms == {"0"}:
-            continue
-        if "*" in syms:
-            middle_parts.append("-0" * (c - 1))
-        else:
-            middle_parts.append("0" + "-0" * (c - 1))
-    middle = "".join(middle_parts)
-    return MarkedSequence(z + middle + z, "0", m)
-
-
-def _runs_marked(sword: str) -> list[tuple[set, int]]:
-    out = []
-    for is_zero, g in groupby(sword, key=lambda c: c == "0"):
-        chunk = "".join(g)
-        out.append((set(chunk), len(chunk)))
-    return out
-
-
-def count_dash_zero(window: str) -> int:
-    """Zeros immediately preceded by a dash within the window."""
-    return window.count("-0")
+    m, _ = validate_starred(sword)
+    return MarkedSequence(_marked(sword, "0"), "0", m)
 
 
 def window_sizes_K(sword: str) -> list[int]:
     """Antichain sizes of the first m+2n-1 rowmotion iterates, read from the
     windows of the marked zero sequence."""
-    return [count_dash_zero(w) for w in long_zero_sequence_K(sword).windows]
+    return [w.count("-0") for w in long_zero_sequence_K(sword).windows]

@@ -4,7 +4,12 @@ import pytest
 
 from rowmotion.constructions import build, grid_poset, K, Chain, H, Prod
 from rowmotion.isomorphism import are_isomorphic
-from rowmotion.roots import cartan_matrix, layer, root_system
+from rowmotion.roots import (
+    FAMILY_RANK_RANGE,
+    cartan_matrix,
+    layer,
+    root_system,
+)
 
 EXPECTED_COUNTS = {
     ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10, ("A", 5): 15,
@@ -90,6 +95,28 @@ def test_layer_sizes_match_closed_forms():
             assert layer("C", l, i).poset.n_elements == i * 2 * (l - i)
         assert layer("B", l, l).poset.n_elements == l
         assert layer("C", l, l).poset.n_elements == l * (l + 1) // 2
+
+
+def _all_pairs_covers(poset):
+    """The cover pairs of a layer by the all-pairs rule: w covers v when it
+    is one higher and componentwise at least v."""
+    keys = poset.keys
+    return sorted(
+        (i, j) for i, v in enumerate(keys) for j, w in enumerate(keys)
+        if sum(w) == sum(v) + 1 and all(a <= b for a, b in zip(v, w))
+    )
+
+
+def test_layer_covers_match_the_all_pairs_rule_up_to_rank_8():
+    n_layers = 0
+    for family, (lo, hi) in FAMILY_RANK_RANGE.items():
+        for rank in range(lo, min(hi or 8, 8) + 1):
+            for pivot in range(1, rank + 1):
+                poset = layer(family, rank, pivot).poset
+                assert list(poset.covers) == _all_pairs_covers(poset), (
+                    family, rank, pivot)
+                n_layers += 1
+    assert n_layers == 166
 
 
 def test_layer_rank_is_root_height():

@@ -269,15 +269,28 @@ def _sliced_windows(seq):
 
 
 def test_windows_match_the_sliced_oracle():
+    # the sequences themselves are held to the run-by-run builders
     for length in range(13):
         for letters in itertools.product("01", repeat=length):
-            for seq in long_sequences("".join(letters)):
+            word = "".join(letters)
+            pair = long_sequences(word)
+            assert pair == word_oracles.run_long_sequences(word), word
+            for seq in pair:
                 assert seq.windows == _sliced_windows(seq), seq
     for m in range(1, 6):
         for n in range(1, 5):
             for sword in all_starred_words(m, n):
                 seq = long_zero_sequence_K(sword)
+                assert seq == word_oracles.run_long_zero_sequence_K(sword), sword
                 assert seq.windows == _sliced_windows(seq), sword
+
+
+@pytest.mark.parametrize("word", ["0*1", "012", "0-1"])
+def test_marked_sequences_and_profiles_refuse_non_binary_words(word):
+    for call in (long_sequences, size_profile,
+                 lambda w: size_by_formula(w, 1)):
+        with pytest.raises(ValueError, match="not a binary word"):
+            call(word)
 
 
 # -- two-strand codecs ----------------------------------------------------------

@@ -8,6 +8,11 @@ sliced_window is the window of a marked sequence read from the slice of
 its own-symbol positions, with min and max for the ends; the windows
 property of rowmotion.words.MarkedSequence takes the ends in one pass.
 
+run_long_sequences and run_long_zero_sequence_K build the marked sequences
+string by string from the runs of the word, one builder for the binary
+forms and another for the starred form; rowmotion.words builds all three
+with one builder from the runs of the other symbol.
+
 block_set_profile is the paper's P/Q rule for words that start with 0 and
 end with 1: four index sets read off the block form.  rowmotion.words
 reads the same profile from the dashes of the marked ones sequence.
@@ -23,6 +28,7 @@ from itertools import accumulate, groupby
 
 from rowmotion.constructions import grid_poset, k_product_poset
 from rowmotion.words import (
+    MarkedSequence,
     parse_blocks,
     plain_to_starred,
     psi,
@@ -103,6 +109,49 @@ def sliced_window(seq, i: int) -> str:
     if hi + 1 < len(seq.symbols) and seq.symbols[hi + 1] == "-":
         hi += 1
     return seq.symbols[lo : hi + 1]
+
+# -- the run-by-run marked sequences ----------------------------------------
+
+
+def _runs(word: str) -> list[tuple[str, int]]:
+    return [(ch, len(list(g))) for ch, g in groupby(word)]
+
+
+def run_long_sequences(word: str) -> tuple[MarkedSequence, MarkedSequence]:
+    """The zero and ones forms of a binary word, run by run."""
+    m, n = word.count("0"), word.count("1")
+    runs = _runs(word)
+    z = "".join("-" if ch == "1" else "0" * c for ch, c in runs)
+    m0 = "".join(
+        "0" + "-0" * (c - 1) for ch, c in reversed(runs) if ch == "1"
+    )
+    o = "".join("-" if ch == "0" else "1" * c for ch, c in runs)
+    m1 = "".join(
+        "1" + "-1" * (c - 1) for ch, c in reversed(runs) if ch == "0"
+    )
+    return (
+        MarkedSequence(z + m0 + z, "0", m),
+        MarkedSequence(o + m1 + o, "1", n),
+    )
+
+
+def run_long_zero_sequence_K(sword: str) -> MarkedSequence:
+    """The marked zero sequence of a starred word, run by run: a plain run
+    of c symbols gives c zeros, the star run c-1."""
+    m, _ = validate_starred(sword)
+    runs = [(set(chunk), len(chunk)) for chunk in
+            ("".join(g) for _, g in groupby(sword, key=lambda c: c == "0"))]
+    z = "".join("-" if syms != {"0"} else "0" * c for syms, c in runs)
+    middle_parts = []
+    for syms, c in reversed(runs):
+        if syms == {"0"}:
+            continue
+        if "*" in syms:
+            middle_parts.append("-0" * (c - 1))
+        else:
+            middle_parts.append("0" + "-0" * (c - 1))
+    middle = "".join(middle_parts)
+    return MarkedSequence(z + middle + z, "0", m)
 
 # -- the block-set profile ---------------------------------------------------
 

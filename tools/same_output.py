@@ -19,7 +19,11 @@ verify-delta1 also runs on three expressions: the claw
 osum(chain(1),dunion(chain(1),dunion(chain(1),chain(1)))), whose averages
 are not constant (exit 1), the 3x4 grid, and chain(300), one long orbit.
 conjectures also runs on layer(D5,2), layer(A7,4) and layer(E7,7).
-Each runs in json and table format, and orbits also in csv.
+The word layer's errors run too: step-word on one refused starred word per
+message of validate_starred (a stray letter, two stars, an even number of
+ones, too few ones before the star, no zero after it) and on the
+non-binary 012, and verify-grid with a --word table on 3 4 0101011 and
+2 2 0011.  Each runs in json and table format, and orbits also in csv.
 """
 
 from __future__ import annotations
@@ -76,6 +80,10 @@ def base_commands() -> list[tuple[str, ...]]:
         "prod(chain(3),chain(4))", "chain(300)")]
     commands += [("conjectures", expr) for expr in (
         "layer(D5,2)", "layer(A7,4)", "layer(E7,7)")]
+    commands += [("step-word", word) for word in (
+        "1*0x11", "1**011", "11*011", "0*1011", "01*101", "012")]
+    commands += [("verify-grid", "3", "4", "--word", "0101011"),
+                 ("verify-grid", "2", "2", "--word", "0011")]
     return list(dict.fromkeys(commands))
 
 
