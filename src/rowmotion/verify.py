@@ -124,33 +124,38 @@ def verify_grid(
     for r in reports:
         words = [codec.encode(mask) for mask in r.masks]
         sizes = r.antichain_sizes
+        # in the orbit repeated, the j-th iterate of the i-th word and its
+        # antichain size sit at i + j, for every j up to the period
+        reps = 1 + -(-period // r.length)
+        later, later_sizes = words * reps, list(sizes) * reps
         for i, (mask, w) in enumerate(zip(r.masks, words)):
             n_ideals += 1
             if codec.decode(w) != mask:
                 rt_fail.append(f"word {w}")
-            if words[(i + 1) % r.length] != psi(w):
+            if later[i + 1] != psi(w):
                 eq_fail.append(f"word {w}")
             if count_10(w) != sizes[i]:
                 size_fail.append(f"word {w}: {count_10(w)} vs {sizes[i]}")
-            # the j-th iterate of w is the j-th ideal after it on the orbit
-            ahead = [(i + j) % r.length for j in range(1, period + 1)]
+            ahead = slice(i + 1, i + 1 + period)
             formula = formula_sizes(w)
-            step = next((j for j, (k, f) in enumerate(zip(ahead, formula), 1)
-                         if sizes[k] != f), None)
-            if step is not None:
-                formula_fail.append(f"word {w} step {step}")
+            iterated = later_sizes[ahead]
+            if formula != iterated:
+                step = next((j for j, (s, f) in enumerate(
+                    zip(iterated, formula), 1) if s != f), None)
+                if step is not None:
+                    formula_fail.append(f"word {w} step {step}")
             if sum(formula) != m * n:
                 period_fail.append(f"word {w}: climb total {sum(formula)}")
             # restates "operator order is m+n" word by word, so that a
             # failure names the words that do not return
-            if words[ahead[-1]] != w:
+            if later[i + period] != w:
                 period_fail.append(f"word {w} does not return")
             seq0, seq1 = long_sequences(w)
             pairs = zip(seq0.windows, seq1.windows)
-            for j, (pair, k) in enumerate(zip(pairs, ahead), start=1):
+            for j, (pair, want) in enumerate(zip(pairs, later[ahead]), 1):
                 if pair not in rebuilt:
                     rebuilt[pair] = zigzag(*pair)
-                if rebuilt[pair] != words[k]:
+                if rebuilt[pair] != want:
                     window_fail.append(f"word {w} window {j}")
                     break
     checks.append(_result("codec round-trips", rt_fail, f"{n_ideals} ideals"))
@@ -199,8 +204,9 @@ def verify_k_product(
     cap: int = DEFAULT_CAP,
 ) -> tuple[Poset, tuple[OrbitReport, ...], list[CheckResult]]:
     """Every check on [m]xK(n-1), in one pass over the orbit listing: each
-    ideal's iterates and antichain sizes are read from its orbit, and
-    psi_bar runs once per starred ideal, for the transport check."""
+    ideal's iterates, antichain sizes and rowmotion image are read from the
+    listing, and psi_bar runs once per starred ideal, for the transport
+    check."""
     poset = k_product_poset(m, n)
     period = m + 2 * n - 1
     expected = Fraction(2 * m * n, period)
@@ -212,6 +218,9 @@ def verify_k_product(
     reports = average.orbits
 
     codec = k_codec(poset)
+    image_of: dict[int, int] = {}
+    for r in reports:
+        image_of.update(zip(r.masks, r.masks[1:] + r.masks[:1]))
     class_fail: list[str] = []
     n_orbits = {True: 0, False: 0}
     average_fail: dict[bool, list[str]] = {True: [], False: []}
@@ -228,7 +237,7 @@ def verify_k_product(
     n_star = 0
     seen_words: set[str] = set()
     for k, r in enumerate(reports):
-        full = [codec.full_rank(mask) for mask in r.masks]
+        full, words = zip(*map(codec._word, r.masks))
         if len(set(full)) != 1:
             class_fail.append(f"orbit {k} mixes classes")
         else:
@@ -236,9 +245,6 @@ def verify_k_product(
             if r.average_size != expected:
                 average_fail[full[0]].append(
                     f"orbit {k} averages {_fraction_str(r.average_size)}")
-        words = [codec.encode_fullrank(mask) if f
-                 else codec.encode_starred(mask)
-                 for mask, f in zip(r.masks, full)]
         for i, (mask, w) in enumerate(zip(r.masks, words)):
             image = (i + 1) % r.length
             if full[i]:
@@ -254,14 +260,14 @@ def verify_k_product(
                 continue
             n_star += 1
             mate = codec.dual(mask)
-            if codec.encode_starred(mate) != w:
+            if codec._word(mate) != (False, w):
                 star_dual_inv.append(f"word {w}")
             if codec.decode_starred(w) not in (mask, mate):
                 star_rt.append(f"word {w}")
             if words[image] != psi_bar(w):
                 star_eq.append(f"word {w}")
-            if (poset.rowmotion_ideal_mask(mate)
-                    != codec.dual(r.masks[image])):
+            # a mate missing from the listing has no image: the check fails
+            if image_of.get(mate) != codec.dual(r.masks[image]):
                 dual_comm.append(f"ideal {IdealSet(poset, mask).bit_string()}")
             if w not in seen_words:
                 seen_words.add(w)

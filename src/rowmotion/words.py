@@ -22,7 +22,9 @@ Every word step and marked sequence reads one decomposition, the block
 form: the pairs (symbol run, zero run after it), a symbol being a one or
 the star.  psi is one run shift on it, psi_bar is that shift followed by
 one star push, and one builder makes the marked zero and ones sequences of
-plain and starred words alike.
+plain and starred words alike.  The P/Q profile and the K window sizes
+read which own symbols of a marked sequence a dash flanks, with string
+replaces over the whole sequence instead of a scan symbol by symbol.
 
 Words are plain strings; positions are 1-based in all public descriptions
 (storage is 0-based).
@@ -33,8 +35,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, zip_longest
-from operator import add, or_
+from itertools import accumulate, compress, zip_longest
+from operator import add, neg, or_, sub
 from typing import Callable, Iterable, Sequence
 
 from .constructions import grid_poset, k_product_poset
@@ -59,9 +61,16 @@ def _blocks(word: str) -> tuple[list[str], list[int]]:
     return runs, zeros
 
 
-def _binary_blocks(word: str) -> tuple[list[str], list[int]]:
-    if set(word) - {"0", "1"}:
+def _binary_counts(word: str) -> tuple[int, int]:
+    """(zeros, ones) of a binary word; ValueError for any other letter."""
+    m, n = word.count("0"), word.count("1")
+    if m + n != len(word):
         raise ValueError(f"not a binary word: {word!r}")
+    return m, n
+
+
+def _binary_blocks(word: str) -> tuple[list[str], list[int]]:
+    _binary_counts(word)
     return _blocks(word)
 
 
@@ -140,9 +149,7 @@ def _fiber_word(values: list[int], n_cols: int) -> str:
 
 
 def _fiber_values_from_word(word: str, m: int, n_cols: int) -> list[int]:
-    if set(word) - {"0", "1"}:
-        raise ValueError(f"not a binary word: {word!r}")
-    if word.count("0") != m or word.count("1") != n_cols:
+    if _binary_counts(word) != (m, n_cols):
         raise ValueError(
             f"expected {m} zeros and {n_cols} ones, got {word!r}"
         )
@@ -250,12 +257,10 @@ def size_profile(word: str) -> SizeProfile:
     sequence: counting the ones from the right end of the display, step i
     loses one when the i-th one is followed by a dash and gains one when
     the (n+i)-th is."""
-    m, n = word.count("0"), word.count("1")
-    ones = long_sequences(word)[1]
-    dash = [ones.symbols[p + 1 : p + 2] == "-" for p in ones.positions]
-    p_vals = tuple(int(dash[n + i]) for i in range(m + n))
-    q_vals = tuple(-int(dash[i]) for i in range(m + n))
-    return SizeProfile(m, n, p_vals, q_vals)
+    m, n = _binary_counts(word)
+    dash = _flanks(_marked(word, "1"), "1-")[::-1]
+    return SizeProfile(m, n, tuple(dash[n : n + m + n]),
+                       tuple(map(neg, dash[: m + n])))
 
 
 def formula_sizes(word: str) -> list[int]:
@@ -293,8 +298,11 @@ class MarkedSequence:
 
     @cached_property
     def positions(self) -> list[int]:
-        """Own-symbol positions in window order, computed once."""
-        own = [p for p, ch in enumerate(self.symbols) if ch == self.kind]
+        """Own-symbol positions in window order, computed once, from one
+        byte translation of the display that marks each own symbol."""
+        symbols = self.symbols
+        own = list(compress(range(len(symbols)),
+                            symbols.encode().translate(_OWN[self.kind])))
         return own[::-1] if self.kind == "1" else own
 
     @cached_property
@@ -324,6 +332,8 @@ class MarkedSequence:
 
 
 _OTHER_RUNS = {"0": re.compile("[^0]+"), "1": re.compile("[^1]+")}
+# byte tables that map an own symbol to 1 and every other byte to 0
+_OWN = {own: bytes(b == ord(own) for b in range(256)) for own in "01"}
 
 
 def _marked(word: str, own: str) -> str:
@@ -340,6 +350,16 @@ def _marked(word: str, own: str) -> str:
     return dashed + middle + dashed
 
 
+def _flanks(display: str, pair: str) -> bytes:
+    """One byte per own symbol of a marked sequence, in display order: 1
+    where the dash of `pair` flanks it ("1-": a dash right after the one,
+    "-0": a dash right before the zero), else 0.  Each own symbol sits in
+    at most one such pair, so one replace finds them all."""
+    own = pair.strip("-")
+    return (display.replace(pair, "\1").replace("-", "")
+            .replace(own, "\0").encode())
+
+
 def long_sequences(word: str) -> tuple[MarkedSequence, MarkedSequence]:
     """The two periodic marked sequences of a word.
 
@@ -348,9 +368,7 @@ def long_sequences(word: str) -> tuple[MarkedSequence, MarkedSequence]:
     ones, then the dashed word again; 2m+n zeros in total.  The ones form is
     built the same way with the roles swapped; m+2n ones, read right to left.
     """
-    m, n = word.count("0"), word.count("1")
-    if m + n != len(word):
-        raise ValueError(f"not a binary word: {word!r}")
+    m, n = _binary_counts(word)
     return (
         MarkedSequence(_marked(word, "0"), "0", m),
         MarkedSequence(_marked(word, "1"), "1", n),
@@ -401,12 +419,20 @@ class KCodec(FiberCodec):
     def full_rank(self, mask: int) -> bool:
         return self.n not in self.sizes(mask)
 
-    def encode_fullrank(self, mask: int) -> str:
+    def _word(self, mask: int) -> tuple[bool, str]:
+        """Whether an ideal is full rank, and its word in the codec that
+        fits it, from one read of its fiber sizes."""
         n = self.n
         sizes = self.sizes(mask)
         if n in sizes:
+            return False, plain_to_starred(_fiber_word(sizes, 2 * n))
+        return True, _fiber_word([s - (s > n) for s in sizes], 2 * n - 1)
+
+    def encode_fullrank(self, mask: int) -> str:
+        full, word = self._word(mask)
+        if not full:
             raise InvalidSubset("ideal is not full rank")
-        return _fiber_word([s - (s > n) for s in sizes], 2 * n - 1)
+        return word
 
     def decode_fullrank(self, word: str) -> int:
         n = self.n
@@ -414,9 +440,10 @@ class KCodec(FiberCodec):
         return self.mask_of(v + (v >= n) for v in levels)
 
     def encode_starred(self, mask: int) -> str:
-        if self.full_rank(mask):
+        full, word = self._word(mask)
+        if full:
             raise InvalidSubset("ideal is full rank")
-        return plain_to_starred(self.encode(mask))
+        return word
 
     def decode_starred(self, sword: str) -> int:
         """The representative of the class whose fibers hold the unprimed
@@ -470,7 +497,7 @@ def decode_K_fullrank(word: str, m: int, n: int) -> IdealSet:
 
 def epsilon_n(word: str) -> int:
     """1 when the middle one (the n-th of 2n-1) is immediately followed by 0."""
-    ones = word.count("1")
+    _, ones = _binary_counts(word)
     if ones % 2 == 0:
         raise ValueError("expected an odd number of ones")
     pos = _nth_one(word, (ones + 1) // 2)
@@ -514,7 +541,7 @@ def starred_to_plain(sword: str) -> str:
 
 def plain_to_starred(word: str) -> str:
     """Replace the n-th of the 2n ones by a star."""
-    ones = word.count("1")
+    _, ones = _binary_counts(word)
     if ones == 0 or ones % 2:
         raise ValueError("expected a positive even number of ones")
     pos = _nth_one(word, ones // 2)
@@ -577,7 +604,9 @@ def p_pattern(pattern: str) -> str:
     segments = pattern.split("-")
     if any(not seg for seg in segments):
         raise ValueError(f"malformed pattern {pattern!r}")
-    q = next(j for j, seg in enumerate(segments) if "*" in seg)
+    q = next((j for j, seg in enumerate(segments) if "*" in seg), None)
+    if q is None:
+        raise ValueError(f"no star in pattern {pattern!r}")
     if not segments[q].endswith("*"):
         raise ValueError("the star must end its segment")
     if segments[q] == "*" and (q == 0 or not segments[q - 1]):
@@ -600,6 +629,10 @@ def long_zero_sequence_K(sword: str) -> MarkedSequence:
 
 
 def window_sizes_K(sword: str) -> list[int]:
-    """Antichain sizes of the first m+2n-1 rowmotion iterates, read from the
-    windows of the marked zero sequence."""
-    return [w.count("-0") for w in long_zero_sequence_K(sword).windows]
+    """Antichain sizes of the first m+2n-1 rowmotion iterates: window k of
+    the marked zero sequence counts its "-0" occurrences, the zeros that
+    start a zero run behind a dash, so one prefix sum over those zeros
+    gives every window."""
+    m, _ = validate_starred(sword)
+    counts = list(accumulate(_flanks(_marked(sword, "0"), "-0"), initial=0))
+    return list(map(sub, counts[m + 1:], counts[1:]))

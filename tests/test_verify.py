@@ -12,7 +12,7 @@ import rowmotion.words
 from rowmotion.catalog import classical_layer_expr
 from rowmotion.cli import main
 from rowmotion.constructions import build
-from rowmotion.poset import Poset, ideal_masks
+from rowmotion.poset import IdealSet, Poset, ideal_masks
 from rowmotion.words import SizeProfile, long_sequences, psi, psi_iterates
 
 
@@ -103,10 +103,26 @@ def test_a_wrong_word_map_fails_its_checks(monkeypatch, capsys, name, wrong,
     assert out.count("[FAIL]") == len(names)
 
 
+def test_a_profile_wrong_at_the_last_step_names_that_step(monkeypatch):
+    # the formula check compares every step of the period, the last too
+    real = rowmotion.words.size_profile
+
+    def late(word):
+        prof = real(word)
+        p_values = prof.p_values[:-1] + (1 - prof.p_values[-1],)
+        return SizeProfile(prof.m, prof.n, p_values, prof.q_values)
+
+    monkeypatch.setattr(rowmotion.words, "size_profile", late)
+    _, _, checks = verify.verify_grid(3, 4)
+    (check,) = [c for c in checks
+                if c.name == "profile formula matches iterated sizes"]
+    assert not check.passed
+    assert set(re.findall(r"step (\d+)", check.details)) == {"7"}
+
+
 def test_suites_step_each_ideal_once_for_the_listing(monkeypatch):
-    # the listing comes from one bit-sliced step and the codec checks read
-    # each image from it; the only mask step is the middle swap's image,
-    # once per starred ideal
+    # the listing comes from one bit-sliced step and every check reads each
+    # image from it, the middle swap's image too: no mask step runs
     calls = []
     step = Poset.rowmotion_ideal_mask
 
@@ -118,8 +134,44 @@ def test_suites_step_each_ideal_once_for_the_listing(monkeypatch):
     verify.verify_grid(4, 4)
     assert calls == []
     _, _, checks = verify.verify_k_product(4, 3)
-    ideals = _counts(checks, "ideals")
-    assert len(calls) == ideals["starred codec transports the dynamics"] > 0
+    assert not _failed(checks)
+    assert calls == []
+
+
+@pytest.mark.parametrize("role", ["image", "mate"])
+def test_a_wrong_middle_swap_fails_the_commute_check_alone(monkeypatch, role):
+    # the suite swaps each starred ideal twice: as the image in the commute
+    # check of the ideal before it, and as itself.  An orbit's first ideal x
+    # comes first as itself, its second ideal first as x's image.  Spoiling
+    # that one swap fails the commute check of x alone: with a wrong image,
+    # or with a mate outside the listing, which has no image there
+    poset, reports, _ = verify.verify_k_product(3, 2)
+    codec = rowmotion.words.k_codec(poset)
+    # x decodes to itself, so a spoiled mate keeps the round trip
+    r = next(r for r in reports if r.length > 1
+             and not codec.full_rank(r.masks[0])
+             and codec.decode_starred(codec.encode_starred(r.masks[0]))
+             == r.masks[0])
+    if role == "image":
+        target, spoil = r.masks[1], 1
+    else:
+        target, spoil = r.masks[0], 1 << poset.n_elements
+    real = rowmotion.words.KCodec.dual
+    spoiled = []
+
+    def wrong(self, mask):
+        out = real(self, mask)
+        if mask == target and not spoiled:
+            spoiled.append(mask)
+            return out ^ spoil
+        return out
+
+    monkeypatch.setattr(rowmotion.words.KCodec, "dual", wrong)
+    _, _, checks = verify.verify_k_product(3, 2)
+    assert spoiled == [target]
+    assert _failed(checks) == {"middle swap commutes with the dynamics"}
+    (check,) = [c for c in checks if not c.passed]
+    assert check.details == f"ideal {IdealSet(poset, r.masks[0]).bit_string()}"
 
 
 def test_suites_step_each_word_once_for_the_transport(monkeypatch):

@@ -7,6 +7,7 @@ means the implementation drifted, not the data.
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -264,8 +265,14 @@ def test_windows_out_of_range_raise(kind, none):
 def _sliced_windows(seq):
     if not seq.width:
         return ()
+    n_windows = len(word_oracles.own_positions(seq)) - seq.width
     return tuple(word_oracles.sliced_window(seq, i)
-                 for i in range(1, len(seq.positions) - seq.width + 1))
+                 for i in range(1, n_windows + 1))
+
+
+def _check_sliced(seq):
+    assert seq.positions == word_oracles.own_positions(seq), seq
+    assert seq.windows == _sliced_windows(seq), seq
 
 
 def test_windows_match_the_sliced_oracle():
@@ -276,13 +283,52 @@ def test_windows_match_the_sliced_oracle():
             pair = long_sequences(word)
             assert pair == word_oracles.run_long_sequences(word), word
             for seq in pair:
-                assert seq.windows == _sliced_windows(seq), seq
+                _check_sliced(seq)
     for m in range(1, 6):
         for n in range(1, 5):
             for sword in all_starred_words(m, n):
                 seq = long_zero_sequence_K(sword)
                 assert seq == word_oracles.run_long_zero_sequence_K(sword), sword
-                assert seq.windows == _sliced_windows(seq), sword
+                _check_sliced(seq)
+
+
+def _outcome(call, word):
+    try:
+        return call(word)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# starred words refused once per message of validate_starred, binary
+# words with a stray letter, and words the profile must not take for binary
+REFUSED_STARRED = ["110110", "1**011", "0*1011", "011*01", "01*101",
+                   "11*011", "1*0x11", "", "*"]
+REFUSED_BINARY = ["0*1", "012", "0-1", "10x1", " 01"]
+
+
+def test_profile_and_window_sizes_match_the_string_oracles():
+    for length in range(15):
+        for letters in itertools.product("01", repeat=length):
+            word = "".join(letters)
+            assert size_profile(word) == word_oracles.string_size_profile(
+                word), word
+    n_starred = 0
+    for m in range(1, 6):
+        for n in range(1, 5):
+            for sword in all_starred_words(m, n):
+                assert window_sizes_K(sword) == (
+                    word_oracles.string_window_sizes_K(sword)), sword
+                n_starred += 1
+    assert n_starred == 1206
+    for call, oracle, words in [
+        (size_profile, word_oracles.string_size_profile, REFUSED_BINARY),
+        (window_sizes_K, word_oracles.string_window_sizes_K,
+         REFUSED_STARRED + REFUSED_BINARY),
+    ]:
+        for word in words:
+            got = _outcome(call, word)
+            assert got.startswith("ValueError: "), word
+            assert got == _outcome(oracle, word), word
 
 
 @pytest.mark.parametrize("word", ["0*1", "012", "0-1"])
@@ -367,6 +413,20 @@ def test_starred_validation_errors():
 def test_starred_plain_round_trip():
     for sword in ["1*0110", "01*011", "1*0101", "11*01011"]:
         assert plain_to_starred(starred_to_plain(sword)) == sword
+
+
+@pytest.mark.parametrize("word", ["10x1", "1*01", "1100 "])
+def test_plain_to_starred_refuses_non_binary_words(word):
+    message = re.escape(f"not a binary word: {word!r}")
+    with pytest.raises(ValueError, match=message):
+        plain_to_starred(word)
+
+
+@pytest.mark.parametrize("word", ["1*0", "1x0", "101-1"])
+def test_epsilon_refuses_non_binary_words(word):
+    message = re.escape(f"not a binary word: {word!r}")
+    with pytest.raises(ValueError, match=message):
+        epsilon_n(word)
 
 
 def test_starred_codec_class_behaviour():
@@ -543,3 +603,10 @@ def test_k_window_sizes_match_orbit():
 def test_frozen_star_patterns():
     assert p_pattern("1-111*-11-1") == "1-11*-111-1"
     assert p_pattern("111-1-*-111") == "111-*-1-111"
+
+
+@pytest.mark.parametrize("pattern", ["1-1", "1", "11-1-111"])
+def test_star_pattern_without_a_star_is_refused(pattern):
+    message = re.escape(f"no star in pattern {pattern!r}")
+    with pytest.raises(ValueError, match=message):
+        p_pattern(pattern)

@@ -5,8 +5,14 @@ the plain form of the word, unlike the run shift that rowmotion.words.psi_bar
 uses, so the two agree only if both descriptions of the step are right.
 
 sliced_window is the window of a marked sequence read from the slice of
-its own-symbol positions, with min and max for the ends; the windows
-property of rowmotion.words.MarkedSequence takes the ends in one pass.
+its own-symbol positions, found one character at a time by own_positions,
+with min and max for the ends; the windows property of
+rowmotion.words.MarkedSequence takes the ends in one pass.
+
+string_size_profile and string_window_sizes_K read the P/Q profile and
+the K window sizes one character at a time, from the marked sequences
+and their windows as strings; rowmotion.words reads both with string
+replaces over the whole marked sequence, without building a window.
 
 run_long_sequences and run_long_zero_sequence_K build the marked sequences
 string by string from the runs of the word, one builder for the binary
@@ -29,6 +35,7 @@ from itertools import accumulate, groupby
 from rowmotion.constructions import grid_poset, k_product_poset
 from rowmotion.words import (
     MarkedSequence,
+    SizeProfile,
     parse_blocks,
     plain_to_starred,
     psi,
@@ -97,9 +104,16 @@ def _cases(word: str, n: int) -> str:
 # -- the sliced window -------------------------------------------------------
 
 
+def own_positions(seq) -> list[int]:
+    """The own-symbol positions of a MarkedSequence in window order: left
+    to right for kind '0', right to left for kind '1'."""
+    own = [p for p, ch in enumerate(seq.symbols) if ch == seq.kind]
+    return own[::-1] if seq.kind == "1" else own
+
+
 def sliced_window(seq, i: int) -> str:
     """Window i of a MarkedSequence from its chosen own-symbol positions."""
-    positions = seq.positions
+    positions = own_positions(seq)
     if i < 1 or i + seq.width > len(positions):
         raise ValueError(f"window {i} out of range")
     chosen = positions[i : i + seq.width]
@@ -152,6 +166,30 @@ def run_long_zero_sequence_K(sword: str) -> MarkedSequence:
             middle_parts.append("0" + "-0" * (c - 1))
     middle = "".join(middle_parts)
     return MarkedSequence(z + middle + z, "0", m)
+
+# -- profile and window sizes from strings ----------------------------------
+
+
+def string_size_profile(word: str) -> SizeProfile:
+    """The P/Q profile from the marked ones sequence as a string: step i
+    loses one when the i-th one from the right is followed by a dash and
+    gains one when the (n+i)-th is."""
+    m, n = word.count("0"), word.count("1")
+    if m + n != len(word):
+        raise ValueError(f"not a binary word: {word!r}")
+    ones = run_long_sequences(word)[1]
+    dash = [ones.symbols[p + 1 : p + 2] == "-" for p in own_positions(ones)]
+    p_vals = tuple(int(dash[n + i]) for i in range(m + n))
+    q_vals = tuple(-int(dash[i]) for i in range(m + n))
+    return SizeProfile(m, n, p_vals, q_vals)
+
+
+def string_window_sizes_K(sword: str) -> list[int]:
+    """The "-0" count of every window of the marked zero sequence."""
+    seq = run_long_zero_sequence_K(sword)
+    n_windows = len(own_positions(seq)) - seq.width
+    return [sliced_window(seq, i).count("-0")
+            for i in range(1, n_windows + 1)]
 
 # -- the block-set profile ---------------------------------------------------
 
