@@ -116,7 +116,7 @@ def build(expr: PosetExpr, cap: int = DEFAULT_CAP) -> Poset:
             result = _ideal_lattice(build(inner, cap), cap)
         case Layer(family, rank, pivot):
             from .roots import layer
-            result = layer(family, rank, pivot).poset
+            result = layer(family, rank, pivot, cap).poset
         case _:
             raise TypeError(f"not a poset expression: {expr!r}")
     if result is None or result.n_elements > cap:

@@ -4,15 +4,19 @@ Roots are stored as coordinate tuples over the simple roots.  The layer of a
 simple root p collects the positive roots whose p-coefficient equals 1; it is
 a graded poset under componentwise comparison, with rank given by height, and
 it carries an order-reversing involution induced by the longest element of
-the parabolic subgroup generated by the other simple reflections.
+the parabolic subgroup generated by the other simple reflections.  layer()
+generates a layer from its pivot alone; root_system() lists every positive
+root and is built only on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import add, gt, sub
 
-from .poset import Poset
+from .poset import CapExceeded, Poset
 
 FAMILY_RANK_RANGE = {
     "A": (1, None),
@@ -129,27 +133,58 @@ def root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(family, rank, cartan, tuple(ordered))
 
 
-def _parabolic_longest_images(
-    cartan: tuple[tuple[int, ...], ...], pivot: int
-) -> list[tuple[int, ...]]:
-    """Images of the simple roots under the longest element of the subgroup
-    generated by the reflections other than the pivot (1-based)."""
+def _arm(links: list[list[int]], prev: int, node: int) -> list[int]:
+    """The nodes from node outward, away from prev, to the end of an
+    unbranched arm."""
+    arm = [node]
+    while ahead := [k for k in links[node] if k != prev]:
+        prev, node = node, ahead[0]
+        arm.append(node)
+    return arm
+
+
+def _opposition(cartan: tuple[tuple[int, ...], ...], pivot: int) -> list[int]:
+    """The opposition involution -w0 of the diagram without the pivot
+    (0-based), as a permutation of the simple roots that fixes the pivot.
+
+    On each component it is the reversal of A_k, the fork swap of D_k for
+    odd k, the flip of E6, and the identity on every other type.
+    """
     l = len(cartan)
-    images = [tuple(1 if k == j else 0 for k in range(l)) for j in range(l)]
-    others = [j for j in range(l) if j != pivot - 1]
-    while True:
-        j = next(
-            (j for j in others if any(c > 0 for c in images[j])), None
-        )
-        if j is None:
-            return images
-        col = images[j]
-        images = [
-            tuple(
-                images[k][t] - cartan[j][k] * col[t] for t in range(l)
-            )
-            for k in range(l)
-        ]
+    links = [[k for k in range(l) if k not in (j, pivot) and cartan[j][k]]
+             for j in range(l)]
+    sigma = list(range(l))
+    seen = {pivot}
+    for first in range(l):
+        if first in seen:
+            continue
+        part = [first]
+        seen.add(first)
+        for j in part:
+            for k in links[j]:
+                if k not in seen:
+                    seen.add(k)
+                    part.append(k)
+        if any(cartan[j][k] < -1 for j in part for k in links[j]):
+            continue  # B, C, F4 and G2
+        forks = [j for j in part if len(links[j]) == 3]
+        if not forks:
+            end = next(j for j in part if len(links[j]) <= 1)
+            arm = _arm(links, -1, end)
+            image = arm[::-1]
+        else:
+            arms = sorted((_arm(links, forks[0], k) for k in links[forks[0]]),
+                          key=len)
+            sizes = [len(arm) for arm in arms]
+            if sizes[1] == 1 and len(part) % 2:  # D_k, k odd
+                arm, image = arms[0], arms[1]
+            elif sizes == [1, 2, 2]:  # E6
+                arm, image = arms[1], arms[2]
+            else:
+                continue  # D_k for even k, E7 and E8
+        for x, y in zip(arm, image):
+            sigma[x], sigma[y] = y, x
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -160,14 +195,20 @@ class RootLayer:
     order-reversing involution, as an index permutation on the poset.
     """
 
-    system: RootSystem
+    family: str
+    rank: int
     pivot: int
     poset: Poset
     star: tuple[int, ...]
 
     @property
+    def system(self) -> RootSystem:
+        """The whole positive root system, built on first use."""
+        return root_system(self.family, self.rank)
+
+    @property
     def name(self) -> str:
-        return f"layer({self.system.name},{self.pivot})"
+        return f"layer({self.family}{self.rank},{self.pivot})"
 
     def star_of(self, root: tuple[int, ...]) -> tuple[int, ...]:
         """Partner of a layer member, by coefficient tuple."""
@@ -175,38 +216,69 @@ class RootLayer:
 
 
 @lru_cache(maxsize=None)
-def layer(family: str, rank: int, pivot: int) -> RootLayer:
-    system = root_system(family.upper(), rank)
+def layer(family: str, rank: int, pivot: int,
+          cap: int | None = None) -> RootLayer:
+    """The layer of the pivot (1-based) simple root, generated alone.
+
+    The layer is an irreducible module of the Levi subalgebra of the other
+    simple roots, with lowest weight alpha_p, so the alpha_j-strings for
+    j != p walked up from alpha_p reach every member.  v + alpha_j is a root
+    exactly when the alpha_j-string below v is longer than <v, alpha_j^vee>,
+    and each such step is a cover.  The involution is the longest element
+    of the Levi's Weyl group: alpha_p goes to the top member and alpha_j to
+    -alpha_sigma(j), with sigma the opposition involution of the Levi.
+
+    With a cap, CapExceeded is raised once more than cap members are
+    generated, so a layer that is returned is whole.
+    """
+    family = family.upper()
+    _validate_family(family, rank)
     if not 1 <= pivot <= rank:
         raise ValueError(f"pivot {pivot} outside 1..{rank}")
-    members = [
-        v for v in system.positive_roots if v[pivot - 1] == 1
-    ]
-    heights = {v: sum(v) for v in members}
-    base = min(heights.values())
-    if base != 1:
-        raise AssertionError("layer must contain the pivot simple root")
-    elements = [
-        (v, heights[v], ",".join(str(c) for c in v)) for v in members
-    ]
-    member_set = set(members)
-    # a cover is a height-1 componentwise step, so a unit vector: the covers
-    # of v are the members v + alpha_j
-    covers = [(v, w) for v in members for j in range(rank)
-              if (w := v[:j] + (v[j] + 1,) + v[j + 1:]) in member_set]
+    # alpha_p plus the simple roots on the path to any other node is a
+    # member, so a layer has at least rank members
+    if cap is not None and rank > cap:
+        raise CapExceeded(f"more than {cap} elements")
+    cartan = cartan_matrix(family, rank)
+    columns = list(zip(*cartan))
+    p = pivot - 1
+    members = [tuple(int(k == p) for k in range(rank))]
+    index = {members[0]: 0}
+    # per member: <v, alpha_j^vee> for every j, and the length of the
+    # alpha_j-string below v; members are listed in height order, so every
+    # string below a member is measured before the member is reached
+    pairings = [list(columns[p])]
+    downs = [[0] * rank]
+    covers = []
+    for i, v in enumerate(members):
+        pairing, down = pairings[i], downs[i]
+        for j in compress(range(rank), map(gt, down, pairing)):
+            if j == p:
+                continue
+            w = v[:j] + (v[j] + 1,) + v[j + 1:]
+            t = index.get(w)
+            if t is None:
+                t = index[w] = len(members)
+                if cap is not None and t >= cap:
+                    raise CapExceeded(f"more than {cap} elements")
+                members.append(w)
+                pairings.append(list(map(add, pairing, columns[j])))
+                downs.append([0] * rank)
+            downs[t][j] = down[j] + 1
+            covers.append((v, w))
+    members.sort(key=lambda v: (sum(v), v))
+    elements = [(v, sum(v), ",".join(map(str, v))) for v in members]
     poset = Poset.from_cover_data(elements, covers)
-    images = _parabolic_longest_images(system.cartan, pivot)
-    l = rank
-    star_list = []
+    sigma = _opposition(cartan, p)
+    # star(v) = top - sum_{j != p} v_j alpha_sigma(j); sigma fixes p, whose
+    # coefficient 1 the extra alpha_p in base restores
+    base = tuple(c + (k == p) for k, c in enumerate(members[-1]))
+    star = []
     for v in members:
-        img = tuple(
-            sum(v[k] * images[k][t] for k in range(l)) for t in range(l)
-        )
-        if img not in member_set:
+        image = tuple(map(sub, base, map(v.__getitem__, sigma)))
+        if image not in index:
             raise AssertionError("layer is not stable under the involution")
-        star_list.append(poset.index_of(img))
-    star = tuple(star_list)
-    for idx in range(poset.n_elements):
-        if star[star[idx]] != idx:
-            raise AssertionError("involution check failed")
-    return RootLayer(system, pivot, poset, star)
+        star.append(poset.index_of(image))
+    if any(star[star[idx]] != idx for idx in range(poset.n_elements)):
+        raise AssertionError("involution check failed")
+    return RootLayer(family, rank, pivot, poset, tuple(star))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .catalog import CatalogEntry, classical_layer_expr, entry_expr_poset
@@ -140,10 +141,10 @@ def verify_grid(
             formula = formula_sizes(w)
             iterated = later_sizes[ahead]
             if formula != iterated:
-                step = next((j for j, (s, f) in enumerate(
-                    zip(iterated, formula), 1) if s != f), None)
-                if step is not None:
-                    formula_fail.append(f"word {w} step {step}")
+                # zip_longest: a step missing from either list differs too
+                step = next(j for j, (s, f) in enumerate(
+                    zip_longest(iterated, formula), 1) if s != f)
+                formula_fail.append(f"word {w} step {step}")
             if sum(formula) != m * n:
                 period_fail.append(f"word {w}: climb total {sum(formula)}")
             # restates "operator order is m+n" word by word, so that a

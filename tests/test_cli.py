@@ -294,6 +294,16 @@ def test_cap_exit_code(capsys):
     assert "cap" in err.lower()
 
 
+def test_a_layer_is_charged_to_the_cap_while_it_is_generated(capsys):
+    # layer(A60,30) has 930 members; generation stops at the 501st
+    start = time.perf_counter()
+    code, out, err = run(capsys, "orbits", "layer(A60,30)", "--budget",
+                         "--cap", "500")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: more than 500 elements\n"
+
+
 def test_cap_stops_before_long_orbit_walks(capsys):
     # 216 elements pass the element guard; the enumeration cap must then
     # fire before any orbit walk can run past it

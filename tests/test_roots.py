@@ -1,15 +1,20 @@
 """Root systems, height-graded layers, and the flip involution."""
 
+import time
+
 import pytest
 
-from rowmotion.constructions import build, grid_poset, K, Chain, H, Prod
+import rowmotion.roots as roots
+from rowmotion.constructions import build, K, Chain, H, Layer, Prod
 from rowmotion.isomorphism import are_isomorphic
+from rowmotion.poset import CapExceeded
 from rowmotion.roots import (
     FAMILY_RANK_RANGE,
     cartan_matrix,
     layer,
     root_system,
 )
+from root_oracles import oracle_layer
 
 EXPECTED_COUNTS = {
     ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10, ("A", 5): 15,
@@ -97,26 +102,78 @@ def test_layer_sizes_match_closed_forms():
         assert layer("C", l, l).poset.n_elements == l * (l + 1) // 2
 
 
-def _all_pairs_covers(poset):
-    """The cover pairs of a layer by the all-pairs rule: w covers v when it
-    is one higher and componentwise at least v."""
-    keys = poset.keys
-    return sorted(
-        (i, j) for i, v in enumerate(keys) for j, w in enumerate(keys)
-        if sum(w) == sum(v) + 1 and all(a <= b for a, b in zip(v, w))
-    )
-
-
-def test_layer_covers_match_the_all_pairs_rule_up_to_rank_8():
+def test_layers_match_the_root_system_oracle_up_to_rank_10():
+    # every layer of every type up to rank 10, with E6-E8, F4 and G2: the
+    # generator against the filtered root system, the all-pairs cover rule
+    # and the parabolic longest element
     n_layers = 0
     for family, (lo, hi) in FAMILY_RANK_RANGE.items():
-        for rank in range(lo, min(hi or 8, 8) + 1):
+        for rank in range(lo, min(hi or 10, 10) + 1):
             for pivot in range(1, rank + 1):
-                poset = layer(family, rank, pivot).poset
-                assert list(poset.covers) == _all_pairs_covers(poset), (
+                lay = layer(family, rank, pivot)
+                poset = lay.poset
+                got = {"keys": poset.keys, "ranks": poset.rank,
+                       "labels": poset.labels, "covers": poset.covers,
+                       "star": lay.star}
+                assert got == oracle_layer(family, rank, pivot), (
                     family, rank, pivot)
                 n_layers += 1
-    assert n_layers == 166
+    assert n_layers == 242
+
+
+def test_a_long_chain_layer_builds_without_the_root_system():
+    start = time.perf_counter()
+    lay = layer.__wrapped__("A", 200, 1)
+    assert time.perf_counter() - start < 1.0
+    poset = lay.poset
+    assert poset.n_elements == 200 and poset.max_rank == 200
+    assert list(poset.covers) == [(i, i + 1) for i in range(199)]
+    assert lay.star == tuple(range(199, -1, -1))
+
+
+def test_layer_builds_no_root_system_until_asked(monkeypatch):
+    built = []
+    real = roots.root_system
+
+    def counted(family, rank):
+        built.append((family, rank))
+        return real(family, rank)
+
+    monkeypatch.setattr(roots, "root_system", counted)
+    lay = layer.__wrapped__("e", 7, 3)
+    assert built == [] and lay.name == "layer(E7,3)"
+    system = lay.system
+    assert built == [("E", 7)]
+    assert lay.poset.keys == tuple(
+        v for v in system.positive_roots if v[2] == 1)
+
+
+def test_a_capped_layer_stops_at_the_cap_and_is_not_cached():
+    before = layer.cache_info().currsize
+    with pytest.raises(CapExceeded, match=r"^more than 500 elements$"):
+        layer("A", 60, 30, 500)
+    with pytest.raises(CapExceeded, match=r"^more than 500 elements$"):
+        build(Layer("A", 60, 30), cap=500)
+    assert layer.cache_info().currsize == before
+    whole = layer("A", 60, 30, 930)
+    assert whole.poset.n_elements == 930
+    with pytest.raises(CapExceeded, match=r"^more than 929 elements$"):
+        layer("A", 60, 30, 929)
+
+
+def test_a_rank_above_the_cap_is_refused_before_the_cartan_matrix(
+        monkeypatch):
+    # every layer has at least rank members, so none of A_101 fits in 100
+    assert layer("A", 100, 1, 100).poset.n_elements == 100
+
+    def refuse(family, rank):
+        raise AssertionError("cartan matrix built")
+
+    monkeypatch.setattr(roots, "cartan_matrix", refuse)
+    with pytest.raises(CapExceeded, match=r"^more than 100 elements$"):
+        layer("A", 101, 1, 100)
+    with pytest.raises(ValueError, match="pivot 102 outside"):
+        layer("A", 101, 102, 100)
 
 
 def test_layer_rank_is_root_height():

@@ -120,6 +120,23 @@ def test_a_profile_wrong_at_the_last_step_names_that_step(monkeypatch):
     assert set(re.findall(r"step (\d+)", check.details)) == {"7"}
 
 
+def test_a_profile_one_step_short_names_the_missing_step(monkeypatch):
+    # a formula list shorter than the period must not pass through zip
+    real = rowmotion.words.size_profile
+
+    def short(word):
+        prof = real(word)
+        return SizeProfile(prof.m, prof.n, prof.p_values[:-1],
+                           prof.q_values[:-1])
+
+    monkeypatch.setattr(rowmotion.words, "size_profile", short)
+    _, _, checks = verify.verify_grid(3, 4)
+    (check,) = [c for c in checks
+                if c.name == "profile formula matches iterated sizes"]
+    assert not check.passed
+    assert set(re.findall(r"step (\d+)", check.details)) == {"7"}
+
+
 def test_suites_step_each_ideal_once_for_the_listing(monkeypatch):
     # the listing comes from one bit-sliced step and every check reads each
     # image from it, the middle swap's image too: no mask step runs

@@ -18,7 +18,11 @@ prod(chain(2),chain(4)) and one long listing, chain(4999) under --cap 5000.
 verify-delta1 also runs on three expressions: the claw
 osum(chain(1),dunion(chain(1),dunion(chain(1),chain(1)))), whose averages
 are not constant (exit 1), the 3x4 grid, and chain(300), one long orbit.
-conjectures also runs on layer(D5,2), layer(A7,4) and layer(E7,7).
+conjectures also runs on layer(D5,2), layer(A7,4) and layer(E7,7), and on
+one layer per kind of opposition involution of the Levi diagram that the
+others leave out: layer(D9,2), whose Levi has a D7 component (the fork
+swap), and layer(B6,3), layer(C5,5), layer(G2,1) and layer(F4,1) (the
+identity).  orbits also runs on layer(A80,1), an 80-element chain.
 The word layer's errors run too: step-word on one refused starred word per
 message of validate_starred (a stray letter, two stars, an even number of
 ones, too few ones before the star, no zero after it) and on the
@@ -79,7 +83,9 @@ def base_commands() -> list[tuple[str, ...]]:
         "osum(chain(1),dunion(chain(1),dunion(chain(1),chain(1))))",
         "prod(chain(3),chain(4))", "chain(300)")]
     commands += [("conjectures", expr) for expr in (
-        "layer(D5,2)", "layer(A7,4)", "layer(E7,7)")]
+        "layer(D5,2)", "layer(A7,4)", "layer(E7,7)", "layer(D9,2)",
+        "layer(B6,3)", "layer(C5,5)", "layer(G2,1)", "layer(F4,1)")]
+    commands += [("orbits", "layer(A80,1)")]
     commands += [("step-word", word) for word in (
         "1*0x11", "1**011", "11*011", "0*1011", "01*101", "012")]
     commands += [("verify-grid", "3", "4", "--word", "0101011"),
