@@ -9,15 +9,14 @@ against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constructions import Chain, H, J, K, Layer, PosetExpr, Prod, build
 from .poset import Poset
 from .roots import RootLayer, layer
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     expr: PosetExpr | None
     layer_family: str
@@ -69,8 +68,7 @@ SPORADIC: tuple[CatalogEntry, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyEntry(NamedTuple):
     name: str
     description: str
 

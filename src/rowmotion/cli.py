@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Sequence
 
 from .catalog import SPORADIC, find_entry
@@ -175,20 +175,40 @@ def parse_poset_expr(text: str) -> PosetExpr:
     return _ExprParser(text).parse()
 
 
-@dataclass
 class RunResult:
-    command: str
-    poset: str | None = None
-    n_elements: int | None = None
-    max_rank: int | None = None
-    orbits: list = field(default_factory=list)
-    checks: list = field(default_factory=list)
-    witnesses: list = field(default_factory=list)
-    elapsed_ms: int | None = None
+    """What one command reports; the list fields start empty."""
+
+    def __init__(
+        self,
+        command: str,
+        poset: str | None = None,
+        n_elements: int | None = None,
+        max_rank: int | None = None,
+        orbits: list | None = None,
+        checks: list | None = None,
+        witnesses: list | None = None,
+        elapsed_ms: int | None = None,
+    ):
+        self.command = command
+        self.poset = poset
+        self.n_elements = n_elements
+        self.max_rank = max_rank
+        self.orbits = [] if orbits is None else orbits
+        self.checks = [] if checks is None else checks
+        self.witnesses = [] if witnesses is None else witnesses
+        self.elapsed_ms = elapsed_ms
 
     def to_dict(self) -> dict:
-        # not dataclasses.asdict, which deep-copies every orbit listing
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {
+            "command": self.command,
+            "poset": self.poset,
+            "n_elements": self.n_elements,
+            "max_rank": self.max_rank,
+            "orbits": self.orbits,
+            "checks": self.checks,
+            "witnesses": self.witnesses,
+            "elapsed_ms": self.elapsed_ms,
+        }
 
 
 def _orbit_dicts(reports: Sequence[OrbitReport]) -> list[dict]:
@@ -207,11 +227,41 @@ def _check_dicts(checks: list[CheckResult]) -> list[dict]:
     return [c.as_dict() for c in checks]
 
 
+def _to_json(value, indent: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for values whose dicts
+    have str keys, one join per container; indent is the newline and the
+    indentation of value's own line.  json.dumps falls back to its
+    pure-Python encoder under indent, at several times the cost.  bool is a
+    subclass of int, so only exact ints print by int.__repr__, and every
+    scalar other than a str or an exact int is left to json.dumps."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_to_json(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_json_str(key)}: {_to_json(value[key], inner)}"
+                 for key in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _render(result: RunResult, fmt: str, show_timing: bool) -> str:
     if not show_timing:
         result.elapsed_ms = None
     if fmt == "json":
-        return json.dumps(result.to_dict(), sort_keys=True, indent=2)
+        return _to_json(result.to_dict())
     if fmt == "csv":
         lines = ["orbit_id,length,avg_size,sizes"]
         for o in result.orbits:

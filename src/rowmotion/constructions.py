@@ -1,6 +1,6 @@
 """Poset constructors: chains, products, ordinal sums, ideal lattices.
 
-An expression tree built from the dataclasses below describes how a poset is
+An expression tree of the frozen nodes below describes how a poset is
 assembled; build() turns it into a concrete Poset.  Element keys record the
 assembly (tuples for products, tagged pairs for sums, ideal masks for J), so
 structural encoders can find their way around the result.
@@ -8,68 +8,109 @@ structural encoders can find their way around the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
+from ._record import Record
 from .poset import CapExceeded, DEFAULT_CAP, NotGraded, Poset, ideal_masks
 
 PosetExpr = Union["Chain", "K", "H", "Prod", "OSum", "DUnion", "J", "Layer"]
 
 
-@dataclass(frozen=True)
-class Chain:
+class _Node(Record):
+    """A frozen expression node.  Its fields are its slots, set once in
+    __init__; assigning to one raises AttributeError, so copy and pickle
+    rebuild a node through __init__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+_set = object.__setattr__
+
+
+class Chain(_Node):
     """Total order on n elements, keys 1..n."""
-    n: int
+
+    __slots__ = _fields = __match_args__ = ("n",)
+
+    def __init__(self, n: int):
+        _set(self, "n", n)
 
 
-@dataclass(frozen=True)
-class K:
+class K(_Node):
     """Chain of length r, then two incomparable elements, then a chain of
     length r.  2r+2 elements, height 2r+1; the two middle elements sit at
     rank r+1 with keys str(r+1) and str(r+1)+"'".
     """
-    r: int
+
+    __slots__ = _fields = __match_args__ = ("r",)
+
+    def __init__(self, r: int):
+        _set(self, "r", r)
 
 
-@dataclass(frozen=True)
-class H:
+class H(_Node):
     """Pairs (i, j) with 1 <= i <= j <= n ordered componentwise."""
-    n: int
+
+    __slots__ = _fields = __match_args__ = ("n",)
+
+    def __init__(self, n: int):
+        _set(self, "n", n)
 
 
-@dataclass(frozen=True)
-class Prod:
-    left: PosetExpr
-    right: PosetExpr
+class _Pair(_Node):
+    __slots__ = _fields = __match_args__ = ("left", "right")
+
+    def __init__(self, left: PosetExpr, right: PosetExpr):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class OSum:
+class Prod(_Pair):
+    """Product order on pairs (a, b)."""
+
+    __slots__ = ()
+
+
+class OSum(_Pair):
     """Ordinal sum: everything on the left below everything on the right."""
-    left: PosetExpr
-    right: PosetExpr
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DUnion:
+class DUnion(_Pair):
     """Disjoint union.  Graded only when both parts have equal height."""
-    left: PosetExpr
-    right: PosetExpr
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class J:
+class J(_Node):
     """Lattice of order ideals of the inner poset, ordered by inclusion."""
-    inner: PosetExpr
+
+    __slots__ = _fields = __match_args__ = ("inner",)
+
+    def __init__(self, inner: PosetExpr):
+        _set(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(_Node):
     """Positive roots with pivot coefficient exactly 1 in a root system."""
-    family: str
-    rank: int
-    pivot: int
+
+    __slots__ = _fields = __match_args__ = ("family", "rank", "pivot")
+
+    def __init__(self, family: str, rank: int, pivot: int):
+        _set(self, "family", family)
+        _set(self, "rank", rank)
+        _set(self, "pivot", pivot)
 
 
 def to_text(expr: PosetExpr) -> str:

@@ -6,8 +6,8 @@ Everything is exact; averages are fractions and comparisons are equalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poset import (
     DEFAULT_CAP,
@@ -24,8 +24,7 @@ from .roots import RootLayer
 orbit_reports = all_orbits
 
 
-@dataclass(frozen=True)
-class AverageReport:
+class AverageReport(NamedTuple):
     """Outcome of checking that every orbit has the same average antichain
     size; failures pairs orbit indices with their averages, and
     failure_lengths holds the lengths of those orbits in the same order.
@@ -61,8 +60,7 @@ def verify_constant_average(
     )
 
 
-@dataclass(frozen=True)
-class OccurrenceTable:
+class OccurrenceTable(NamedTuple):
     """Per-element counts over one orbit: ideal_counts[p] is the number of
     ideals containing p, antichain_counts[p] the number whose antichain
     contains p."""
@@ -112,8 +110,7 @@ def _positions(cycle: list[int]) -> int:
     return orbit
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A concrete failure of one of the paired-count identities."""
 
     orbit_index: int
@@ -136,8 +133,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     entry_name: str
     n_orbits: int
     passed: bool

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
+
+from ._record import Record
 
 DEFAULT_CAP = 10**7
 
@@ -201,18 +202,21 @@ def _mask_from(members: Iterable[int]) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class IdealSet:
-    """A downward-closed subset, validated at construction."""
+class _MemberSet(Record):
+    """A member set of a poset as a bit mask.  Each kind validates its mask
+    in __post_init__, which __init__ calls; perfbench/layertrace.py counts
+    IdealSet validations under that name."""
 
-    poset: Poset
-    mask: int
+    __slots__ = _fields = ("poset", "mask")
 
-    def __post_init__(self):
+    def __init__(self, poset: Poset, mask: int):
+        self.poset = poset
+        self.mask = mask
+        self.__post_init__()
+
+    def _check_range(self):
         if self.mask < 0 or self.mask > self.poset.full_mask:
             raise InvalidSubset("mask outside element range")
-        if not self.poset.is_ideal_mask(self.mask):
-            raise InvalidSubset(f"not downward closed: {sorted(bits_of(self.mask))}")
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -227,38 +231,32 @@ class IdealSet:
 
     def __contains__(self, i: int):
         return bool(self.mask >> i & 1)
+
+
+class IdealSet(_MemberSet):
+    """A downward-closed subset, validated at construction."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        self._check_range()
+        if not self.poset.is_ideal_mask(self.mask):
+            raise InvalidSubset(f"not downward closed: {sorted(bits_of(self.mask))}")
 
     def bit_string(self) -> str:
         return "".join("1" if self.mask >> i & 1 else "0"
                        for i in range(self.poset.n_elements))
 
 
-@dataclass(frozen=True)
-class AntichainSet:
+class AntichainSet(_MemberSet):
     """A subset of pairwise incomparable elements, validated at construction."""
 
-    poset: Poset
-    mask: int
+    __slots__ = ()
 
     def __post_init__(self):
-        if self.mask < 0 or self.mask > self.poset.full_mask:
-            raise InvalidSubset("mask outside element range")
+        self._check_range()
         if not self.poset.is_antichain_mask(self.mask):
             raise InvalidSubset(f"not an antichain: {sorted(bits_of(self.mask))}")
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(bits_of(self.mask))
-
-    @property
-    def member_labels(self) -> tuple[str, ...]:
-        return tuple(self.poset.labels[i] for i in self.members)
-
-    def __len__(self):
-        return self.mask.bit_count()
-
-    def __contains__(self, i: int):
-        return bool(self.mask >> i & 1)
 
 
 # -- rowmotion and orbits ----------------------------------------------------
@@ -290,8 +288,7 @@ def rowmotion_ideal(ideal: IdealSet) -> IdealSet:
     return IdealSet(poset, poset.rowmotion_ideal_mask(ideal.mask))
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(Record):
     """One rowmotion orbit with its antichain-size statistics.
 
     The orbit is held as ideal masks, starting at the seed; ideals wraps
@@ -299,10 +296,14 @@ class OrbitReport:
     exact mean of the antichain sizes, computed on each read.
     """
 
-    poset: Poset
-    length: int
-    masks: tuple[int, ...]
-    antichain_sizes: tuple[int, ...]
+    _fields = ("poset", "length", "masks", "antichain_sizes")
+
+    def __init__(self, poset: Poset, length: int, masks: tuple[int, ...],
+                 antichain_sizes: tuple[int, ...]):
+        self.poset = poset
+        self.length = length
+        self.masks = masks
+        self.antichain_sizes = antichain_sizes
 
     @cached_property
     def ideals(self) -> tuple[IdealSet, ...]:

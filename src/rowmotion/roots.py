@@ -11,10 +11,10 @@ root and is built only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import add, gt, sub
+from typing import NamedTuple
 
 from .poset import CapExceeded, Poset
 
@@ -82,8 +82,7 @@ def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     family: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
@@ -187,8 +186,7 @@ def _opposition(cartan: tuple[tuple[int, ...], ...], pivot: int) -> list[int]:
     return sigma
 
 
-@dataclass(frozen=True)
-class RootLayer:
+class RootLayer(NamedTuple):
     """The coefficient-one layer of one simple root, as a graded poset.
 
     Element keys are the root coordinate tuples.  star is the induced

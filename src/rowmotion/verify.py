@@ -8,10 +8,10 @@ comparisons are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .catalog import CatalogEntry, classical_layer_expr, entry_expr_poset
 from .constructions import build, grid_poset, k_product_poset
@@ -35,8 +35,7 @@ from .words import (
 MAX_DETAILS = 5
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: str

@@ -33,12 +33,12 @@ Words are plain strings; positions are 1-based in all public descriptions
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress, zip_longest
 from operator import add, neg, or_, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
+from ._record import Record
 from .constructions import grid_poset, k_product_poset
 from .poset import IdealSet, InvalidSubset, Poset
 
@@ -228,8 +228,7 @@ def decode_grid(word: str, m: int, n: int) -> IdealSet:
 # -- size profile -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SizeProfile:
+class SizeProfile(NamedTuple):
     """Per-step antichain-size increments along a word's orbit.
 
     p_values[i-1] is the gain at step i (0 or 1), q_values[i-1] the loss
@@ -282,8 +281,7 @@ def size_by_formula(word: str, i: int) -> int:
 # -- long sequences and windows ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarkedSequence:
+class MarkedSequence(Record):
     """A string over {'0','-'} or {'1','-'} with sliding windows.
 
     kind '0' windows select own-symbol occurrences i+1..i+width numbered from
@@ -292,9 +290,12 @@ class MarkedSequence:
     display order.
     """
 
-    symbols: str
-    kind: str
-    width: int
+    _fields = ("symbols", "kind", "width")
+
+    def __init__(self, symbols: str, kind: str, width: int):
+        self.symbols = symbols
+        self.kind = kind
+        self.width = width
 
     @cached_property
     def positions(self) -> list[int]:

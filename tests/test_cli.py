@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rowmotion
+from rowmotion import cli
 from rowmotion.cli import (
     ExprParseError,
     RunResult,
@@ -443,6 +445,66 @@ def test_run_result_round_trip():
                       "sizes": [0, 1, 1]}]
     doc = result.to_dict()
     assert set(doc) == JSON_KEYS
+
+
+# -- the JSON writer ----------------------------------------------------------
+
+# quotes, backslashes, every escaped control character, DEL, non-ASCII text
+# (a line separator, a character outside the basic plane) and a lone surrogate
+_JSON_CHARS = 'ab"\\/\b\f\n\r\t\x00\x1f\x7f \u00e9\u65e5\u2028\U0001f600\ud800'
+
+
+def _random_json(rng: random.Random, depth: int = 0):
+    """A nested value of the kinds the writer takes: str-keyed dicts, lists,
+    tuples, ints, True/False/None and strings, empty containers included."""
+    kind = rng.randrange(9 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice([0, 1, -1, rng.randint(-10**20, 10**20)])
+    if kind == 1:
+        return rng.choice([True, False, None])
+    if kind == 2:
+        return "".join(rng.choice(_JSON_CHARS) for _ in range(rng.randrange(6)))
+    if kind == 3:
+        # a flat list, sometimes with a bool among the ints
+        return [rng.choice([0, 7, -3, 10**30, True, False])
+                if rng.random() < 0.1 else rng.randrange(-9, 99)
+                for _ in range(rng.randrange(5))]
+    items = [_random_json(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind in (4, 5):
+        return items
+    if kind == 6:
+        return tuple(items)
+    return {"".join(rng.choice(_JSON_CHARS) for _ in range(rng.randrange(4))):
+            item for item in items}
+
+
+def test_json_writer_matches_json_dumps_on_random_values():
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        value = _random_json(rng)
+        assert cli._to_json(value) == json.dumps(
+            value, sort_keys=True, indent=2), value
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "chain(3)"],
+    ["orbits", "prod(chain(2),chain(3))", "--seed-ideal", "100000"],
+    ["verify-grid", "2", "3", "--word", "01011"],
+    ["verify-k", "2", "2"],
+    ["verify-delta1", "--cap", "100"],
+    ["verify-delta1", "osum(chain(1),dunion(chain(1),chain(1)))"],
+    ["conjectures", "layer(D5,2)"],
+    ["encode", "prod(chain(2),chain(2))", "--seed-ideal", "1100"],
+    ["step-word", "1*0011", "--steps", "3"],
+    ["catalog"],
+])
+def test_json_writer_matches_json_dumps_on_each_command(argv, monkeypatch):
+    results = []
+    monkeypatch.setattr(cli, "_emit",
+                        lambda result, args: results.append(result) or 0)
+    main(argv)
+    (doc,) = [result.to_dict() for result in results]
+    assert cli._to_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 def test_module_runs_as_a_script():

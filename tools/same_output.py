@@ -27,7 +27,9 @@ The word layer's errors run too: step-word on one refused starred word per
 message of validate_starred (a stray letter, two stars, an even number of
 ones, too few ones before the star, no zero after it) and on the
 non-binary 012, and verify-grid with a --word table on 3 4 0101011 and
-2 2 0011.  Each runs in json and table format, and orbits also in csv.
+2 2 0011.  The records' own output paths run too: catalog, and the parse
+errors of orbits "prod(chain(2)" and orbits "foo(3)".  Each runs in json
+and table format, and orbits also in csv.
 """
 
 from __future__ import annotations
@@ -90,6 +92,8 @@ def base_commands() -> list[tuple[str, ...]]:
         "1*0x11", "1**011", "11*011", "0*1011", "01*101", "012")]
     commands += [("verify-grid", "3", "4", "--word", "0101011"),
                  ("verify-grid", "2", "2", "--word", "0011")]
+    commands += [("catalog",), ("orbits", "prod(chain(2)"),
+                 ("orbits", "foo(3)")]
     return list(dict.fromkeys(commands))
 
 
