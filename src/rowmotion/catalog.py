@@ -23,8 +23,10 @@ class CatalogEntry(NamedTuple):
     layer_rank: int
     layer_pivot: int
 
-    def realize_layer(self) -> RootLayer:
-        return layer(self.layer_family, self.layer_rank, self.layer_pivot)
+    def realize_layer(self, cap: int | None = None) -> RootLayer:
+        """The entry's layer; CapExceeded past cap elements."""
+        return layer(self.layer_family, self.layer_rank, self.layer_pivot,
+                     cap)
 
     def realize_poset(self) -> Poset:
         return self.realize_layer().poset

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Sequence
 
@@ -503,16 +504,19 @@ def _cmd_verify_delta1(args) -> int:
 
 
 def _resolve_layer(target: str):
+    """The name of a conjectures target and its layer builder, a function
+    of the cap."""
     entry = find_entry(target)
     if entry is not None:
-        return entry.realize_layer(), entry.name
+        return entry.name, entry.realize_layer
     expr = parse_poset_expr(target)
     if not isinstance(expr, Layer):
         raise ValueError(
             "paired-count checks need a catalog name or a layer(...) "
             "expression"
         )
-    return build_layer(expr.family, expr.rank, expr.pivot), to_text(expr)
+    return to_text(expr), partial(build_layer, expr.family, expr.rank,
+                                  expr.pivot)
 
 
 def _cmd_conjectures(args) -> int:
@@ -521,13 +525,15 @@ def _cmd_conjectures(args) -> int:
     witnesses: list[dict] = []
     cap = _entry_cap(args)
     if args.target is None:
-        targets = [(e.realize_layer(), e.name) for e in SPORADIC]
+        targets = [(e.name, e.realize_layer) for e in SPORADIC]
     else:
         targets = [_resolve_layer(args.target)]
-    for root_layer, name in targets:
+    for name, realize in targets:
+        # a layer of more than cap elements has more than cap ideals, so
+        # its build stops at the cap too
         try:
             ideals_report, antichains_report = check_conjectures(
-                root_layer, cap, name
+                realize(cap), cap, name
             )
         except CapExceeded:
             witnesses.append(_skipped(name, cap))

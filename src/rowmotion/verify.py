@@ -20,6 +20,7 @@ from .isomorphism import are_isomorphic
 from .poset import DEFAULT_CAP, IdealSet, OrbitReport, Poset
 from .roots import layer as build_layer
 from .words import (
+    MarkedSequence,
     count_10,
     epsilon_n,
     formula_sizes,
@@ -72,6 +73,68 @@ def check_constant_average(
     return _result(label, failures, note)
 
 
+def _rebuild(pair: tuple[str, str], rebuilt: dict) -> str:
+    if pair not in rebuilt:
+        rebuilt[pair] = zigzag(*pair)
+    return rebuilt[pair]
+
+
+def _windows_shift(
+    sequences: list[tuple[MarkedSequence, MarkedSequence]],
+    later: list[str],
+    rebuilt: dict,
+) -> bool:
+    """Whether the windows of one orbit rebuild every iterate, proved from
+    one window pair and one overlap compare per word.
+
+    Each word's marked sequences are checked to be its successor's shifted
+    by one own symbol: the zero sequence after its first zero is the
+    successor's before its last zero, and the ones sequence before its last
+    one is the successor's after its first one.  With the kinds and widths
+    the same along the orbit, that gives windows(w)[1:] ==
+    windows(successor)[:-1] for both kinds, so window j of a word is window
+    1 of its (j-1)-th successor, and zigzag on window 1 of every word,
+    compared with the listed successor, covers every window.  False when
+    any part fails or a sequence has no own symbol or no window."""
+    head = ("0", sequences[0][0].width, "1", sequences[0][1].width)
+    try:
+        for (zeros, ones), (next_zeros, next_ones) in zip(
+                sequences, sequences[1:] + sequences[:1]):
+            if (zeros.kind, zeros.width, ones.kind, ones.width) != head:
+                return False
+            a, b = zeros.symbols, next_zeros.symbols
+            if a[a.index("0") + 1:] != b[:b.rindex("0")]:
+                return False
+            a, b = ones.symbols, next_ones.symbols
+            if a[:a.rindex("1")] != b[b.index("1") + 1:]:
+                return False
+        pairs = [(zeros.window(1), ones.window(1))
+                 for zeros, ones in sequences]
+    except ValueError:
+        return False
+    return all(_rebuild(pair, rebuilt) == want
+               for pair, want in zip(pairs, later[1:]))
+
+
+def _window_failures(
+    sequences: list[tuple[MarkedSequence, MarkedSequence]],
+    later: list[str],
+    period: int,
+    rebuilt: dict,
+) -> list[str]:
+    """The words of one orbit whose windows fail to rebuild an iterate,
+    window by window: each word names its first failing window."""
+    failures = []
+    for i, (zeros, ones) in enumerate(sequences):
+        pairs = zip(zeros.windows, ones.windows)
+        for j, (pair, want) in enumerate(
+                zip(pairs, later[i + 1 : i + 1 + period]), 1):
+            if _rebuild(pair, rebuilt) != want:
+                failures.append(f"word {later[i]} window {j}")
+                break
+    return failures
+
+
 def verify_grid(
     m: int,
     n: int,
@@ -79,8 +142,12 @@ def verify_grid(
 ) -> tuple[Poset, tuple[OrbitReport, ...], list[CheckResult]]:
     """Every grid check on [m]x[n].  The codec checks read each ideal, its
     rowmotion iterates and their antichain sizes from the orbit listing;
-    psi runs once per word, for the transport check, and zigzag once per
-    distinct window pair."""
+    psi runs once per word, for the transport check.  The windows check
+    reads each word's marked sequences once, per orbit: one overlap
+    compare per sequence with the next word's and zigzag on window 1
+    prove that every window rebuilds its iterate (_windows_shift), and an
+    orbit where that fails is checked again window by window, for the
+    names of its failing words and windows (_window_failures)."""
     poset = grid_poset(m, n)
     period = m + n
     checks: list[CheckResult] = []
@@ -117,7 +184,7 @@ def verify_grid(
     formula_fail: list[str] = []
     period_fail: list[str] = []
     window_fail: list[str] = []
-    # the m+n predecessors of an iterate all rebuild it from one window pair
+    # window pair -> the word zigzag rebuilds from it
     rebuilt: dict[tuple[str, str], str] = {}
     n_ideals = 0
     codec = grid_codec(poset)
@@ -150,14 +217,10 @@ def verify_grid(
             # failure names the words that do not return
             if later[i + period] != w:
                 period_fail.append(f"word {w} does not return")
-            seq0, seq1 = long_sequences(w)
-            pairs = zip(seq0.windows, seq1.windows)
-            for j, (pair, want) in enumerate(zip(pairs, later[ahead]), 1):
-                if pair not in rebuilt:
-                    rebuilt[pair] = zigzag(*pair)
-                if rebuilt[pair] != want:
-                    window_fail.append(f"word {w} window {j}")
-                    break
+        sequences = list(map(long_sequences, words))
+        if not _windows_shift(sequences, later, rebuilt):
+            window_fail += _window_failures(sequences, later, period,
+                                            rebuilt)
     checks.append(_result("codec round-trips", rt_fail, f"{n_ideals} ideals"))
     checks.append(
         _result("codec transports the dynamics", eq_fail, f"{n_ideals} ideals")
@@ -338,7 +401,7 @@ def verify_catalog_entry(
     entry: CatalogEntry,
     cap: int = DEFAULT_CAP,
 ) -> tuple[Poset, list[CheckResult]]:
-    root_layer = entry.realize_layer()
+    root_layer = entry.realize_layer(cap)
     poset = root_layer.poset
     checks = [check_constant_average(
         verify_constant_average(poset, cap=cap),

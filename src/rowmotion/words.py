@@ -308,28 +308,28 @@ class MarkedSequence(Record):
 
     @cached_property
     def windows(self) -> tuple[str, ...]:
-        """Every window in one pass, windows[i-1] == window(i).  Positions
-        run up for kind '0' and down for kind '1', so a window's display
-        ends are the positions of its first and last own symbols.  A
-        sequence of width 0 has no windows."""
-        symbols, positions, width = self.symbols, self.positions, self.width
-        if not width:
+        """Every window, windows[i-1] == window(i).  A sequence of width 0
+        has no windows."""
+        if not self.width:
             return ()
-        firsts, lasts = positions[1:], positions[width:]
-        ends = zip(lasts, firsts) if self.kind == "1" else zip(firsts, lasts)
-        out = []
-        for lo, hi in ends:
-            if lo > 0 and symbols[lo - 1] == "-":
-                lo -= 1
-            if hi + 1 < len(symbols) and symbols[hi + 1] == "-":
-                hi += 1
-            out.append(symbols[lo : hi + 1])
-        return tuple(out)
+        return tuple(map(self.window,
+                         range(1, len(self.positions) - self.width + 1)))
 
     def window(self, i: int) -> str:
-        if not 1 <= i <= len(self.windows):
+        """Window i alone, cut out at the positions of its first and last
+        own symbols, which are its display ends: positions run up for kind
+        '0' and down for kind '1'."""
+        symbols, positions, width = self.symbols, self.positions, self.width
+        if not width or not 1 <= i <= len(positions) - width:
             raise ValueError(f"window {i} out of range")
-        return self.windows[i - 1]
+        lo, hi = positions[i], positions[i + width - 1]
+        if self.kind == "1":
+            lo, hi = hi, lo
+        if lo > 0 and symbols[lo - 1] == "-":
+            lo -= 1
+        if hi + 1 < len(symbols) and symbols[hi + 1] == "-":
+            hi += 1
+        return symbols[lo : hi + 1]
 
 
 _OTHER_RUNS = {"0": re.compile("[^0]+"), "1": re.compile("[^1]+")}
@@ -379,12 +379,10 @@ def long_sequences(word: str) -> tuple[MarkedSequence, MarkedSequence]:
 def _window_tokens(window: str) -> tuple[bool, list[int], bool]:
     if window.count("--") or not window:
         raise ValueError(f"malformed window {window!r}")
-    lead = window.startswith("-")
-    trail = window.endswith("-")
-    runs = [len(part) for part in window.strip("-").split("-")]
-    if any(r == 0 for r in runs):
+    runs = list(map(len, window.strip("-").split("-")))
+    if 0 in runs:
         raise ValueError(f"malformed window {window!r}")
-    return lead, runs, trail
+    return window[0] == "-", runs, window[-1] == "-"
 
 
 def zigzag(window0: str, window1: str) -> str:

@@ -396,6 +396,21 @@ def test_capped_sweep_that_skips_exits_3(capsys, command):
     assert "skipped 16 of 20 targets" in err
 
 
+def test_conjectures_refuse_a_large_layer_before_building_it(capsys):
+    # layer(A400,200) has 40000 elements: the build stops at the cap, long
+    # before the layer or its ideals are listed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "conjectures", "layer(A400,200)",
+                         "--cap", "100", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert json.loads(out)["witnesses"] == [{
+        "entry": "layer(A400,200)", "reason": "more than 100 ideals",
+        "status": "skipped",
+    }]
+    assert err == "skipped 1 of 1 targets: more than 100 ideals each\n"
+
+
 def test_capped_sweep_with_a_failed_check_exits_1(capsys, monkeypatch):
     import rowmotion.cli as cli
 

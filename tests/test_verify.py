@@ -13,7 +13,14 @@ from rowmotion.catalog import classical_layer_expr
 from rowmotion.cli import main
 from rowmotion.constructions import build
 from rowmotion.poset import IdealSet, Poset, ideal_masks
-from rowmotion.words import SizeProfile, long_sequences, psi, psi_iterates
+from rowmotion.words import (
+    MarkedSequence,
+    SizeProfile,
+    long_sequences,
+    psi,
+    psi_iterates,
+)
+import word_oracles
 
 
 def _counts(checks, unit):
@@ -257,6 +264,67 @@ def test_a_zigzag_wrong_on_one_pair_fails_the_windows_check(monkeypatch):
     assert len(named) == 5 and check.details.endswith("; and 2 more")
     for word, j in named:
         assert psi_iterates(word, int(j))[-1] == psi("0101011")
+
+
+@pytest.mark.parametrize("kind,symbols,corrupted_symbols", [
+    (0, "0-0-0-0-0000-0-0-", "0-0-0-0-0x00-0-0-"),
+    (1, "-1-1-11111-1-1-11", "-1-1-11x11-1-1-11"),
+])
+def test_a_sequence_wrong_past_window_one_fails_the_windows_check(
+        monkeypatch, kind, symbols, corrupted_symbols):
+    # a stray letter in place of an own symbol of one of 0101011's marked
+    # sequences leaves window 1 and the dashes alone, so every window still
+    # interlocks, but window 3 rebuilds a word one letter too long; window 1
+    # of every word is right, so only the overlap with the neighbouring
+    # words can catch it
+    real = verify.long_sequences
+    pair = list(real("0101011"))
+    assert pair[kind].symbols == symbols
+    bad = MarkedSequence(corrupted_symbols, pair[kind].kind, pair[kind].width)
+    assert bad.window(1) == pair[kind].window(1)
+    pair[kind] = bad
+
+    def corrupted(word):
+        return tuple(pair) if word == "0101011" else real(word)
+
+    monkeypatch.setattr(verify, "long_sequences", corrupted)
+    _, reports, checks = verify.verify_grid(3, 4)
+    assert _failed(checks) == {"windows rebuild every iterate"}
+    (check,) = [c for c in checks if not c.passed]
+    assert check.details == "word 0101011 window 3"
+    expected = word_oracles.grid_window_failures(reports, corrupted)
+    assert check.details == "; ".join(expected)
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 4)])
+def test_the_windows_check_fails_as_the_window_by_window_loop(monkeypatch, m,
+                                                              n):
+    # zigzag wrong on one window pair, for the pairs of windows 1, 2 and
+    # m+n of a few words: the details are those of the loop over every
+    # window of every word
+    real = verify.zigzag
+    _, reports, _ = verify.verify_grid(m, n)
+    codec = rowmotion.words.grid_codec(reports[0].poset)
+    words = [codec.encode(mask) for r in reports[:3] for mask in r.masks[:2]]
+    for word in words:
+        zeros, ones = long_sequences(word)
+        for j in (1, 2, m + n):
+            bad = (zeros.window(j), ones.window(j))
+
+            def wrong(window0, window1):
+                rebuilt = real(window0, window1)
+                if (window0, window1) == bad:
+                    return rebuilt[1:] + rebuilt[0]
+                return rebuilt
+
+            monkeypatch.setattr(verify, "zigzag", wrong)
+            _, _, checks = verify.verify_grid(m, n)
+            (check,) = [c for c in checks
+                        if c.name == "windows rebuild every iterate"]
+            expected = word_oracles.grid_window_failures(
+                reports, rebuild=wrong)
+            assert expected, (word, j)
+            assert check == verify._result(check.name, expected), (word, j)
 
 
 @pytest.mark.parametrize("family,rank,pivot", [

@@ -292,6 +292,26 @@ def test_windows_match_the_sliced_oracle():
                 _check_sliced(seq)
 
 
+def test_marked_sequences_shift_by_one_own_symbol_under_psi():
+    # the fact verify_grid's windows check rests on: a word's marked
+    # sequences are those of psi(word) shifted by one own symbol, so each
+    # window of the word is the window before it of psi(word)
+    for letters in itertools.chain.from_iterable(
+            itertools.product("01", repeat=length) for length in range(1, 13)):
+        word = "".join(letters)
+        zeros, ones = long_sequences(word)
+        next_zeros, next_ones = long_sequences(psi(word))
+        a, b = zeros.symbols, next_zeros.symbols
+        assert a[a.index("0") + 1:] == b[:b.rindex("0")], word
+        a, b = ones.symbols, next_ones.symbols
+        assert a[:a.rindex("1")] == b[b.index("1") + 1:], word
+        assert zeros.windows[1:] == next_zeros.windows[:-1], word
+        assert ones.windows[1:] == next_ones.windows[:-1], word
+        for seq in (zeros, ones):
+            for i, window in enumerate(seq.windows, 1):
+                assert seq.window(i) == window, (word, i)
+
+
 def _outcome(call, word):
     try:
         return call(word)

@@ -6,8 +6,14 @@ uses, so the two agree only if both descriptions of the step are right.
 
 sliced_window is the window of a marked sequence read from the slice of
 its own-symbol positions, found one character at a time by own_positions,
-with min and max for the ends; the windows property of
-rowmotion.words.MarkedSequence takes the ends in one pass.
+with min and max for the ends; rowmotion.words.MarkedSequence.window
+takes the ends straight from its positions, which run up or down by kind.
+
+grid_window_failures is the windows check of verify_grid window by
+window: zigzag on every window pair of every word, against the listed
+iterates.  rowmotion.verify proves the same claim from window 1 of each
+word and the overlap of consecutive words' marked sequences, and runs this
+loop only on an orbit where that proof fails.
 
 string_size_profile and string_window_sizes_K read the P/Q profile and
 the K window sizes one character at a time, from the marked sequences
@@ -36,11 +42,14 @@ from rowmotion.constructions import grid_poset, k_product_poset
 from rowmotion.words import (
     MarkedSequence,
     SizeProfile,
+    grid_codec,
+    long_sequences,
     parse_blocks,
     plain_to_starred,
     psi,
     starred_to_plain,
     validate_starred,
+    zigzag,
 )
 
 
@@ -123,6 +132,28 @@ def sliced_window(seq, i: int) -> str:
     if hi + 1 < len(seq.symbols) and seq.symbols[hi + 1] == "-":
         hi += 1
     return seq.symbols[lo : hi + 1]
+
+
+def grid_window_failures(reports, sequences=long_sequences,
+                         rebuild=zigzag) -> list[str]:
+    """The words of a grid orbit listing whose windows do not rebuild an
+    iterate, orbit by orbit: window j of each word against the j-th listed
+    iterate, for j up to m+n, each word naming its first failing window."""
+    codec = grid_codec(reports[0].poset)
+    period = codec.m + codec.n
+    failures = []
+    for r in reports:
+        words = [codec.encode(mask) for mask in r.masks]
+        later = words * (1 + -(-period // r.length))
+        for i, word in enumerate(words):
+            zeros, ones = sequences(word)
+            pairs = zip(zeros.windows, ones.windows)
+            wants = later[i + 1 : i + 1 + period]
+            for j, (pair, want) in enumerate(zip(pairs, wants), 1):
+                if rebuild(*pair) != want:
+                    failures.append(f"word {word} window {j}")
+                    break
+    return failures
 
 # -- the run-by-run marked sequences ----------------------------------------
 

@@ -22,7 +22,9 @@ conjectures also runs on layer(D5,2), layer(A7,4) and layer(E7,7), and on
 one layer per kind of opposition involution of the Levi diagram that the
 others leave out: layer(D9,2), whose Levi has a D7 component (the fork
 swap), and layer(B6,3), layer(C5,5), layer(G2,1) and layer(F4,1) (the
-identity).  orbits also runs on layer(A80,1), an 80-element chain.
+identity); and on layer(A120,60) under --cap 100, a 3660-element layer
+that is refused while it is built.  orbits also runs on layer(A80,1), an
+80-element chain.
 The word layer's errors run too: step-word on one refused starred word per
 message of validate_starred (a stray letter, two stars, an even number of
 ones, too few ones before the star, no zero after it) and on the
@@ -87,6 +89,7 @@ def base_commands() -> list[tuple[str, ...]]:
     commands += [("conjectures", expr) for expr in (
         "layer(D5,2)", "layer(A7,4)", "layer(E7,7)", "layer(D9,2)",
         "layer(B6,3)", "layer(C5,5)", "layer(G2,1)", "layer(F4,1)")]
+    commands += [("conjectures", "layer(A120,60)", "--cap", "100")]
     commands += [("orbits", "layer(A80,1)")]
     commands += [("step-word", word) for word in (
         "1*0x11", "1**011", "11*011", "0*1011", "01*101", "012")]
