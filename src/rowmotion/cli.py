@@ -13,11 +13,10 @@ import json
 import os
 import sys
 import time
-from functools import partial
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Sequence
 
-from .catalog import SPORADIC, find_entry
+from .catalog import SPORADIC, CatalogEntry, find_entry
 from .constructions import (
     Chain,
     DUnion,
@@ -40,7 +39,7 @@ from .poset import (
     OrbitReport,
     Poset,
 )
-from .roots import FAMILY_RANK_RANGE, layer as build_layer
+from .roots import FAMILY_RANK_RANGE
 from .verify import (
     CheckResult,
     _fraction_str,
@@ -472,93 +471,84 @@ def _entry_cap(args) -> int:
 
 
 def _cmd_verify_delta1(args) -> int:
-    result = RunResult(command="verify-delta1")
-    checks: list[CheckResult] = []
-    witnesses: list[dict] = []
+    entries = _sweep_entries(args.target)
+    if entries is not None:
+        return _sweep(args, entries, lambda entry, cap: (
+            verify_catalog_entry(entry, cap)[1], []))
     cap = _entry_cap(args)
-    if args.target is None:
-        targets = list(SPORADIC)
-    else:
-        entry = find_entry(args.target)
-        if entry is not None:
-            targets = [entry]
-        else:
-            expr = parse_poset_expr(args.target)
-            poset = build(expr, cap=cap)
-            result = _poset_result("verify-delta1", to_text(expr), poset)
-            average = verify_constant_average(poset, cap=cap)
-            result.orbits = _orbit_dicts(average.orbits)
-            result.checks = _check_dicts([check_constant_average(
-                average, f"orbit averages constant [{to_text(expr)}]")])
-            return _finish(result, args)
-    for entry in targets:
-        try:
-            _, entry_checks = verify_catalog_entry(entry, cap)
-        except CapExceeded:
-            witnesses.append(_skipped(entry.name, cap))
-            continue
-        checks.extend(entry_checks)
-    result.checks = _check_dicts(checks)
-    result.witnesses = witnesses
-    return _finish_sweep(result, args, len(targets))
-
-
-def _resolve_layer(target: str):
-    """The name of a conjectures target and its layer builder, a function
-    of the cap."""
-    entry = find_entry(target)
-    if entry is not None:
-        return entry.name, entry.realize_layer
-    expr = parse_poset_expr(target)
-    if not isinstance(expr, Layer):
-        raise ValueError(
-            "paired-count checks need a catalog name or a layer(...) "
-            "expression"
-        )
-    return to_text(expr), partial(build_layer, expr.family, expr.rank,
-                                  expr.pivot)
+    expr = parse_poset_expr(args.target)
+    poset = build(expr, cap=cap)
+    result = _poset_result("verify-delta1", to_text(expr), poset)
+    average = verify_constant_average(poset, cap=cap)
+    result.orbits = _orbit_dicts(average.orbits)
+    result.checks = _check_dicts([check_constant_average(
+        average, f"orbit averages constant [{to_text(expr)}]")])
+    return _finish(result, args)
 
 
 def _cmd_conjectures(args) -> int:
-    result = RunResult(command="conjectures")
+    entries = _sweep_entries(args.target)
+    if entries is None:
+        expr = parse_poset_expr(args.target)
+        if not isinstance(expr, Layer):
+            raise ValueError("paired-count checks need a catalog name or a "
+                             "layer(...) expression")
+        entries = [CatalogEntry(to_text(expr), None, expr.family, expr.rank,
+                                expr.pivot)]
+    return _sweep(args, entries, _conjecture_checks)
+
+
+def _conjecture_checks(entry: CatalogEntry, cap: int):
+    # a layer of more than cap elements has more than cap ideals, so its
+    # build stops at the cap too
+    reports = check_conjectures(entry.realize_layer(cap), cap, entry.name)
+    claims = ("element plus partner fill each orbit",
+              "element and partner tie on antichains")
+    checks = [CheckResult(f"{claim} [{entry.name}]", report.passed,
+                          f"{report.n_orbits} orbits")
+              for claim, report in zip(claims, reports)]
+    return checks, [{"entry": entry.name, **w.as_dict()}
+                    for report in reports for w in report.witnesses]
+
+
+def _sweep_entries(target: str | None) -> list[CatalogEntry] | None:
+    """The catalog entries a sweep checks: every sporadic entry without a
+    target, the entry of a catalog name (case and spaces ignored), and None
+    for any other target, which each sweep reads as an expression."""
+    if target is None:
+        return list(SPORADIC)
+    entry = find_entry(target)
+    return None if entry is None else [entry]
+
+
+def _sweep(args, entries: list[CatalogEntry], check) -> int:
+    """Run check(entry, cap), which returns (checks, witness dicts), on
+    each entry.  An entry past the cap is skipped and listed among the
+    witnesses; a sweep that skipped one did not do its work, so it exits 3
+    unless a check failed."""
+    result = RunResult(command=args.command)
     checks: list[CheckResult] = []
-    witnesses: list[dict] = []
     cap = _entry_cap(args)
-    if args.target is None:
-        targets = [(e.name, e.realize_layer) for e in SPORADIC]
-    else:
-        targets = [_resolve_layer(args.target)]
-    for name, realize in targets:
-        # a layer of more than cap elements has more than cap ideals, so
-        # its build stops at the cap too
+    skipped = 0
+    for entry in entries:
         try:
-            ideals_report, antichains_report = check_conjectures(
-                realize(cap), cap, name
-            )
+            entry_checks, witnesses = check(entry, cap)
         except CapExceeded:
-            witnesses.append(_skipped(name, cap))
+            result.witnesses.append({"entry": entry.name, "status": "skipped",
+                                     "reason": f"more than {cap} ideals"})
+            skipped += 1
             continue
-        checks.append(
-            CheckResult(
-                f"element plus partner fill each orbit [{name}]",
-                ideals_report.passed,
-                f"{ideals_report.n_orbits} orbits",
-            )
-        )
-        checks.append(
-            CheckResult(
-                f"element and partner tie on antichains [{name}]",
-                antichains_report.passed,
-                f"{antichains_report.n_orbits} orbits",
-            )
-        )
-        for witness in ideals_report.witnesses + antichains_report.witnesses:
-            witnesses.append({"entry": name, **witness.as_dict()})
+        checks.extend(entry_checks)
+        result.witnesses.extend(witnesses)
     result.checks = _check_dicts(checks)
-    result.witnesses = witnesses
-    if witnesses and any(w.get("status") != "skipped" for w in witnesses):
+    if len(result.witnesses) > skipped:
         print("COUNTEREXAMPLE FOUND; see witnesses", file=sys.stderr)
-    return _finish_sweep(result, args, len(targets))
+    code = _finish(result, args)
+    if skipped:
+        print(f"skipped {skipped} of {len(entries)} targets: more than "
+              f"{cap} ideals each", file=sys.stderr)
+        return code or 3
+    return code
 
 
 def _cmd_encode(args) -> int:
@@ -634,23 +624,6 @@ def _cmd_catalog(args) -> int:
 def _finish(result: RunResult, args) -> int:
     result.elapsed_ms = int((time.monotonic() - args.start_time) * 1000)
     return _emit(result, args)
-
-
-def _skipped(name: str, cap: int) -> dict:
-    return {"entry": name, "status": "skipped",
-            "reason": f"more than {cap} ideals"}
-
-
-def _finish_sweep(result: RunResult, args, n_targets: int) -> int:
-    """_finish for a sweep: a sweep that skipped a target for the cap did not
-    do its work, so it exits 3 unless a check failed."""
-    code = _finish(result, args)
-    skipped = sum(w.get("status") == "skipped" for w in result.witnesses)
-    if skipped:
-        print(f"skipped {skipped} of {n_targets} targets: more than "
-              f"{_entry_cap(args)} ideals each", file=sys.stderr)
-        return code or 3
-    return code
 
 
 COMMANDS = {

@@ -438,7 +438,7 @@ def verify_classical_layer(
     pivot: int,
     cap: int = DEFAULT_CAP,
 ) -> tuple[Poset, list[CheckResult]]:
-    root_layer = build_layer(family, rank, pivot)
+    root_layer = build_layer(family, rank, pivot, cap)
     poset = root_layer.poset
     name = root_layer.name
     checks = [check_constant_average(
@@ -446,7 +446,7 @@ def verify_classical_layer(
         f"orbit averages constant [{name}]",
     )]
     expr = classical_layer_expr(family, rank, pivot)
-    same = are_isomorphic(poset, build(expr))
+    same = are_isomorphic(poset, build(expr, cap))
     checks.append(
         CheckResult(
             f"layer matches its classical realization [{name}]",

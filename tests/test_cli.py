@@ -32,6 +32,7 @@ from rowmotion.constructions import (
     Prod,
     to_text,
 )
+from rowmotion.homomesy import IDEAL_IDENTITY, Witness
 from rowmotion.verify import CheckResult
 
 JSON_KEYS = {
@@ -424,6 +425,40 @@ def test_capped_sweep_with_a_failed_check_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-delta1", "--cap", "100")
     assert code == 1
     assert "skipped 16 of 20 targets" in err
+
+
+def test_capped_conjectures_with_a_counterexample_exits_1(capsys, monkeypatch):
+    real = cli.check_conjectures
+    witness = Witness(0, "01", "a", "b", 1, 2, IDEAL_IDENTITY)
+
+    def failing(root_layer, cap, name):
+        ideals, antichains = real(root_layer, cap, name)
+        return (ideals._replace(passed=False, witnesses=(witness,)),
+                antichains._replace(passed=False))
+
+    monkeypatch.setattr(cli, "check_conjectures", failing)
+    code, out, err = run(capsys, "conjectures", "--cap", "100",
+                         "--format", "json")
+    assert code == 1
+    found = [w for w in json.loads(out)["witnesses"]
+             if w.get("status") != "skipped"]
+    assert len(found) == 4 and all("entry" in w for w in found)
+    assert err == ("COUNTEREXAMPLE FOUND; see witnesses\n"
+                   "skipped 16 of 20 targets: more than 100 ideals each\n")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("verify-delta1", "[2]X[3]x[5]"), "[2]x[3]x[5]"),
+    (("conjectures", "[2]X[3]x[5]"), "[2]x[3]x[5]"),
+    (("conjectures", "LAYER(a400, 200)"), "layer(A400,200)"),
+])
+def test_a_skipped_target_is_named_canonically(capsys, argv, name):
+    code, out, err = run(capsys, *argv, "--cap", "100", "--format", "json")
+    assert code == 3
+    assert json.loads(out)["witnesses"] == [{
+        "entry": name, "reason": "more than 100 ideals", "status": "skipped",
+    }]
+    assert err == "skipped 1 of 1 targets: more than 100 ideals each\n"
 
 
 def test_uncapped_sweep_skips_nothing(capsys):

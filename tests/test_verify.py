@@ -2,6 +2,7 @@
 named check fails when the map it checks is wrong."""
 
 import re
+import time
 from fractions import Fraction
 from math import comb
 
@@ -12,7 +13,7 @@ import rowmotion.words
 from rowmotion.catalog import classical_layer_expr
 from rowmotion.cli import main
 from rowmotion.constructions import build
-from rowmotion.poset import IdealSet, Poset, ideal_masks
+from rowmotion.poset import CapExceeded, IdealSet, Poset, ideal_masks
 from rowmotion.words import (
     MarkedSequence,
     SizeProfile,
@@ -339,6 +340,14 @@ def test_classical_layer_passes_every_check(family, rank, pivot):
     expected = Fraction(poset.n_elements, poset.max_rank + 1)
     assert checks[0].details.endswith(
         f"every average {expected.numerator}/{expected.denominator}")
+
+
+def test_classical_layer_refuses_a_large_layer_before_building_it():
+    # layer(A200,100) has 10000 elements: both builds stop at the cap
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        verify.verify_classical_layer("A", 200, 100, cap=100)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_average_note_reads_the_default_expectation():

@@ -15,9 +15,13 @@ verify-delta1 and conjectures with and without --cap 100, the cap
 boundaries of chain(6) and of the 4x4 grid, and listings whose ideal counts
 straddle a byte (chain(1), chain(7) and chain(8), with 2, 8 and 9 ideals),
 prod(chain(2),chain(4)) and one long listing, chain(4999) under --cap 5000.
-verify-delta1 also runs on three expressions: the claw
+verify-delta1 also runs on four expressions: the claw
 osum(chain(1),dunion(chain(1),dunion(chain(1),chain(1)))), whose averages
-are not constant (exit 1), the 3x4 grid, and chain(300), one long orbit.
+are not constant (exit 1), the 3x4 grid, chain(300), one long orbit, and
+layer(E6,3), a layer that is no catalog entry and is listed as a poset.
+Both sweeps run on the catalog name "[2]X[3]x[5]" under --cap 100, and
+conjectures on "LAYER(a400, 200)" under --cap 100: each target is skipped
+and named by its canonical spelling.
 conjectures also runs on layer(D5,2), layer(A7,4) and layer(E7,7), and on
 one layer per kind of opposition involution of the Levi diagram that the
 others leave out: layer(D9,2), whose Levi has a D7 component (the fork
@@ -85,7 +89,10 @@ def base_commands() -> list[tuple[str, ...]]:
     commands += [("orbits", "chain(4999)", "--cap", "5000")]
     commands += [("verify-delta1", expr) for expr in (
         "osum(chain(1),dunion(chain(1),dunion(chain(1),chain(1))))",
-        "prod(chain(3),chain(4))", "chain(300)")]
+        "prod(chain(3),chain(4))", "chain(300)", "layer(E6,3)")]
+    commands += [(name, target, "--cap", "100") for name, target in (
+        ("verify-delta1", "[2]X[3]x[5]"), ("conjectures", "[2]X[3]x[5]"),
+        ("conjectures", "LAYER(a400, 200)"))]
     commands += [("conjectures", expr) for expr in (
         "layer(D5,2)", "layer(A7,4)", "layer(E7,7)", "layer(D9,2)",
         "layer(B6,3)", "layer(C5,5)", "layer(G2,1)", "layer(F4,1)")]
