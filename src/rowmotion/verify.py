@@ -142,12 +142,14 @@ def verify_grid(
 ) -> tuple[Poset, tuple[OrbitReport, ...], list[CheckResult]]:
     """Every grid check on [m]x[n].  The codec checks read each ideal, its
     rowmotion iterates and their antichain sizes from the orbit listing;
-    psi runs once per word, for the transport check.  The windows check
-    reads each word's marked sequences once, per orbit: one overlap
-    compare per sequence with the next word's and zigzag on window 1
-    prove that every window rebuilds its iterate (_windows_shift), and an
-    orbit where that fails is checked again window by window, for the
-    names of its failing words and windows (_window_failures)."""
+    psi runs once per word, for the transport check.  Each word's marked
+    sequences are built once, from one split of the word: the profile
+    formula reads the ones sequence, and the windows check reads both, per
+    orbit: one overlap compare per sequence with the next word's and
+    zigzag on window 1 prove that every window rebuilds its iterate
+    (_windows_shift), and an orbit where that fails is checked again
+    window by window, for the names of its failing words and windows
+    (_window_failures)."""
     poset = grid_poset(m, n)
     period = m + n
     checks: list[CheckResult] = []
@@ -195,6 +197,7 @@ def verify_grid(
         # antichain size sit at i + j, for every j up to the period
         reps = 1 + -(-period // r.length)
         later, later_sizes = words * reps, list(sizes) * reps
+        sequences = []
         for i, (mask, w) in enumerate(zip(r.masks, words)):
             n_ideals += 1
             if codec.decode(w) != mask:
@@ -204,7 +207,9 @@ def verify_grid(
             if count_10(w) != sizes[i]:
                 size_fail.append(f"word {w}: {count_10(w)} vs {sizes[i]}")
             ahead = slice(i + 1, i + 1 + period)
-            formula = formula_sizes(w)
+            pair = long_sequences(w)
+            sequences.append(pair)
+            formula = formula_sizes(w, pair[1])
             iterated = later_sizes[ahead]
             if formula != iterated:
                 # zip_longest: a step missing from either list differs too
@@ -217,7 +222,6 @@ def verify_grid(
             # failure names the words that do not return
             if later[i + period] != w:
                 period_fail.append(f"word {w} does not return")
-        sequences = list(map(long_sequences, words))
         if not _windows_shift(sequences, later, rebuilt):
             window_fail += _window_failures(sequences, later, period,
                                             rebuilt)

@@ -21,10 +21,18 @@ IdealSets.
 Every word step and marked sequence reads one decomposition, the block
 form: the pairs (symbol run, zero run after it), a symbol being a one or
 the star.  psi is one run shift on it, psi_bar is that shift followed by
-one star push, and one builder makes the marked zero and ones sequences of
-plain and starred words alike.  The P/Q profile and the K window sizes
-read which own symbols of a marked sequence a dash flanks, with string
-replaces over the whole sequence instead of a scan symbol by symbol.
+one star push.  long_sequences builds both marked sequences of a word from
+one split at its zero runs, and the marked zero sequence of a starred word
+comes from the same split; no regex substitutes.  The P/Q profile is read
+from the marked ones sequence (ones_profile), so a caller that holds the
+sequences, as verify_grid does, splits each word once for both sequences
+and the profile.  The profile and the K window sizes read which symbols of
+a marked sequence a dash flanks, with string replaces over the whole
+sequence instead of a scan symbol by symbol.  Each MarkedSequence finds
+its own-symbol positions once, in its constructor, and keeps them in a
+plain attribute.  The K codec writes a starred word straight from the
+fiber sizes: the star is the last one of the first fiber of size n,
+counted from the last fiber.
 
 Words are plain strings; positions are 1-based in all public descriptions
 (storage is 0-based).
@@ -47,11 +55,18 @@ from .poset import IdealSet, InvalidSubset, Poset
 _ZERO_RUNS = re.compile("(0+)")
 
 
+def _split(word: str) -> list[str]:
+    """A word cut at its zero runs: symbol runs at the even places, the
+    first and the last possibly empty, and the zero runs between them at
+    the odd places."""
+    return _ZERO_RUNS.split(word)
+
+
 def _blocks(word: str) -> tuple[list[str], list[int]]:
     """The block form: pairs (symbol run j, length of the zero run after
     it), as two parallel lists.  A symbol is a one or the star; the first
     symbol run may be empty and the last zero run may have length 0."""
-    parts = _ZERO_RUNS.split(word)
+    parts = _split(word)
     runs = parts[0::2]
     zeros = [len(z) for z in parts[1::2]]
     if runs[-1] or not zeros:
@@ -140,12 +155,8 @@ def _fiber_word(values: list[int], n_cols: int) -> str:
     """Word of a weakly decreasing fiber profile values[0] >= ... >= values[-1]
     over n_cols columns: ones for the last fiber, a zero, ones for the gap to
     the next fiber, and so on."""
-    parts = []
-    prev = 0
-    for v in reversed(values):
-        parts.append("1" * (v - prev) + "0")
-        prev = v
-    return "".join(parts) + "1" * (n_cols - prev)
+    up = values[::-1]
+    return "0".join(["1" * gap for gap in map(sub, up + [n_cols], [0] + up)])
 
 
 def _fiber_values_from_word(word: str, m: int, n_cols: int) -> list[int]:
@@ -251,21 +262,31 @@ class SizeProfile(NamedTuple):
         return self.q_values[i - 1]
 
 
-def size_profile(word: str) -> SizeProfile:
+def ones_profile(ones: MarkedSequence) -> SizeProfile:
     """The P/Q profile of a word, read from the dashes of its marked ones
-    sequence: counting the ones from the right end of the display, step i
-    loses one when the i-th one is followed by a dash and gains one when
-    the (n+i)-th is."""
-    m, n = _binary_counts(word)
-    dash = _flanks(_marked(word, "1"), "1-")[::-1]
+    sequence, which holds m+2n ones for n, its width: counting the ones
+    from the right end of the display, step i loses one when the i-th one
+    is followed by a dash and gains one when the (n+i)-th is."""
+    n = ones.width
+    dash = _flanks(ones.symbols, "1-")[::-1]
+    m = len(dash) - 2 * n
     return SizeProfile(m, n, tuple(dash[n : n + m + n]),
                        tuple(map(neg, dash[: m + n])))
 
 
-def formula_sizes(word: str) -> list[int]:
-    """Antichain sizes of the first m+n iterates of a word, from its P/Q
-    profile."""
-    profile = size_profile(word)
+def size_profile(word: str) -> SizeProfile:
+    """The P/Q profile of a word (ones_profile of its ones sequence)."""
+    return ones_profile(long_sequences(word)[1])
+
+
+def formula_sizes(word: str,
+                  ones: MarkedSequence | None = None) -> list[int]:
+    """Antichain sizes of the first m+n iterates of a word, from the P/Q
+    profile of its marked ones sequence, which a caller that already holds
+    it passes as ones."""
+    if ones is None:
+        ones = long_sequences(word)[1]
+    profile = ones_profile(ones)
     steps = map(add, profile.p_values, profile.q_values)
     return list(accumulate(steps, initial=count_10(word)))[1:]
 
@@ -288,6 +309,10 @@ class MarkedSequence(Record):
     the display left; kind '1' numbers them from the display right.  A window
     includes the flanking '-' on either side when present and is returned in
     display order.
+
+    positions, the own-symbol positions in window order, is a plain
+    attribute set once by the constructor, from one byte translation of
+    the display that marks each own symbol.
     """
 
     _fields = ("symbols", "kind", "width")
@@ -296,15 +321,9 @@ class MarkedSequence(Record):
         self.symbols = symbols
         self.kind = kind
         self.width = width
-
-    @cached_property
-    def positions(self) -> list[int]:
-        """Own-symbol positions in window order, computed once, from one
-        byte translation of the display that marks each own symbol."""
-        symbols = self.symbols
         own = list(compress(range(len(symbols)),
-                            symbols.encode().translate(_OWN[self.kind])))
-        return own[::-1] if self.kind == "1" else own
+                            symbols.encode().translate(_OWN[kind])))
+        self.positions = own[::-1] if kind == "1" else own
 
     @cached_property
     def windows(self) -> tuple[str, ...]:
@@ -332,33 +351,54 @@ class MarkedSequence(Record):
         return symbols[lo : hi + 1]
 
 
-_OTHER_RUNS = {"0": re.compile("[^0]+"), "1": re.compile("[^1]+")}
 # byte tables that map an own symbol to 1 and every other byte to 0
 _OWN = {own: bytes(b == ord(own) for b in range(256)) for own in "01"}
+# and the one that keeps the flag byte 1 of _flanks and clears every other
+_FLAGGED = bytes(b == 1 for b in range(256))
+
+# The marked sequence of a word in its own symbol is the word with every
+# run of other symbols dashed out, then every such run in reverse order
+# contributing own symbols joined by dashes, one per symbol of the run and
+# one fewer for the run that holds the star, then the dashed word again.
+# Both builders read the word's split at its zero runs (parts) and the
+# reversed word (back).  A dashed word is a join of the own runs over
+# single dashes, with a dash at an end where the word ends in other
+# symbols.  The middle is the reversed word with a dash put between
+# any two neighbouring other symbols (two passes of a non-overlapping
+# replace reach every pair), the own symbols dropped and the other ones
+# renamed: the runs come out in reverse order, each dashed within and
+# joined to the next with no dash.  The star ends its run, so it comes
+# first in the reversed run; it is dropped, with the dash that would join
+# it to the next symbol of the run kept as the run's first character.
 
 
-def _marked(word: str, own: str) -> str:
-    """The marked sequence of a word in its own symbol: the word with every
-    run of other symbols dashed out, then every such run in reverse order
-    contributing own symbols joined by dashes, one per symbol of the run
-    and one fewer for the run that holds the star, then the dashed word
-    again."""
-    other = _OTHER_RUNS[own]
-    dashed = other.sub("-", word)
-    pair = "-" + own
-    middle = "".join([(pair * len(run))[1 + ("*" in run):]
-                      for run in reversed(other.findall(word))])
+def _zero_form(parts: list[str], back: str) -> str:
+    """The marked zero sequence of a plain or starred word."""
+    runs, zeros = parts[0::2], parts[1::2]
+    dashed = ("-" * bool(runs[0]) + "-".join(zeros)
+              + "-" * bool(zeros and runs[-1]))
+    middle = (back.replace("*1", "-1").replace("*", "")
+              .replace("11", "1-1").replace("11", "1-1")
+              .replace("0", "").replace("1", "0"))
+    return dashed + middle + dashed
+
+
+def _ones_form(parts: list[str], back: str) -> str:
+    """The marked ones sequence of a plain word."""
+    dashed = "-".join(parts[0::2])
+    middle = (back.replace("00", "0-0").replace("00", "0-0")
+              .replace("1", "").replace("0", "1"))
     return dashed + middle + dashed
 
 
 def _flanks(display: str, pair: str) -> bytes:
-    """One byte per own symbol of a marked sequence, in display order: 1
-    where the dash of `pair` flanks it ("1-": a dash right after the one,
-    "-0": a dash right before the zero), else 0.  Each own symbol sits in
-    at most one such pair, so one replace finds them all."""
-    own = pair.strip("-")
-    return (display.replace(pair, "\1").replace("-", "")
-            .replace(own, "\0").encode())
+    """One byte per symbol (any letter but the dash) of a marked sequence,
+    in display order: 1 where the dash of `pair` flanks it ("1-": a dash
+    right after the one, "-0": a dash right before the zero), else 0.  Each
+    own symbol sits in at most one such pair, so one replace finds them
+    all; the flags then read only where the dashes stand."""
+    return (display.replace(pair, "\1").replace("-", "").encode()
+            .translate(_FLAGGED))
 
 
 def long_sequences(word: str) -> tuple[MarkedSequence, MarkedSequence]:
@@ -368,11 +408,13 @@ def long_sequences(word: str) -> tuple[MarkedSequence, MarkedSequence]:
     reverse order contributing "0-0-...-0" with as many zeros as the run had
     ones, then the dashed word again; 2m+n zeros in total.  The ones form is
     built the same way with the roles swapped; m+2n ones, read right to left.
+    Both are built from one split of the word.
     """
     m, n = _binary_counts(word)
+    parts, back = _split(word), word[::-1]
     return (
-        MarkedSequence(_marked(word, "0"), "0", m),
-        MarkedSequence(_marked(word, "1"), "1", n),
+        MarkedSequence(_zero_form(parts, back), "0", m),
+        MarkedSequence(_ones_form(parts, back), "1", n),
     )
 
 
@@ -424,7 +466,12 @@ class KCodec(FiberCodec):
         n = self.n
         sizes = self.sizes(mask)
         if n in sizes:
-            return False, plain_to_starred(_fiber_word(sizes, 2 * n))
+            # the star is the n-th one, the last one of the first fiber of
+            # size n counted from the last fiber, so a zero follows it; the
+            # fibers before that one are those of size below n
+            word = _fiber_word(sizes, 2 * n)
+            star = n - 1 + sizes[::-1].index(n)
+            return False, word[:star] + "*" + word[star + 1:]
         return True, _fiber_word([s - (s > n) for s in sizes], 2 * n - 1)
 
     def encode_fullrank(self, mask: int) -> str:
@@ -624,7 +671,7 @@ def long_zero_sequence_K(sword: str) -> MarkedSequence:
     "-0" occurrences to give antichain sizes along the orbit.
     """
     m, _ = validate_starred(sword)
-    return MarkedSequence(_marked(sword, "0"), "0", m)
+    return MarkedSequence(_zero_form(_split(sword), sword[::-1]), "0", m)
 
 
 def window_sizes_K(sword: str) -> list[int]:
@@ -633,5 +680,6 @@ def window_sizes_K(sword: str) -> list[int]:
     start a zero run behind a dash, so one prefix sum over those zeros
     gives every window."""
     m, _ = validate_starred(sword)
-    counts = list(accumulate(_flanks(_marked(sword, "0"), "-0"), initial=0))
+    zeros = _zero_form(_split(sword), sword[::-1])
+    counts = list(accumulate(_flanks(zeros, "-0"), initial=0))
     return list(map(sub, counts[m + 1:], counts[1:]))

@@ -67,9 +67,11 @@ def _sorted_word(word):
     return "".join(sorted(word))
 
 
-def _flat_profile(word):
-    # a profile that never gains or loses: every iterate keeps w's size
-    m, n = word.count("0"), word.count("1")
+def _flat_profile(ones):
+    # a profile that never gains or loses: every iterate keeps w's size;
+    # the marked ones sequence of w holds m+2n ones, n being its width
+    n = ones.width
+    m = len(ones.positions) - 2 * n
     return SizeProfile(m, n, (0,) * (m + n), (0,) * (m + n))
 
 
@@ -88,7 +90,7 @@ def _flat_profile(word):
     ("window_sizes_K", lambda sword: [0], "verify_k_product", (3, 2), {
         "marked-sequence windows give iterate sizes",
     }),
-    ("size_profile", _flat_profile, "verify_grid", (3, 4), {
+    ("ones_profile", _flat_profile, "verify_grid", (3, 4), {
         "profile formula matches iterated sizes",
         "size total over one period is mn",
     }),
@@ -98,8 +100,8 @@ def _flat_profile(word):
 ])
 def test_a_wrong_word_map_fails_its_checks(monkeypatch, capsys, name, wrong,
                                            suite, args, names):
-    # the suites read size_profile through words.formula_sizes
-    owner = rowmotion.words if name == "size_profile" else verify
+    # the suites read ones_profile through words.formula_sizes
+    owner = rowmotion.words if name == "ones_profile" else verify
     monkeypatch.setattr(owner, name, wrong)
     _, _, checks = getattr(verify, suite)(*args)
     assert _failed(checks) == names
@@ -113,14 +115,14 @@ def test_a_wrong_word_map_fails_its_checks(monkeypatch, capsys, name, wrong,
 
 def test_a_profile_wrong_at_the_last_step_names_that_step(monkeypatch):
     # the formula check compares every step of the period, the last too
-    real = rowmotion.words.size_profile
+    real = rowmotion.words.ones_profile
 
     def late(word):
         prof = real(word)
         p_values = prof.p_values[:-1] + (1 - prof.p_values[-1],)
         return SizeProfile(prof.m, prof.n, p_values, prof.q_values)
 
-    monkeypatch.setattr(rowmotion.words, "size_profile", late)
+    monkeypatch.setattr(rowmotion.words, "ones_profile", late)
     _, _, checks = verify.verify_grid(3, 4)
     (check,) = [c for c in checks
                 if c.name == "profile formula matches iterated sizes"]
@@ -130,14 +132,14 @@ def test_a_profile_wrong_at_the_last_step_names_that_step(monkeypatch):
 
 def test_a_profile_one_step_short_names_the_missing_step(monkeypatch):
     # a formula list shorter than the period must not pass through zip
-    real = rowmotion.words.size_profile
+    real = rowmotion.words.ones_profile
 
     def short(word):
         prof = real(word)
         return SizeProfile(prof.m, prof.n, prof.p_values[:-1],
                            prof.q_values[:-1])
 
-    monkeypatch.setattr(rowmotion.words, "size_profile", short)
+    monkeypatch.setattr(rowmotion.words, "ones_profile", short)
     _, _, checks = verify.verify_grid(3, 4)
     (check,) = [c for c in checks
                 if c.name == "profile formula matches iterated sizes"]
@@ -224,6 +226,33 @@ def test_suites_step_each_word_once_for_the_transport(monkeypatch):
         "psi": ideals["full-rank codec transports the dynamics"],
         "psi_bar": ideals["starred codec transports the dynamics"],
     }
+
+
+def test_grid_builds_each_words_marked_sequences_once(monkeypatch):
+    # one split of each word gives both its marked sequences, and the
+    # profile formula reads the ones sequence the windows check reads;
+    # psi's transport step splits each word once more
+    built, split = [], []
+    init = MarkedSequence.__init__
+    real_split = rowmotion.words._split
+
+    def counted_init(self, symbols, kind, width):
+        built.append(kind)
+        init(self, symbols, kind, width)
+
+    def counted_split(word):
+        split.append(word)
+        return real_split(word)
+
+    monkeypatch.setattr(MarkedSequence, "__init__", counted_init)
+    monkeypatch.setattr(rowmotion.words, "_split", counted_split)
+    _, reports, checks = verify.verify_grid(4, 4)
+    assert not _failed(checks)
+    assert sorted(built) == ["0"] * comb(8, 4) + ["1"] * comb(8, 4)
+    codec = rowmotion.words.grid_codec(reports[0].poset)
+    words = [codec.encode(mask) for r in reports for mask in r.masks]
+    assert sorted(split) == sorted(words * 2)
+    assert len(set(words)) == comb(8, 4)
 
 
 def test_grid_rebuilds_each_window_pair_once(monkeypatch):

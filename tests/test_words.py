@@ -5,6 +5,7 @@ checked against the generic operator before being pinned, so a failure
 means the implementation drifted, not the data.
 """
 
+import functools
 import itertools
 import random
 import re
@@ -19,6 +20,7 @@ from rowmotion.poset import (
     rowmotion_ideal,
 )
 from rowmotion.words import (
+    MarkedSequence,
     count_10,
     decode_K_fullrank,
     decode_K_starred,
@@ -262,6 +264,17 @@ def test_windows_out_of_range_raise(kind, none):
             empty.window(i)
 
 
+def test_positions_are_a_plain_attribute():
+    # set once by the constructor, not a cached_property, whose first read
+    # takes a lock under Python 3.11
+    assert not isinstance(vars(MarkedSequence).get("positions"),
+                          functools.cached_property)
+    for seq in long_sequences(W) + (long_zero_sequence_K("01*011"),):
+        assert "positions" in vars(seq)
+        assert seq.positions is seq.positions
+        assert seq.positions == word_oracles.own_positions(seq)
+
+
 def _sliced_windows(seq):
     if not seq.width:
         return ()
@@ -486,27 +499,29 @@ def test_grid_codec_agrees_with_the_key_oracle():
 
 
 def test_k_codecs_agree_with_the_key_oracle():
-    for m in range(1, 5):
-        for n in range(1, 5):
-            for ideal in enumerate_ideals(k_product_poset(m, n)):
-                full = word_oracles.k_is_full_rank(ideal)
-                assert is_full_rank(ideal) == full, (m, n, ideal.mask)
-                assert dual_ideal(ideal) == word_oracles.k_dual(ideal)
-                if full:
-                    w = word_oracles.k_word_fullrank(ideal)
-                    assert encode_K_fullrank(ideal) == w, (m, n, w)
-                    assert decode_K_fullrank(w, m, n) == ideal, (m, n, w)
-                    assert word_oracles.k_ideal_fullrank(w, m, n) == ideal
-                    with pytest.raises(InvalidSubset):
-                        encode_K_starred(ideal)
-                else:
-                    sw = word_oracles.k_word_starred(ideal)
-                    assert encode_K_starred(ideal) == sw, (m, n, sw)
-                    assert decode_K_starred(sw, m, n) == (
-                        word_oracles.k_ideal_starred(sw, m, n)
-                    ), (m, n, sw)
-                    with pytest.raises(InvalidSubset):
-                        encode_K_fullrank(ideal)
+    # every shape up to 4x4, and wider K shapes for the starred writer
+    shapes = [*itertools.product(range(1, 5), repeat=2),
+              (1, 5), (2, 5), (1, 6)]
+    for m, n in shapes:
+        for ideal in enumerate_ideals(k_product_poset(m, n)):
+            full = word_oracles.k_is_full_rank(ideal)
+            assert is_full_rank(ideal) == full, (m, n, ideal.mask)
+            assert dual_ideal(ideal) == word_oracles.k_dual(ideal)
+            if full:
+                w = word_oracles.k_word_fullrank(ideal)
+                assert encode_K_fullrank(ideal) == w, (m, n, w)
+                assert decode_K_fullrank(w, m, n) == ideal, (m, n, w)
+                assert word_oracles.k_ideal_fullrank(w, m, n) == ideal
+                with pytest.raises(InvalidSubset):
+                    encode_K_starred(ideal)
+            else:
+                sw = word_oracles.k_word_starred(ideal)
+                assert encode_K_starred(ideal) == sw, (m, n, sw)
+                assert decode_K_starred(sw, m, n) == (
+                    word_oracles.k_ideal_starred(sw, m, n)
+                ), (m, n, sw)
+                with pytest.raises(InvalidSubset):
+                    encode_K_fullrank(ideal)
 
 
 @pytest.mark.parametrize("decode,word,m,n", [

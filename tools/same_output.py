@@ -10,7 +10,10 @@ printed, then one summary line; the exit code is 1 if any command differs
 and 0 otherwise.
 
 The command set is every argv of perfbench/expected.json (read, never
-written), verify-grid m n for m+n <= 10, verify-k m n for m <= 6 and n <= 4,
+written), verify-grid m n for m+n <= 10, verify-k m n for m <= 6 and n <= 4
+and on the wider shapes 1 5, 2 5 and 1 6, encode of one starred ideal of
+prod(chain(3),K(4)) (fiber sizes 8, 5 and 3) and step-word on its word
+11101*0111011 for 12 steps, one period,
 verify-delta1 and conjectures with and without --cap 100, the cap
 boundaries of chain(6) and of the 4x4 grid, and listings whose ideal counts
 straddle a byte (chain(1), chain(7) and chain(8), with 2, 8 and 9 ideals),
@@ -79,6 +82,11 @@ def base_commands() -> list[tuple[str, ...]]:
                  for m in range(1, 10) for n in range(1, 11 - m)]
     commands += [("verify-k", str(m), str(n))
                  for m in range(1, 7) for n in range(1, 5)]
+    commands += [("verify-k", "1", "5"), ("verify-k", "2", "5"),
+                 ("verify-k", "1", "6")]
+    commands += [("encode", "prod(chain(3),K(4))", "--seed-ideal",
+                  "111111111111110101000000000000"),
+                 ("step-word", "11101*0111011", "--steps", "12")]
     for name in ("verify-delta1", "conjectures"):
         commands += [(name,), (name, "--cap", "100")]
     for expr, caps in (("chain(6)", (6, 7)),
