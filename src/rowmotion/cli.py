@@ -54,7 +54,6 @@ from .words import (
     k_codec,
     psi_bar_iterates,
     psi_iterates,
-    validate_starred,
 )
 
 UNBUDGETED_CAP = 20000
@@ -557,19 +556,15 @@ def _cmd_encode(args) -> int:
     result = _poset_result("encode", to_text(expr), poset)
     mask = _parse_seed(poset, args.seed_ideal)
     try:
-        word = grid_codec(poset).encode(mask)
+        codec = grid_codec(poset)
     except InvalidSubset:
         try:
             codec = k_codec(poset)
         except InvalidSubset:
             raise ValueError(
                 "no codec applies to this poset and ideal") from None
-        if codec.full_rank(mask):
-            word = codec.encode_fullrank(mask)
-        else:
-            word = codec.encode_starred(mask)
     result.checks = [
-        {"name": "encode", "passed": True, "details": word}
+        {"name": "encode", "passed": True, "details": codec.encode(mask)}
     ]
     return _finish(result, args)
 
@@ -580,12 +575,12 @@ def _cmd_step_word(args) -> int:
     cap = _entry_cap(args)
     if args.steps > cap:
         raise CapExceeded(f"more than {cap} steps")
+    if not word:
+        raise ValueError(f"not a binary word: {word!r}")
+    # psi_bar and psi refuse a malformed word, and --steps is positive
     if "*" in word:
-        validate_starred(word)
         steps = psi_bar_iterates(word, args.steps)
     else:
-        if set(word) - {"0", "1"} or not word:
-            raise ValueError(f"not a binary word: {word!r}")
         steps = psi_iterates(word, args.steps)
     details = " ".join(f"{i}:{w}" for i, w in enumerate(steps, start=1))
     result.checks = [

@@ -222,10 +222,6 @@ class _MemberSet(Record):
     def members(self) -> tuple[int, ...]:
         return tuple(bits_of(self.mask))
 
-    @property
-    def member_labels(self) -> tuple[str, ...]:
-        return tuple(self.poset.labels[i] for i in self.members)
-
     def __len__(self):
         return self.mask.bit_count()
 

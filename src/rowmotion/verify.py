@@ -73,16 +73,9 @@ def check_constant_average(
     return _result(label, failures, note)
 
 
-def _rebuild(pair: tuple[str, str], rebuilt: dict) -> str:
-    if pair not in rebuilt:
-        rebuilt[pair] = zigzag(*pair)
-    return rebuilt[pair]
-
-
 def _windows_shift(
     sequences: list[tuple[MarkedSequence, MarkedSequence]],
     later: list[str],
-    rebuilt: dict,
 ) -> bool:
     """Whether the windows of one orbit rebuild every iterate, proved from
     one window pair and one overlap compare per word.
@@ -112,7 +105,7 @@ def _windows_shift(
                  for zeros, ones in sequences]
     except ValueError:
         return False
-    return all(_rebuild(pair, rebuilt) == want
+    return all(zigzag(*pair) == want
                for pair, want in zip(pairs, later[1:]))
 
 
@@ -120,16 +113,20 @@ def _window_failures(
     sequences: list[tuple[MarkedSequence, MarkedSequence]],
     later: list[str],
     period: int,
-    rebuilt: dict,
 ) -> list[str]:
     """The words of one orbit whose windows fail to rebuild an iterate,
-    window by window: each word names its first failing window."""
+    window by window: each word names its first failing window.  Words of
+    one orbit share window pairs, and a pair met again is not rebuilt."""
     failures = []
+    # window pair -> the word zigzag rebuilds from it
+    rebuilt: dict[tuple[str, str], str] = {}
     for i, (zeros, ones) in enumerate(sequences):
         pairs = zip(zeros.windows, ones.windows)
         for j, (pair, want) in enumerate(
                 zip(pairs, later[i + 1 : i + 1 + period]), 1):
-            if _rebuild(pair, rebuilt) != want:
+            if pair not in rebuilt:
+                rebuilt[pair] = zigzag(*pair)
+            if rebuilt[pair] != want:
                 failures.append(f"word {later[i]} window {j}")
                 break
     return failures
@@ -186,8 +183,6 @@ def verify_grid(
     formula_fail: list[str] = []
     period_fail: list[str] = []
     window_fail: list[str] = []
-    # window pair -> the word zigzag rebuilds from it
-    rebuilt: dict[tuple[str, str], str] = {}
     n_ideals = 0
     codec = grid_codec(poset)
     for r in reports:
@@ -222,9 +217,8 @@ def verify_grid(
             # failure names the words that do not return
             if later[i + period] != w:
                 period_fail.append(f"word {w} does not return")
-        if not _windows_shift(sequences, later, rebuilt):
-            window_fail += _window_failures(sequences, later, period,
-                                            rebuilt)
+        if not _windows_shift(sequences, later):
+            window_fail += _window_failures(sequences, later, period)
     checks.append(_result("codec round-trips", rt_fail, f"{n_ideals} ideals"))
     checks.append(
         _result("codec transports the dynamics", eq_fail, f"{n_ideals} ideals")
@@ -273,7 +267,9 @@ def verify_k_product(
     """Every check on [m]xK(n-1), in one pass over the orbit listing: each
     ideal's iterates, antichain sizes and rowmotion image are read from the
     listing, and psi_bar runs once per starred ideal, for the transport
-    check."""
+    check.  Each ideal's word and its class come from one codec.encode,
+    and the per-class average checks read the failures of the one
+    constant-average report."""
     poset = k_product_poset(m, n)
     period = m + 2 * n - 1
     expected = Fraction(2 * m * n, period)
@@ -303,20 +299,22 @@ def verify_k_product(
     n_full = 0
     n_star = 0
     seen_words: set[str] = set()
+    failing = dict(average.failures)
     for k, r in enumerate(reports):
-        full, words = zip(*map(codec._word, r.masks))
+        words = list(map(codec.encode, r.masks))
+        full = ["*" not in w for w in words]
         if len(set(full)) != 1:
             class_fail.append(f"orbit {k} mixes classes")
         else:
             n_orbits[full[0]] += 1
-            if r.average_size != expected:
+            if k in failing:
                 average_fail[full[0]].append(
-                    f"orbit {k} averages {_fraction_str(r.average_size)}")
+                    f"orbit {k} averages {_fraction_str(failing[k])}")
         for i, (mask, w) in enumerate(zip(r.masks, words)):
             image = (i + 1) % r.length
             if full[i]:
                 n_full += 1
-                if codec.decode_fullrank(w) != mask:
+                if codec.decode(w) != mask:
                     full_rt.append(f"word {w}")
                 if words[image] != psi(w):
                     full_eq.append(f"word {w}")
@@ -327,9 +325,9 @@ def verify_k_product(
                 continue
             n_star += 1
             mate = codec.dual(mask)
-            if codec._word(mate) != (False, w):
+            if codec.encode(mate) != w:
                 star_dual_inv.append(f"word {w}")
-            if codec.decode_starred(w) not in (mask, mate):
+            if codec.decode(w) not in (mask, mate):
                 star_rt.append(f"word {w}")
             if words[image] != psi_bar(w):
                 star_eq.append(f"word {w}")

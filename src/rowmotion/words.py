@@ -30,9 +30,11 @@ and the profile.  The profile and the K window sizes read which symbols of
 a marked sequence a dash flanks, with string replaces over the whole
 sequence instead of a scan symbol by symbol.  Each MarkedSequence finds
 its own-symbol positions once, in its constructor, and keeps them in a
-plain attribute.  The K codec writes a starred word straight from the
-fiber sizes: the star is the last one of the first fiber of size n,
-counted from the last fiber.
+plain attribute.  The K codec has the grid codec's one encode/decode
+pair: encode picks the word form from one read of the fiber sizes and
+writes a starred word straight from them (the star is the last one of the
+first fiber of size n, counted from the last fiber), and decode picks the
+form by the star.
 
 Words are plain strings; positions are 1-based in all public descriptions
 (storage is 0-based).
@@ -164,14 +166,8 @@ def _fiber_values_from_word(word: str, m: int, n_cols: int) -> list[int]:
         raise ValueError(
             f"expected {m} zeros and {n_cols} ones, got {word!r}"
         )
-    values = []
-    ones = 0
-    for ch in word:
-        if ch == "1":
-            ones += 1
-        else:
-            values.append(ones)
-    return values[::-1]
+    # the ones before each zero: the runs between zeros, summed up
+    return list(accumulate(map(len, word.split("0")[:-1])))[::-1]
 
 
 class FiberCodec:
@@ -250,16 +246,6 @@ class SizeProfile(NamedTuple):
     n: int
     p_values: tuple[int, ...]
     q_values: tuple[int, ...]
-
-    def p(self, i: int) -> int:
-        if not 1 <= i <= self.m + self.n:
-            raise ValueError(f"index {i} outside 1..{self.m + self.n}")
-        return self.p_values[i - 1]
-
-    def q(self, i: int) -> int:
-        if not 1 <= i <= self.m + self.n:
-            raise ValueError(f"index {i} outside 1..{self.m + self.n}")
-        return self.q_values[i - 1]
 
 
 def ones_profile(ones: MarkedSequence) -> SizeProfile:
@@ -457,12 +443,9 @@ class KCodec(FiberCodec):
     Any other ideal gets the starred word of its fiber sizes over 2n columns,
     which is blind to which middle each fiber holds."""
 
-    def full_rank(self, mask: int) -> bool:
-        return self.n not in self.sizes(mask)
-
-    def _word(self, mask: int) -> tuple[bool, str]:
-        """Whether an ideal is full rank, and its word in the codec that
-        fits it, from one read of its fiber sizes."""
+    def encode(self, mask: int) -> str:
+        """The starred word of an ideal with a fiber of size n, else its
+        full-rank word, from one read of its fiber sizes."""
         n = self.n
         sizes = self.sizes(mask)
         if n in sizes:
@@ -471,34 +454,18 @@ class KCodec(FiberCodec):
             # fibers before that one are those of size below n
             word = _fiber_word(sizes, 2 * n)
             star = n - 1 + sizes[::-1].index(n)
-            return False, word[:star] + "*" + word[star + 1:]
-        return True, _fiber_word([s - (s > n) for s in sizes], 2 * n - 1)
+            return word[:star] + "*" + word[star + 1:]
+        return _fiber_word([s - (s > n) for s in sizes], 2 * n - 1)
 
-    def encode_fullrank(self, mask: int) -> str:
-        full, word = self._word(mask)
-        if not full:
-            raise InvalidSubset("ideal is not full rank")
-        return word
-
-    def decode_fullrank(self, word: str) -> int:
+    def decode(self, word: str) -> int:
+        """The ideal of a word this codec made: for a starred word, the
+        representative of its class whose fibers hold the unprimed middle;
+        for a full-rank word, the ideal of its fiber levels."""
+        if "*" in word:
+            return super().decode(word.replace("*", "1"))
         n = self.n
         levels = _fiber_values_from_word(word, self.m, 2 * n - 1)
         return self.mask_of(v + (v >= n) for v in levels)
-
-    def encode_starred(self, mask: int) -> str:
-        full, word = self._word(mask)
-        if full:
-            raise InvalidSubset("ideal is full rank")
-        return word
-
-    def decode_starred(self, sword: str) -> int:
-        """The representative of the class whose fibers hold the unprimed
-        middle."""
-        wm, wn = validate_starred(sword)
-        if (wm, wn) != (self.m, self.n):
-            raise ValueError(f"word shape is (m={wm}, n={wn}), "
-                             f"expected ({self.m}, {self.n})")
-        return self.decode(sword.replace("*", "1"))
 
     def dual(self, mask: int) -> int:
         """Swap the two middles in every fiber that holds one of them."""
@@ -528,17 +495,22 @@ def k_codec(poset: Poset) -> KCodec:
 
 def is_full_rank(ideal: IdealSet) -> bool:
     """Whether every fiber of a chain-times-K ideal is a rank ideal."""
-    return k_codec(ideal.poset).full_rank(ideal.mask)
+    return "*" not in k_codec(ideal.poset).encode(ideal.mask)
 
 
 def encode_K_fullrank(ideal: IdealSet) -> str:
     """Word in B(m, 2n-1) of a full-rank ideal, by fiber levels."""
-    return k_codec(ideal.poset).encode_fullrank(ideal.mask)
+    word = k_codec(ideal.poset).encode(ideal.mask)
+    if "*" in word:
+        raise InvalidSubset("ideal is not full rank")
+    return word
 
 
 def decode_K_fullrank(word: str, m: int, n: int) -> IdealSet:
     codec = k_codec(k_product_poset(m, n))
-    return IdealSet(codec.poset, codec.decode_fullrank(word))
+    if "*" in word:  # the codec would read it as a starred word
+        raise ValueError(f"not a binary word: {word!r}")
+    return IdealSet(codec.poset, codec.decode(word))
 
 
 def epsilon_n(word: str) -> int:
@@ -598,13 +570,20 @@ def plain_to_starred(word: str) -> str:
 
 def encode_K_starred(ideal: IdealSet) -> str:
     """Starred word of a non-full-rank ideal; polarity is quotiented away."""
-    return k_codec(ideal.poset).encode_starred(ideal.mask)
+    word = k_codec(ideal.poset).encode(ideal.mask)
+    if "*" not in word:
+        raise InvalidSubset("ideal is full rank")
+    return word
 
 
 def decode_K_starred(sword: str, m: int, n: int) -> IdealSet:
     """Canonical representative of the encoded class: the unprimed middle."""
     codec = k_codec(k_product_poset(m, n))
-    return IdealSet(codec.poset, codec.decode_starred(sword))
+    wm, wn = validate_starred(sword)
+    if (wm, wn) != (codec.m, codec.n):
+        raise ValueError(f"word shape is (m={wm}, n={wn}), "
+                         f"expected ({codec.m}, {codec.n})")
+    return IdealSet(codec.poset, codec.decode(sword))
 
 
 def dual_ideal(ideal: IdealSet) -> IdealSet:

@@ -259,6 +259,24 @@ def test_step_word_rejects_garbage(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("word,message", [
+    ("", "not a binary word: ''"),
+    ("012", "not a binary word: '012'"),
+    ("01*x1", "not a starred word: '01*x1'"),
+    ("1**0", "expected exactly one star"),
+    ("1*01", "expected an odd number of ones"),
+    ("11*01", "expected 1 ones before the star"),
+    ("1*101", "star must be immediately followed by 0"),
+])
+def test_step_word_refuses_a_malformed_word_by_name(capsys, word, message):
+    # the word steps refuse what they cannot read; step-word refuses only
+    # the empty word itself
+    code, out, err = run(capsys, "step-word", word)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_step_word_charges_its_steps_to_the_cap(capsys):
     code, out, err = run(capsys, "step-word", "0011", "--steps", "20001")
     assert code == 3

@@ -176,9 +176,8 @@ def test_a_wrong_middle_swap_fails_the_commute_check_alone(monkeypatch, role):
     codec = rowmotion.words.k_codec(poset)
     # x decodes to itself, so a spoiled mate keeps the round trip
     r = next(r for r in reports if r.length > 1
-             and not codec.full_rank(r.masks[0])
-             and codec.decode_starred(codec.encode_starred(r.masks[0]))
-             == r.masks[0])
+             and "*" in codec.encode(r.masks[0])
+             and codec.decode(codec.encode(r.masks[0])) == r.masks[0])
     if role == "image":
         target, spoil = r.masks[1], 1
     else:
@@ -226,6 +225,81 @@ def test_suites_step_each_word_once_for_the_transport(monkeypatch):
         "psi": ideals["full-rank codec transports the dynamics"],
         "psi_bar": ideals["starred codec transports the dynamics"],
     }
+
+
+@pytest.mark.parametrize("starred", [False, True])
+def test_a_failing_orbit_average_is_named_in_its_class(monkeypatch, starred):
+    # the class average checks read the failures of the one average report
+    poset, reports, _ = verify.verify_k_product(3, 2)
+    codec = rowmotion.words.k_codec(poset)
+    k = next(k for k, r in enumerate(reports)
+             if ("*" in codec.encode(r.masks[0])) == starred)
+    real = verify.verify_constant_average
+
+    def wrong(poset, expected, cap):
+        return real(poset, expected, cap)._replace(
+            passed=False, failures=((k, Fraction(0)),),
+            failure_lengths=(reports[k].length,))
+
+    monkeypatch.setattr(verify, "verify_constant_average", wrong)
+    _, _, checks = verify.verify_k_product(3, 2)
+    label = "starred orbit averages" if starred else "full-rank orbit averages"
+    assert _failed(checks) == {"orbit averages equal 2mn/(m+2n-1)", label}
+    (check,) = [c for c in checks if c.name == label]
+    assert check.details == f"orbit {k} averages 0/1"
+
+
+@pytest.mark.parametrize("starred,name", [
+    (False, "full-rank codec round-trips"),
+    (True, "starred codec round-trips to the class"),
+])
+def test_a_wrong_k_decode_fails_its_round_trip_alone(monkeypatch, starred,
+                                                    name):
+    real = rowmotion.words.KCodec.decode
+
+    def wrong(self, word):
+        mask = real(self, word)
+        return mask ^ 1 if ("*" in word) == starred else mask
+
+    monkeypatch.setattr(rowmotion.words.KCodec, "decode", wrong)
+    _, _, checks = verify.verify_k_product(3, 2)
+    assert _failed(checks) == {name}
+
+
+def test_a_middle_swap_one_step_ahead_fails_the_class_checks(monkeypatch):
+    # the swap followed by one rowmotion step still commutes with the
+    # dynamics, but it moves the starred word along its orbit, and it
+    # takes an ideal that holds the primed middle out of its class
+    real = rowmotion.words.KCodec.dual
+
+    def ahead(self, mask):
+        return self.poset.rowmotion_ideal_mask(real(self, mask))
+
+    monkeypatch.setattr(rowmotion.words.KCodec, "dual", ahead)
+    _, _, checks = verify.verify_k_product(3, 2)
+    assert _failed(checks) == {"starred encoding ignores the middle swap",
+                               "starred codec round-trips to the class"}
+
+
+def test_k_suite_validates_each_starred_word_once_per_use(monkeypatch):
+    # psi_bar validates the word of each starred ideal for its step, and
+    # window_sizes_K each class word; the codec decodes the words it made
+    # without validating them again
+    calls = []
+    real = rowmotion.words.validate_starred
+
+    def counted(sword):
+        calls.append(sword)
+        return real(sword)
+
+    monkeypatch.setattr(rowmotion.words, "validate_starred", counted)
+    _, _, checks = verify.verify_k_product(4, 3)
+    assert not _failed(checks)
+    n_star = _counts(checks, "ideals")["starred codec transports the dynamics"]
+    n_class = _counts(checks, "class words")[
+        "marked-sequence windows give iterate sizes"]
+    assert n_star and n_class
+    assert len(calls) <= n_star + n_class
 
 
 def test_grid_builds_each_words_marked_sequences_once(monkeypatch):

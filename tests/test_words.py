@@ -20,6 +20,7 @@ from rowmotion.poset import (
     rowmotion_ideal,
 )
 from rowmotion.words import (
+    KCodec,
     MarkedSequence,
     count_10,
     decode_K_fullrank,
@@ -31,6 +32,7 @@ from rowmotion.words import (
     encode_grid,
     epsilon_n,
     is_full_rank,
+    k_codec,
     long_sequences,
     long_zero_sequence_K,
     p_pattern,
@@ -178,8 +180,8 @@ def test_profile_sets_for_running_example():
     assert sorted(sets.set_d) == [10]
     prof = size_profile(W)
     assert prof.m == 3 and prof.n == 7
-    assert [i for i in range(1, 11) if prof.p(i) == 1] == [1, 2, 8]
-    assert [i for i in range(1, 11) if prof.q(i) == -1] == [5, 8, 9]
+    assert [i for i, p in enumerate(prof.p_values, 1) if p == 1] == [1, 2, 8]
+    assert [i for i, q in enumerate(prof.q_values, 1) if q == -1] == [5, 8, 9]
     assert (prof.p_values, prof.q_values) == (sets.p_values, sets.q_values)
 
 
@@ -524,6 +526,26 @@ def test_k_codecs_agree_with_the_key_oracle():
                     encode_K_fullrank(ideal)
 
 
+def test_k_codec_pair_agrees_with_the_key_oracle():
+    # encode picks the word form from the fiber sizes, decode picks it by
+    # the star; a starred word decodes to its class representative
+    assert {name for name in vars(KCodec) if not name.startswith("__")} == {
+        "encode", "decode", "dual"}
+    for m, n in [(2, 2), (3, 2), (1, 5), (2, 5), (1, 6)]:
+        poset = k_product_poset(m, n)
+        codec = k_codec(poset)
+        for ideal in enumerate_ideals(poset):
+            w = codec.encode(ideal.mask)
+            if word_oracles.k_is_full_rank(ideal):
+                assert w == word_oracles.k_word_fullrank(ideal), (m, n, w)
+                assert codec.decode(w) == ideal.mask, (m, n, w)
+            else:
+                assert w == word_oracles.k_word_starred(ideal), (m, n, w)
+                rep = word_oracles.k_ideal_starred(w, m, n)
+                assert codec.decode(w) == rep.mask, (m, n, w)
+                assert ideal.mask in (rep.mask, codec.dual(rep.mask))
+
+
 @pytest.mark.parametrize("decode,word,m,n", [
     (decode_grid, "0x111", 1, 3),
     (decode_K_fullrank, "0x111", 1, 2),
@@ -533,6 +555,13 @@ def test_decoders_reject_a_stray_letter(decode, word, m, n):
     # the word has the right counts of zeros and ones around the stray letter
     with pytest.raises(ValueError):
         decode(word, m, n)
+
+
+def test_the_full_rank_decoder_refuses_a_starred_word():
+    # the codec reads a word with a star as starred; the full-rank wrapper
+    # refuses it first, with the right counts of zeros and ones around it
+    with pytest.raises(ValueError, match=r"^not a binary word: '1\*011'$"):
+        decode_K_fullrank("1*011", 1, 2)
 
 
 def test_frozen_starred_orbit():

@@ -8,19 +8,25 @@ conjectures and verify-delta1, each with --format json --no-timing.  Every
 run is a fresh interpreter with PYTHONPATH set to one tree and
 PYTHONHASHSEED=0, timed from outside as wall time around the whole process,
 start-up included, and as the CPU time the kernel charged it; its output is
-discarded and its exit code kept.  A pair
+discarded and its exit code kept.  The child also times the reference loop
+of perfbench/child.py (imported, not run as a script) before it imports
+the package and after main() returns, as perfbench does, and writes the
+two times to a pipe.  The wall time less those two loops is also reported
+scaled to perfbench's reference machine: times 0.01 s over the mean loop
+time, so that a run on a slow moment of a shared machine is not read as
+a slow command.  The CPU time includes the loops.  A pair
 runs one command once on each side, and each command gets PAIRS pairs;
 pairs alternate which side goes first (odd pairs the parent, even pairs
 the change), and the commands take turns within a round of pairs.  One
 command of each tree runs untimed first, so that neither side pays for
 compiling its bytecode.
 
-The script prints, per command, the median wall time of each side and in
-how many pairs the change was faster; the JSON summary adds the quartiles
-and the median CPU times.  With
---out, the same summary and every pair go into that JSON file under the key
-"sweeps"; the file's other keys are kept.  Times are seconds on the machine
-that runs the script, not scaled.
+The script prints, per command, the median wall and scaled times of each
+side and in how many pairs the change was faster by each; the JSON summary
+adds the quartiles and the median CPU times.  With --out, the same summary
+and every pair go into that JSON file under the key "sweeps"; the file's
+other keys are kept.  Wall and CPU times are seconds on the machine that
+runs the script; scaled times are seconds at perfbench's reference speed.
 """
 
 from __future__ import annotations
@@ -42,24 +48,57 @@ COMMANDS = (
     ("conjectures",),
     ("verify-delta1",),
 )
-RUN_MAIN = ("import sys; from rowmotion.cli import main; "
-            "sys.exit(main(sys.argv[1:]))")
+CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+# argv: the path of perfbench/child.py, the write end of the pipe, the
+# command; the loop times go to the pipe whatever main() returns
+RUN_MAIN = """\
+import importlib.util, os, sys
+spec = importlib.util.spec_from_file_location("perfbench_child", sys.argv[1])
+child = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(child)
+before = child.reference_loop()
+try:
+    from rowmotion.cli import main
+    code = main(sys.argv[3:])
+finally:
+    os.write(int(sys.argv[2]), f"{before} {child.reference_loop()}".encode())
+sys.exit(code)
+"""
 PAIRS = 5
+# perfbench's nominal reference loop time, REF_NOMINAL_S in perfbench/run.py
+REF_NOMINAL_S = 0.01
 
 
-def run(src: str, argv: list[str]) -> tuple[float, float, int]:
-    """(wall seconds, CPU seconds, exit code) of one command in a fresh
-    interpreter.  os.wait4 blocks until the child exits; a wait with a
-    timeout would poll, and round every time up to its next 50 ms step."""
+def run(src: str, argv: list[str]) -> dict:
+    """Wall seconds less the two reference loops, CPU seconds, the mean
+    loop time, the scaled wall seconds and the exit code of one command in
+    a fresh interpreter.  os.wait4 blocks until the child exits; a wait
+    with a timeout would poll, and round every time up to its next 50 ms
+    step.  When the child wrote no loop times, the wall time is whole and
+    the loop and scaled times are None."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
-    start = time.perf_counter()
-    child = subprocess.Popen([sys.executable, "-c", RUN_MAIN, *argv],
-                             env=env, stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    wall = time.perf_counter() - start
-    child.returncode = os.waitstatus_to_exitcode(status)
-    return wall, usage.ru_utime + usage.ru_stime, child.returncode
+    read, write = os.pipe()
+    with os.fdopen(read) as pipe:
+        try:
+            start = time.perf_counter()
+            child = subprocess.Popen(
+                [sys.executable, "-c", RUN_MAIN, str(CHILD), str(write),
+                 *argv],
+                env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL, pass_fds=(write,))
+            _, status, usage = os.wait4(child.pid, 0)
+            wall = time.perf_counter() - start
+        finally:
+            os.close(write)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        loops = [float(t) for t in pipe.read().split()]
+    out = {"s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
+           "ref_s": None, "scaled_s": None, "exit": child.returncode}
+    if len(loops) == 2:
+        out["s"] = wall - sum(loops)
+        out["ref_s"] = sum(loops) / 2
+        out["scaled_s"] = out["s"] * REF_NOMINAL_S / out["ref_s"]
+    return out
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -67,15 +106,26 @@ def quartiles(values: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
-def summarize(runs: list[dict]) -> dict:
-    parent = [r["parent_s"] for r in runs]
-    change = [r["change_s"] for r in runs]
+def compare(runs: list[dict], key: str, suffix: str = "") -> dict:
+    """Medians and quartiles of one time of both sides, and in how many
+    pairs the change took less; {} when a run lacks that time."""
+    parent = [r[f"parent_{key}"] for r in runs]
+    change = [r[f"change_{key}"] for r in runs]
+    if None in parent or None in change:
+        return {}
     return {
-        "parent": round(statistics.median(parent), 4),
-        "change": round(statistics.median(change), 4),
-        "parent_quartiles": [round(q, 4) for q in quartiles(parent)],
-        "change_quartiles": [round(q, 4) for q in quartiles(change)],
-        "change_wins": sum(c < p for p, c in zip(parent, change)),
+        f"parent{suffix}": round(statistics.median(parent), 4),
+        f"change{suffix}": round(statistics.median(change), 4),
+        f"parent{suffix}_quartiles": [round(q, 4) for q in quartiles(parent)],
+        f"change{suffix}_quartiles": [round(q, 4) for q in quartiles(change)],
+        f"change{suffix}_wins": sum(c < p for p, c in zip(parent, change)),
+    }
+
+
+def summarize(runs: list[dict]) -> dict:
+    return {
+        **compare(runs, "s"),
+        **compare(runs, "scaled_s", "_scaled"),
         "parent_cpu": round(statistics.median(
             r["parent_cpu_s"] for r in runs), 4),
         "change_cpu": round(statistics.median(
@@ -104,23 +154,29 @@ def main(argv: list[str] | None = None) -> int:
             argv = [*command, "--format", "json", "--no-timing"]
             row = {"pair": pair, "first": order[0]}
             for side in order:
-                (row[f"{side}_s"], row[f"{side}_cpu_s"],
-                 row[f"{side}_exit"]) = run(sides[side], argv)
+                for key, value in run(sides[side], argv).items():
+                    row[f"{side}_{key}"] = value
             runs[" ".join(command)].append(row)
         print(f"pair {pair} of {PAIRS} done", file=sys.stderr)
     summary = {name: summarize(rows) for name, rows in runs.items()}
     width = max(map(len, summary))
     for name, s in summary.items():
-        print(f"{name:<{width}}  parent {s['parent']:.3f} s  "
-              f"change {s['change']:.3f} s  "
-              f"faster in {s['change_wins']} of {PAIRS}")
+        line = (f"{name:<{width}}  parent {s['parent']:.3f} s  "
+                f"change {s['change']:.3f} s  "
+                f"faster in {s['change_wins']} of {PAIRS}")
+        if "parent_scaled" in s:
+            line += (f"  scaled {s['parent_scaled']:.3f} -> "
+                     f"{s['change_scaled']:.3f} s  "
+                     f"faster in {s['change_scaled_wins']}")
+        print(line)
     if args.out:
         data = json.loads(args.out.read_text()) if args.out.exists() else {}
         data["sweeps"] = {
             "command": "python3 tools/time_sweeps.py PARENT_SRC CHANGE_SRC",
             "machine": f"{os.cpu_count()} CPUs, Python "
-                       f"{platform.python_version()}; wall seconds, "
-                       "not scaled",
+                       f"{platform.python_version()}; wall seconds "
+                       "less the reference loops, and the same scaled to "
+                       f"a {REF_NOMINAL_S} s reference loop",
             "medians": summary,
             "runs": runs,
         }
