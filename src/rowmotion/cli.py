@@ -8,12 +8,12 @@ exceeded the configured cap, or a sweep skipped a target that did.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _json_str
+from types import SimpleNamespace
 from typing import Sequence
 
 from .catalog import SPORADIC, CatalogEntry, find_entry
@@ -315,87 +315,6 @@ def _emit(result: RunResult, args) -> int:
     return code
 
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=("table", "json", "csv"),
-                     default="table")
-    sub.add_argument("--cap", type=_positive, default=DEFAULT_CAP,
-                     help="abort if the ideal enumeration, or the step "
-                     "count of step-word, exceeds this")
-    sub.add_argument("--budget", action="store_true",
-                     help="honor --cap beyond the default safety clamp")
-    sub.add_argument("--no-timing", action="store_true")
-
-
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer of at least 1, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rowmotion",
-        description="Rowmotion orbits, binary-word codecs, and the catalog "
-        "of posets with constant orbit averages.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("orbits", help="orbit decomposition of a poset")
-    p.add_argument("expr")
-    p.add_argument("--seed-ideal", metavar="BITS",
-                   help="walk only the orbit of this ideal (indicator "
-                   "bitstring in element order)")
-    _add_common(p)
-
-    p = sub.add_parser("verify-grid",
-                       help="run every grid check for [m]x[n]")
-    p.add_argument("m", type=_positive)
-    p.add_argument("n", type=_positive)
-    p.add_argument("--word", metavar="WORD",
-                   help="also print the iterate table of this word")
-    _add_common(p)
-
-    p = sub.add_parser("verify-k",
-                       help="run every check for [m]xK(n-1)")
-    p.add_argument("m", type=_positive)
-    p.add_argument("n", type=_positive)
-    _add_common(p)
-
-    p = sub.add_parser("verify-delta1",
-                       help="constant-average checks over the catalog")
-    p.add_argument("target", nargs="?",
-                   help="catalog entry name or a poset expression; default "
-                   "is every sporadic entry")
-    _add_common(p)
-
-    p = sub.add_parser("conjectures",
-                       help="paired-count checks on layers")
-    p.add_argument("target", nargs="?",
-                   help="catalog entry name or layer(...) expression; "
-                   "default is every sporadic entry")
-    _add_common(p)
-
-    p = sub.add_parser("encode", help="word of one ideal")
-    p.add_argument("expr")
-    p.add_argument("--seed-ideal", metavar="BITS", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("step-word", help="iterate a word")
-    p.add_argument("word")
-    p.add_argument("--steps", type=_positive, default=1)
-    _add_common(p)
-
-    p = sub.add_parser("catalog", help="list the catalog")
-    _add_common(p)
-
-    return parser
-
-
 def _poset_result(command: str, expr_text: str, poset: Poset) -> RunResult:
     return RunResult(
         command=command,
@@ -621,24 +540,160 @@ def _finish(result: RunResult, args) -> int:
     return _emit(result, args)
 
 
+def _positive(text: str) -> int:
+    """The one integer converter: an integer of at least 1.  A refused value
+    raises argparse's own error, so argparse is imported only then."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is not None and value >= 1:
+        return value
+    import argparse
+
+    raise argparse.ArgumentTypeError(
+        f"expected an integer of at least 1, got {text!r}" if value is None
+        else "must be at least 1")
+
+
+# The options of every command, after its own arguments.
+_COMMON = (
+    ("--format", {"choices": ("table", "json", "csv"), "default": "table"}),
+    ("--cap", {"type": _positive, "default": DEFAULT_CAP,
+               "help": "abort if the ideal enumeration, or the step count "
+               "of step-word, exceeds this"}),
+    ("--budget", {"action": "store_true",
+                  "help": "honor --cap beyond the default safety clamp"}),
+    ("--no-timing", {"action": "store_true"}),
+)
+
+# The grammar of the command line, declared once: each command's handler,
+# help line and own arguments, an argument being its name and the keywords
+# of argparse's add_argument.  build_parser hands the table to argparse;
+# _read_plain reads the plain layout from it without argparse, and knows
+# the keywords type, choices, default, required, action "store_true" and
+# nargs "?".
 COMMANDS = {
-    "orbits": _cmd_orbits,
-    "verify-grid": _cmd_verify_grid,
-    "verify-k": _cmd_verify_k,
-    "verify-delta1": _cmd_verify_delta1,
-    "conjectures": _cmd_conjectures,
-    "encode": _cmd_encode,
-    "step-word": _cmd_step_word,
-    "catalog": _cmd_catalog,
+    "orbits": (_cmd_orbits, "orbit decomposition of a poset", (
+        ("expr", {}),
+        ("--seed-ideal", {"metavar": "BITS",
+                          "help": "walk only the orbit of this ideal "
+                          "(indicator bitstring in element order)"}),
+    )),
+    "verify-grid": (_cmd_verify_grid, "run every grid check for [m]x[n]", (
+        ("m", {"type": _positive}),
+        ("n", {"type": _positive}),
+        ("--word", {"metavar": "WORD",
+                    "help": "also print the iterate table of this word"}),
+    )),
+    "verify-k": (_cmd_verify_k, "run every check for [m]xK(n-1)", (
+        ("m", {"type": _positive}),
+        ("n", {"type": _positive}),
+    )),
+    "verify-delta1": (_cmd_verify_delta1,
+                      "constant-average checks over the catalog", (
+        ("target", {"nargs": "?",
+                    "help": "catalog entry name or a poset expression; "
+                    "default is every sporadic entry"}),
+    )),
+    "conjectures": (_cmd_conjectures, "paired-count checks on layers", (
+        ("target", {"nargs": "?",
+                    "help": "catalog entry name or layer(...) expression; "
+                    "default is every sporadic entry"}),
+    )),
+    "encode": (_cmd_encode, "word of one ideal", (
+        ("expr", {}),
+        ("--seed-ideal", {"metavar": "BITS", "required": True}),
+    )),
+    "step-word": (_cmd_step_word, "iterate a word", (
+        ("word", {}),
+        ("--steps", {"type": _positive, "default": 1}),
+    )),
+    "catalog": (_cmd_catalog, "list the catalog", ()),
 }
 
 
+def build_parser():
+    """The argparse parser of COMMANDS, which reads every argv: help, usage
+    errors and every layout that _read_plain leaves alone."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="rowmotion",
+        description="Rowmotion orbits, binary-word codecs, and the catalog "
+        "of posets with constant orbit averages.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_line, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for name, keywords in arguments + _COMMON:
+            p.add_argument(name, **keywords)
+    return parser
+
+
+def _read_plain(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace build_parser().parse_args(argv) gives an argv in the
+    plain layout COMMAND POSITIONAL... [--option VALUE | --flag]..., read
+    from COMMANDS without argparse; None for any other argv.
+
+    Plain means that each option is spelled in full and given once, that
+    no positional or value is empty or starts with "-", that every value
+    passes its converter and choices, and that every required argument is
+    present.  argparse reads the rest (help, usage errors, abbreviations,
+    --option=value, options before positionals) and words its messages.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command, *words = argv
+    arguments = COMMANDS[command][2] + _COMMON
+    positionals = [name for name, _ in arguments if name[0] != "-"]
+    n = 0
+    while (n < len(words) and n < len(positionals)
+           and words[n][:1] not in ("", "-")):
+        n += 1
+    given = dict(zip(positionals, words[:n]))  # name -> text; None: a flag
+    specs = dict(arguments)
+    rest = iter(words[n:])
+    for name in rest:
+        if name[:1] != "-" or name not in specs or name in given:
+            return None
+        if specs[name].get("action") == "store_true":
+            given[name] = None
+        else:
+            given[name] = next(rest, "")
+            if given[name][:1] in ("", "-"):
+                return None
+    values = {"command": command}
+    for name, spec in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        if name not in given:
+            if spec.get("required") or (
+                    name in positionals and spec.get("nargs") != "?"):
+                return None
+            flag = spec.get("action") == "store_true"
+            values[dest] = spec.get("default", False if flag else None)
+        elif given[name] is None:
+            values[dest] = True
+        else:
+            try:
+                values[dest] = spec.get("type", str)(given[name])
+            except Exception:  # _positive's argparse.ArgumentTypeError,
+                # which argparse words on the second reading
+                return None
+            if values[dest] not in spec.get("choices", (values[dest],)):
+                return None
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     args.start_time = time.monotonic()
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except ExprParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -383,6 +383,133 @@ def test_a_non_integer_is_a_usage_error(capsys, argv, name):
     assert "_positive" not in captured.err
 
 
+# -- the plain reader against argparse ----------------------------------------
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+
+# values each argument takes in a plain command; any other draw is from _ODD
+_GOOD = {
+    "expr": ["chain(3)", "prod(chain(2),chain(2))"],
+    "target": ["chain(3)", "E6"],
+    "word": ["0011", "1*0011"],
+    "m": ["2", "3"],
+    "n": ["2", "3"],
+    "--format": ["table", "json", "csv"],
+    "--cap": ["5", "100"],
+    "--steps": ["2"],
+    "--seed-ideal": ["0101"],
+    "--word": ["01011"],
+}
+_ODD = ["", " ", "0", "-1", "x", "5_0", "+2", " 3", "xml", "--", "-h",
+        "--help", "-x", "-", "--form", "--no-t", "--bud", "--seed", "--st",
+        "--format=json", "--cap=5", "--budget=1", "--word", "--steps",
+        "--format", "--no-timing", "frobnicate"]
+
+
+def _plain_layouts(rng: random.Random, command: str) -> list[str]:
+    """COMMAND, some of its positionals, then some options in any order, a
+    fifth of the values drawn from _ODD."""
+    arguments = cli.COMMANDS[command][2] + cli._COMMON
+
+    def value(name):
+        pool = _ODD if rng.random() < 0.2 else _GOOD[name]
+        return rng.choice(pool)
+
+    argv = [command]
+    positionals = [name for name, _ in arguments if name[0] != "-"]
+    argv += [value(name) for name in positionals[:rng.randint(
+        len(positionals) - 1, len(positionals))]]
+    options = [(name, spec) for name, spec in arguments if name[0] == "-"]
+    for name, spec in rng.sample(options, rng.randint(0, len(options))):
+        argv.append(name)
+        if spec.get("action") != "store_true":
+            argv.append(value(name))
+    return argv
+
+
+def _reader_cases() -> list[list[str]]:
+    """Plain layouts of every command, the same with their words shuffled
+    or with one word of _ODD put in or swapped in, and a few fixed argv."""
+    rng = random.Random(2016)
+    cases = [[], ["frobnicate"], ["--help"], ["-h", "orbits"],
+             ["--", "orbits", "chain(3)"], ["orbits", "--", "chain(3)"],
+             ["verify-delta1", "--format", "json", "chain(3)"],
+             ["verify-delta1", "--cap", "5", "target", "chain(3)"],
+             ["verify-k", "2", "2", "--word", "01"],
+             ["orbits", "chain(3)", "--seed-ideal"], ["encode", "chain(3)"]]
+    for command in cli.COMMANDS:
+        for _ in range(120):
+            argv = _plain_layouts(rng, command)
+            cases.append(argv)
+            words = argv[1:]
+            rng.shuffle(words)
+            cases.append([command, *words])
+            at = rng.randint(1, len(argv))
+            cases.append(argv[:at] + [rng.choice(_ODD)]
+                         + argv[at + rng.randint(0, 1):])
+    return cases
+
+
+def test_the_plain_reader_agrees_with_argparse():
+    parser = cli.build_parser()
+    read = refused = 0
+    for argv in _reader_cases():
+        plain = cli._read_plain(argv)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                parsed = vars(parser.parse_args(argv))
+        except SystemExit:
+            parsed = None
+        if plain is None:
+            refused += 1
+        else:
+            assert vars(plain) == parsed, argv
+            read += 1
+    # both sides of the reader are exercised
+    assert read > 500 and refused > 500, (read, refused)
+
+
+def test_every_benchmark_command_skips_argparse():
+    commands = json.loads(EXPECTED.read_text())["commands"]
+    assert len(commands) > 100
+    for key in commands:
+        argv = json.loads(key)
+        for tail in ([], ["--no-timing"]):
+            assert cli._read_plain(argv + tail) is not None, argv + tail
+
+
+def test_a_plain_command_does_not_import_argparse():
+    src = Path(rowmotion.__file__).resolve().parent.parent
+    script = (
+        "import contextlib, io, sys\n"
+        "import rowmotion.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = rowmotion.cli.main(['orbits', 'chain(3)', '--format',"
+        " 'json', '--no-timing'])\n"
+        "print(code, 'argparse' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"
+
+
+def test_an_abbreviated_option_still_reads_through_argparse(capsys):
+    argv = ["orbits", "prod(chain(2),chain(2))", "--no-timing"]
+    assert cli._read_plain(argv + ["--form", "json"]) is None
+    assert run(capsys, *argv, "--form", "json") == run(
+        capsys, *argv, "--format", "json")
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert all(command in out for command in cli.COMMANDS)
+
+
 def test_a_long_chain_is_listed_in_seconds(capsys):
     # one orbit of 3000 ideals, from one bit-sliced step
     start = time.monotonic()

@@ -3,9 +3,9 @@
     python3 tools/same_output.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are the src/ directories of two checkouts.  Each
-command runs in a fresh interpreter with PYTHONPATH set to one of them,
-PYTHONHASHSEED=0 and --no-timing, and the two runs must agree on exit code,
-stdout and stderr.  Two commands run at once.  Every difference is
+command runs in a fresh interpreter with PYTHONPATH set to one of them and
+PYTHONHASHSEED=0, and the two runs must agree on exit code, stdout and
+stderr.  Two commands run at once.  Every difference is
 printed, then one summary line; the exit code is 1 if any command differs
 and 0 otherwise.
 
@@ -38,7 +38,21 @@ ones, too few ones before the star, no zero after it) and on the
 non-binary 012, and verify-grid with a --word table on 3 4 0101011 and
 2 2 0011.  The records' own output paths run too: catalog, and the parse
 errors of orbits "prod(chain(2)" and orbits "foo(3)".  Each runs in json
-and table format, and orbits also in csv.
+and table format, and orbits also in csv, each with --no-timing.
+
+USAGE_CASES run as listed, with --no-timing where the command could
+succeed.  They are the argv at the edge of the plain layout, which the
+command line reads without argparse, and outside it, where argparse reads
+them: --help alone and after each of the eight commands; no command and
+the unknown command frobnicate; the values verify-grid 0 3, x 3, -1 3 and
++2 2, --format xml, --cap 0 and --cap 5_0 (int reads +2 and 5_0, so both
+are plain); options that are not plain: --threads 2, the abbreviation
+--form json, --format=json, --budget=1, a repeated --format, and
+verify-k 2 2 --word 01 (an option of another command); the layouts
+verify-delta1 --format json chain(3) (options before the optional
+target), -- before the command and -- after it, orbits -x, an extra
+positional and an empty expression; and the missing values of orbits
+chain(3) --seed-ideal (the last word) and of encode without --seed-ideal.
 """
 
 from __future__ import annotations
@@ -120,8 +134,40 @@ def with_formats(commands: list[tuple[str, ...]]) -> list[list[str]]:
     for command in commands:
         formats = ("json", "table", "csv") if command[0] == "orbits" else (
             "json", "table")
-        out += [[*command, "--format", fmt] for fmt in formats]
+        out += [[*command, "--format", fmt, "--no-timing"] for fmt in formats]
     return out
+
+
+USAGE_CASES = [
+    ["--help"],
+    *([command, "--help"] for command in (
+        "orbits", "verify-grid", "verify-k", "verify-delta1", "conjectures",
+        "encode", "step-word", "catalog")),
+    [],
+    ["frobnicate", "--no-timing"],
+    ["verify-grid", "0", "3", "--no-timing"],
+    ["verify-grid", "x", "3", "--no-timing"],
+    ["verify-grid", "-1", "3", "--no-timing"],
+    ["verify-grid", "+2", "2", "--no-timing"],
+    ["orbits", "chain(3)", "--format", "xml", "--no-timing"],
+    ["orbits", "chain(3)", "--cap", "0", "--no-timing"],
+    ["orbits", "chain(3)", "--cap", "5_0", "--no-timing"],
+    ["orbits", "chain(3)", "--threads", "2", "--no-timing"],
+    ["orbits", "chain(3)", "--form", "json", "--no-timing"],
+    ["orbits", "chain(3)", "--format=json", "--no-timing"],
+    ["orbits", "chain(3)", "--budget=1", "--no-timing"],
+    ["orbits", "chain(3)", "--format", "csv", "--format", "json",
+     "--no-timing"],
+    ["verify-k", "2", "2", "--word", "01", "--no-timing"],
+    ["verify-delta1", "--format", "json", "chain(3)", "--no-timing"],
+    ["--", "orbits", "chain(3)", "--no-timing"],
+    ["orbits", "--no-timing", "--", "chain(3)"],
+    ["orbits", "chain(3)", "-x", "--no-timing"],
+    ["orbits", "chain(3)", "chain(4)", "--no-timing"],
+    ["orbits", "", "--no-timing"],
+    ["orbits", "chain(3)", "--no-timing", "--seed-ideal"],
+    ["encode", "chain(3)", "--no-timing"],
+]
 
 
 def run(src: str, argv: list[str]) -> tuple:
@@ -129,7 +175,7 @@ def run(src: str, argv: list[str]) -> tuple:
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
     try:
         done = subprocess.run(
-            [sys.executable, "-c", RUN_MAIN, *argv, "--no-timing"],
+            [sys.executable, "-c", RUN_MAIN, *argv],
             env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return (f"timeout after {TIMEOUT_S} s", "", "")
@@ -162,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     for src in (args.parent_src, args.change_src):
         if not (Path(src) / "rowmotion" / "cli.py").is_file():
             parser.error(f"{src} holds no rowmotion package")
-    commands = with_formats(base_commands())
+    commands = with_formats(base_commands()) + USAGE_CASES
 
     def compare(command):
         return (run(args.parent_src, command), run(args.change_src, command))
