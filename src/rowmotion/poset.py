@@ -340,46 +340,66 @@ def ideal_masks(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[int]:
 
     A depth-first search that visits each ideal once, so its work grows
     with the ideals it yields.  Each ideal is grown from the empty one by
-    adding its members in increasing order.  A stack entry holds an ideal s
-    and the elements addable to s above the last one added.  Each such j,
-    taken lowest first, gives the child s plus j, whose addable elements
-    are those of s above j and the upper covers of j whose strict down-set
-    now lies in s plus j.  The stack pops the largest j first, so s plus a
-    larger element, and every ideal grown from it, comes before s plus a
-    smaller one: the lexicographic order, with element 0 most significant.
+    adding its members in increasing order.  The walk holds an ideal s and
+    the elements addable to s above the last one added.  Each such j gives
+    the child s plus j, whose addable elements are those of s above j and
+    the upper covers of j whose strict down-set now lies in s plus j.  The
+    walk stacks every child but the largest, lowest j first, and moves
+    straight into the largest; at a leaf, where nothing is addable, it pops
+    the stack.  So s plus a larger element, and every ideal grown from it,
+    comes before s plus a smaller one: the lexicographic order, with
+    element 0 most significant.
 
     A poset on n elements has at least n+1 ideals (the prefixes of the
-    linear extension), so n >= cap is refused before the search; otherwise
-    the (cap+1)-th ideal found raises.  The masks are collected first, so
-    a refusal comes before anything is yielded.
+    linear extension), so n >= cap is refused before the search.  The walk
+    records one ideal per pass and runs at most cap+1 passes; one check
+    after it refuses when it recorded cap+1 ideals.  The masks are
+    collected first, so a refusal comes before anything is yielded.
     """
     n = poset.n_elements
     if n >= cap:
         raise CapExceeded(f"more than {cap} ideals")
-    # grow[j]: (bit, strict down-set) of each upper cover of j
-    grow = [[] for _ in range(n)]
+    # grow[j + 1]: (bit, strict down-set) of each upper cover of j, read
+    # at the bit_length of j's bit
+    grow = [[] for _ in range(n + 1)]
     minimal = poset.full_mask
     for j, z in poset.covers:
-        grow[j].append((1 << z, poset.down[z] ^ (1 << z)))
+        grow[j + 1].append((1 << z, poset.down[z] ^ (1 << z)))
         minimal &= ~(1 << z)
     masks = []
     record = masks.append
-    stack = [(0, minimal)]
+    # a stacked child takes two ints, its ideal and then its addable set,
+    # so that the stack holds no tuples
+    stack = []
     pop, push = stack.pop, stack.append
-    while stack:
-        s, addable = pop()
+    s, addable = 0, minimal
+    for _ in range(cap + 1):
         record(s)
-        if len(masks) > cap:
-            raise CapExceeded(f"more than {cap} ideals")
-        while addable:
+        if addable:
             low = addable & -addable
-            addable ^= low
-            t = s | low
-            rest = addable
-            for bit, below in grow[low.bit_length() - 1]:
-                if below & t == below:
-                    rest |= bit
-            push((t, rest))
+            while addable != low:
+                addable ^= low
+                t = s | low
+                rest = addable
+                for bit, below in grow[low.bit_length()]:
+                    if below & t == below:
+                        rest |= bit
+                push(t)
+                push(rest)
+                low = addable & -addable
+            # low is the largest addable element: step into s plus low
+            s |= low
+            addable = 0
+            for bit, below in grow[low.bit_length()]:
+                if below & s == below:
+                    addable |= bit
+        elif stack:
+            addable = pop()
+            s = pop()
+        else:
+            break
+    if len(masks) > cap:
+        raise CapExceeded(f"more than {cap} ideals")
     yield from masks
 
 
@@ -449,10 +469,11 @@ def operator_order(poset: Poset, cap: int = DEFAULT_CAP) -> int:
 # _list_orbits; every orbit statistic is read from that one listing.  The
 # ideals are held transposed: column x is an int whose bit k says whether
 # ideal k, in ideal_masks order, holds element x.  _columns transposes the
-# masks forward, with 8 strided slices per element.  _rows transposes the
-# image columns back, and all_orbits the antichain columns, with 8
-# shift-and-mask gathers per column; rows of up to 64 bits come out of one
-# unpack, wider ones take one from_bytes per ideal.
+# masks forward, with 8 strided slices per element; masks of up to 64 bits
+# go in with one pack, wider ones with one to_bytes per ideal.  _rows
+# transposes the image columns back, and all_orbits the antichain columns,
+# with 8 shift-and-mask gathers per column; rows of up to 64 bits come out
+# of one unpack, wider ones take one from_bytes per ideal.
 
 
 # _SPREAD[b][r] maps a byte to its bit b, moved to bit r: counting up from
@@ -470,10 +491,16 @@ def _columns(masks: Sequence[int], n: int) -> list[int]:
     Byte j of mask k sits at buf[k * width + j]; the masks k = 8q + r of one
     residue r form a strided slice, and a table moves the wanted bit of each
     of its bytes to bit r, so byte q of the column collects ideals 8q..8q+7.
+    Masks of up to 64 bits are packed 8 bytes wide in one struct pack, the
+    inverse of the unpack in _rows; wider ones take one to_bytes each.
     """
-    width = (n + 7) // 8
+    if n <= 64:
+        width = 8
+        buf = struct.pack(f"<{len(masks)}Q", *masks)
+    else:
+        width = (n + 7) // 8
+        buf = b"".join(m.to_bytes(width, "little") for m in masks)
     stride = 8 * width
-    buf = b"".join(m.to_bytes(width, "little") for m in masks)
     buf += bytes(-len(masks) % 8 * width)
     columns = []
     for x in range(n):

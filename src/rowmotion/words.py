@@ -552,6 +552,14 @@ def validate_starred(sword: str) -> tuple[int, int]:
     return m, n
 
 
+@lru_cache(maxsize=1)
+def _starred_shape(sword: str) -> tuple[int, int]:
+    """validate_starred, kept for the last word it passed: verify-k runs
+    psi_bar and then window_sizes_K on the same class word, which is
+    checked once.  A refused word raises and is not kept."""
+    return validate_starred(sword)
+
+
 def starred_to_plain(sword: str) -> str:
     validate_starred(sword)
     return sword.replace("*", "1")
@@ -612,7 +620,7 @@ def _push(runs: list[str]) -> None:
 def psi_bar(sword: str) -> str:
     """One rowmotion step on starred words: the run shift of psi, then the
     star push."""
-    validate_starred(sword)
+    _starred_shape(sword)
     return _shift(*_blocks(sword), starred=True)
 
 
@@ -658,7 +666,7 @@ def window_sizes_K(sword: str) -> list[int]:
     the marked zero sequence counts its "-0" occurrences, the zeros that
     start a zero run behind a dash, so one prefix sum over those zeros
     gives every window."""
-    m, _ = validate_starred(sword)
+    m, _ = _starred_shape(sword)
     zeros = _zero_form(_split(sword), sword[::-1])
     counts = list(accumulate(_flanks(zeros, "-0"), initial=0))
     return list(map(sub, counts[m + 1:], counts[1:]))

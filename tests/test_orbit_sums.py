@@ -7,8 +7,8 @@ popcounts over its columns, the order from its lengths.
 tests/orbit_oracles.py computes the same listing, counts and reports by
 walking every orbit.  The shapes are those of the acceptance suite, plus
 inputs that fail.  ideal_masks is held to the
-level-by-level enumeration of the same module, and _rows, the listing's
-back-transpose, to _columns, which computes the same transpose.
+level-by-level enumeration of the same module, and _columns and _rows, the
+listing's two transposes, to a transpose read one bit at a time.
 """
 
 import random
@@ -210,15 +210,26 @@ def test_empty_and_one_element_posets():
         assert operator_order(poset) == walked_order(poset)
 
 
+def transposed(columns, k):
+    """k rows, bit x of row i read from bit i of columns[x], one bit at a
+    time."""
+    if not columns:
+        return [0] * k
+    bits = [format(c, "b").zfill(k)[::-1] for c in columns]
+    return [int("".join(row)[::-1], 2) for row in zip(*bits)]
+
+
 def test_rows_transpose_back_like_columns():
     # _columns and _rows compute the same transpose, one output at a time
-    # and one input block at a time; sizes straddle the 8-bit blocks
+    # and one input block at a time; sizes straddle the 8-bit blocks, and
+    # the widths 56..72 the one-call pack and unpack of up to 64 bits
     rng = random.Random(10)
     for n in (0, 1, 7, 8, 9, 64, 65, 128):
-        for k in (1, 7, 8, 9, 12870):
+        for k in (1, 7, 8, 9, 56, 63, 64, 65, 72, 12870):
             columns = [rng.getrandbits(k) for _ in range(n)]
-            assert (poset_module._rows(columns, k)
-                    == poset_module._columns(columns, k)), (n, k)
+            expected = transposed(columns, k)
+            assert poset_module._rows(columns, k) == expected, (n, k)
+            assert poset_module._columns(columns, k) == expected, (n, k)
 
 
 def test_counters_on_a_chain():

@@ -445,6 +445,18 @@ def test_starred_validation_errors():
     assert validate_starred("1*011") == (1, 2)
 
 
+def test_starred_steps_refuse_a_bad_word_after_a_good_one():
+    # psi_bar and window_sizes_K keep the shape of the last word they
+    # passed; a refused word is checked in full each time
+    for bad in REFUSED_STARRED:
+        for call in (psi_bar, window_sizes_K):
+            assert psi_bar("01*011") == "10*011"
+            assert window_sizes_K("01*011") == [2, 2, 2, 1, 1]
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    call(bad)
+
+
 def test_starred_plain_round_trip():
     for sword in ["1*0110", "01*011", "1*0101", "11*01011"]:
         assert plain_to_starred(starred_to_plain(sword)) == sword

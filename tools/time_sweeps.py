@@ -4,18 +4,20 @@
 
 PARENT_SRC and CHANGE_SRC are the src/ directories of two checkouts.  The
 sweeps are verify-grid 8 8, verify-grid 9 9 --budget, verify-k 6 4,
-conjectures and verify-delta1, each with --format json --no-timing.  Every
-run is a fresh interpreter with PYTHONPATH set to one tree and
-PYTHONHASHSEED=0, timed from outside as wall time around the whole process,
-start-up included, and as the CPU time the kernel charged it; its output is
-discarded and its exit code kept.  The child also times the reference loop
-of perfbench/child.py (imported, not run as a script) before it imports
-the package and after main() returns, as perfbench does, and writes the
-two times to a pipe.  The wall time less those two loops is also reported
-scaled to perfbench's reference machine: times 0.01 s over the mean loop
-time, so that a run on a slow moment of a shared machine is not read as
-a slow command.  The CPU time includes the loops.  A pair
-runs one command once on each side, and each command gets PAIRS pairs;
+conjectures and verify-delta1, and two refusals, orbits prod(chain(2),K(100))
+and orbits prod(chain(20),chain(20)), which enumerate ideals up to the
+default clamp of 20000 and exit 3; each runs with --format json
+--no-timing.  Every run is a fresh interpreter with PYTHONPATH set to one
+tree and PYTHONHASHSEED=0, timed from outside as wall time around the whole
+process, start-up included, and as the CPU time the kernel charged it; its
+output is discarded and its exit code kept.  The child also times the
+reference loop of perfbench/child.py (imported, not run as a script)
+before it imports the package and after main() returns, as perfbench does,
+and writes the two times to a pipe.  The wall time less those two loops
+is also reported scaled to perfbench's reference machine: times 0.01 s
+over the mean loop time, so that a run on a slow moment of a shared
+machine is not read as a slow command.  The CPU time includes the loops.
+A pair runs one command once on each side, and each command gets PAIRS pairs;
 pairs alternate which side goes first (odd pairs the parent, even pairs
 the change), and the commands take turns within a round of pairs.  One
 command of each tree runs untimed first, so that neither side pays for
@@ -47,6 +49,8 @@ COMMANDS = (
     ("verify-k", "6", "4"),
     ("conjectures",),
     ("verify-delta1",),
+    ("orbits", "prod(chain(2),K(100))"),
+    ("orbits", "prod(chain(20),chain(20))"),
 )
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 # argv: the path of perfbench/child.py, the write end of the pipe, the
