@@ -18,16 +18,10 @@ from typing import Sequence
 
 from .catalog import SPORADIC, CatalogEntry, find_entry
 from .constructions import (
-    Chain,
-    DUnion,
-    H,
-    J,
-    K,
+    ExprParseError,
     Layer,
-    OSum,
-    PosetExpr,
-    Prod,
     build,
+    parse_poset_expr,
     to_text,
 )
 from .homomesy import check_conjectures, orbit_reports, verify_constant_average
@@ -39,7 +33,6 @@ from .poset import (
     OrbitReport,
     Poset,
 )
-from .roots import FAMILY_RANK_RANGE
 from .verify import (
     CheckResult,
     _fraction_str,
@@ -59,157 +52,6 @@ from .words import (
 UNBUDGETED_CAP = 20000
 
 
-class ExprParseError(ValueError):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"byte {offset}: {message}")
-        self.offset = offset
-
-
-class _ExprParser:
-    """Recursive descent over the poset grammar.
-
-    expr := chain(INT) | k(INT) | h(INT) | j(expr) | prod(expr,expr)
-          | osum(expr,expr) | dunion(expr,expr) | layer(TYPE,INT)
-    Case and whitespace are ignored; every integer must be at least 1.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def fail(self, message: str, offset: int | None = None):
-        raise ExprParseError(message, self.pos if offset is None else offset)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def read_word(self) -> tuple[str, int]:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected a name")
-        return self.text[start : self.pos], start
-
-    def read_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected an integer")
-        value = int(self.text[start : self.pos])
-        if value < 1:
-            self.fail("integer parameters must be at least 1", start)
-        return value
-
-    def parse(self) -> PosetExpr:
-        expr = self.parse_expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.fail("unexpected trailing input")
-        return expr
-
-    def parse_expr(self) -> PosetExpr:
-        name, start = self.read_word()
-        lowered = name.lower()
-        self.expect("(")
-        if lowered == "chain":
-            n = self.read_int()
-            self.expect(")")
-            return Chain(n)
-        if lowered == "k":
-            r = self.read_int()
-            self.expect(")")
-            return K(r)
-        if lowered == "h":
-            n = self.read_int()
-            self.expect(")")
-            return H(n)
-        if lowered == "j":
-            inner = self.parse_expr()
-            self.expect(")")
-            return J(inner)
-        if lowered in ("prod", "osum", "dunion"):
-            left = self.parse_expr()
-            self.expect(",")
-            right = self.parse_expr()
-            self.expect(")")
-            ctor = {"prod": Prod, "osum": OSum, "dunion": DUnion}[lowered]
-            return ctor(left, right)
-        if lowered == "layer":
-            return self.parse_layer_args()
-        self.fail(f"unknown constructor {name!r}", start)
-
-    def parse_layer_args(self) -> PosetExpr:
-        token, start = self.read_word()
-        family = token[:1].upper()
-        digits = token[1:]
-        if family not in FAMILY_RANK_RANGE or not digits.isdigit():
-            self.fail("expected a system name like A3 or E6", start)
-        rank = int(digits)
-        lo, hi = FAMILY_RANK_RANGE[family]
-        if rank < lo or (hi is not None and rank > hi):
-            self.fail(f"{family}{rank} is not a valid system", start)
-        self.expect(",")
-        pivot_start = self.pos
-        pivot = self.read_int()
-        if pivot > rank:
-            self.fail(f"pivot {pivot} outside 1..{rank}", pivot_start)
-        self.expect(")")
-        return Layer(family, rank, pivot)
-
-
-def parse_poset_expr(text: str) -> PosetExpr:
-    return _ExprParser(text).parse()
-
-
-class RunResult:
-    """What one command reports; the list fields start empty."""
-
-    def __init__(
-        self,
-        command: str,
-        poset: str | None = None,
-        n_elements: int | None = None,
-        max_rank: int | None = None,
-        orbits: list | None = None,
-        checks: list | None = None,
-        witnesses: list | None = None,
-        elapsed_ms: int | None = None,
-    ):
-        self.command = command
-        self.poset = poset
-        self.n_elements = n_elements
-        self.max_rank = max_rank
-        self.orbits = [] if orbits is None else orbits
-        self.checks = [] if checks is None else checks
-        self.witnesses = [] if witnesses is None else witnesses
-        self.elapsed_ms = elapsed_ms
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "poset": self.poset,
-            "n_elements": self.n_elements,
-            "max_rank": self.max_rank,
-            "orbits": self.orbits,
-            "checks": self.checks,
-            "witnesses": self.witnesses,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
-
 def _orbit_dicts(reports: Sequence[OrbitReport]) -> list[dict]:
     return [
         {
@@ -220,10 +62,6 @@ def _orbit_dicts(reports: Sequence[OrbitReport]) -> list[dict]:
         }
         for k, r in enumerate(reports)
     ]
-
-
-def _check_dicts(checks: list[CheckResult]) -> list[dict]:
-    return [c.as_dict() for c in checks]
 
 
 def _to_json(value, indent: str = "\n") -> str:
@@ -256,72 +94,79 @@ def _to_json(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _render(result: RunResult, fmt: str, show_timing: bool) -> str:
-    if not show_timing:
-        result.elapsed_ms = None
+def _render(result: dict, fmt: str) -> str:
     if fmt == "json":
-        return _to_json(result.to_dict())
+        return _to_json(result)
     if fmt == "csv":
         lines = ["orbit_id,length,avg_size,sizes"]
-        for o in result.orbits:
+        for o in result["orbits"]:
             sizes = " ".join(str(s) for s in o["sizes"])
             lines.append(f"{o['orbit_id']},{o['length']},{o['avg_size']},{sizes}")
         return "\n".join(lines)
-    lines = [f"command: {result.command}"]
-    if result.poset is not None:
-        lines.append(f"poset: {result.poset}")
-    if result.n_elements is not None:
-        lines.append(
-            f"elements: {result.n_elements}   max rank: {result.max_rank}"
-        )
-    if result.orbits:
+    lines = [f"command: {result['command']}"]
+    if result["poset"] is not None:
+        lines.append(f"poset: {result['poset']}")
+    if result["n_elements"] is not None:
+        lines.append(f"elements: {result['n_elements']}   "
+                     f"max rank: {result['max_rank']}")
+    if result["orbits"]:
         lines.append("")
         lines.append(f"{'orbit':>5}  {'length':>6}  {'avg':>8}  sizes")
-        for o in result.orbits:
+        for o in result["orbits"]:
             sizes = " ".join(str(s) for s in o["sizes"])
             lines.append(
                 f"{o['orbit_id']:>5}  {o['length']:>6}  {o['avg_size']:>8}  {sizes}"
             )
-    if result.checks:
+    if result["checks"]:
         lines.append("")
-        for c in result.checks:
+        for c in result["checks"]:
             mark = "PASS" if c["passed"] else "FAIL"
             lines.append(f"[{mark}] {c['name']}: {c['details']}")
-    if result.witnesses:
+    if result["witnesses"]:
         lines.append("")
         lines.append("witnesses:")
-        for w in result.witnesses:
+        for w in result["witnesses"]:
             lines.append("  " + json.dumps(w, sort_keys=True))
-    if result.elapsed_ms is not None:
+    if result["elapsed_ms"] is not None:
         lines.append("")
-        lines.append(f"elapsed: {result.elapsed_ms} ms")
+        lines.append(f"elapsed: {result['elapsed_ms']} ms")
     return "\n".join(lines)
 
 
-def _emit(result: RunResult, args) -> int:
-    code = 0 if all(c["passed"] for c in result.checks) else 1
+def _emit(result: dict, args) -> int:
+    code = 0 if all(c["passed"] for c in result["checks"]) else 1
     try:
-        print(_render(result, args.format, not args.no_timing))
+        print(_render(result, args.format))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left early (rowmotion ... | head); point stdout at
         # devnull so that the flush at exit does not fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.format == "csv":
-        for c in result.checks:
+        for c in result["checks"]:
             if not c["passed"]:
                 print(f"check failed: {c['name']}: {c['details']}",
                       file=sys.stderr)
     return code
 
 
-def _poset_result(command: str, expr_text: str, poset: Poset) -> RunResult:
-    return RunResult(
-        command=command,
-        poset=expr_text,
-        n_elements=poset.n_elements,
-        max_rank=poset.max_rank,
-    )
+def _finish(args, *, text: str | None = None, poset: Poset | None = None,
+            orbits: Sequence[OrbitReport] = (),
+            checks: Sequence[CheckResult] = (),
+            witnesses: Sequence[dict] = ()) -> int:
+    """Write what one command reports, the dict of its JSON document, and
+    return its exit code.  text names the poset, in the grammar."""
+    elapsed_ms = int((time.monotonic() - args.start_time) * 1000)
+    return _emit({
+        "command": args.command,
+        "poset": text,
+        "n_elements": None if poset is None else poset.n_elements,
+        "max_rank": None if poset is None else poset.max_rank,
+        "orbits": _orbit_dicts(orbits),
+        "checks": [c.as_dict() for c in checks],
+        "witnesses": list(witnesses),
+        "elapsed_ms": None if args.no_timing else elapsed_ms,
+    }, args)
 
 
 def _parse_seed(poset: Poset, bits: str) -> int:
@@ -342,14 +187,12 @@ def _cmd_orbits(args) -> int:
     cap = _entry_cap(args)
     expr = parse_poset_expr(args.expr)
     poset = build(expr, cap=cap)
-    result = _poset_result("orbits", to_text(expr), poset)
     if args.seed_ideal is not None:
         mask = _parse_seed(poset, args.seed_ideal)
         reports = [OrbitReport.from_seed_mask(poset, mask, cap)]
     else:
         reports = orbit_reports(poset, cap)
-    result.orbits = _orbit_dicts(reports)
-    return _finish(result, args)
+    return _finish(args, text=to_text(expr), poset=poset, orbits=reports)
 
 
 def _cmd_verify_grid(args) -> int:
@@ -357,10 +200,6 @@ def _cmd_verify_grid(args) -> int:
     if word is not None and sorted(word) != ["0"] * args.m + ["1"] * args.n:
         raise ValueError(f"--word needs {args.m} zeros and {args.n} ones")
     poset, reports, checks = verify_grid(args.m, args.n, _entry_cap(args))
-    result = _poset_result(
-        "verify-grid", f"prod(chain({args.m}),chain({args.n}))", poset
-    )
-    result.orbits = _orbit_dicts(reports)
     if word is not None:
         rows, ok = word_iterate_rows(word)
         details = " ".join(f"{i}:{w}:{direct}" for i, w, direct, _ in rows)
@@ -368,20 +207,16 @@ def _cmd_verify_grid(args) -> int:
             CheckResult("word iterate table agrees with the profile", ok,
                         details)
         ]
-    result.checks = _check_dicts(checks)
-    return _finish(result, args)
+    return _finish(args, text=f"prod(chain({args.m}),chain({args.n}))",
+                   poset=poset, orbits=reports, checks=checks)
 
 
 def _cmd_verify_k(args) -> int:
     poset, reports, checks = verify_k_product(
         args.m, args.n, _entry_cap(args)
     )
-    result = _poset_result(
-        "verify-k", f"prod(chain({args.m}),k({args.n - 1}))", poset
-    )
-    result.orbits = _orbit_dicts(reports)
-    result.checks = _check_dicts(checks)
-    return _finish(result, args)
+    return _finish(args, text=f"prod(chain({args.m}),k({args.n - 1}))",
+                   poset=poset, orbits=reports, checks=checks)
 
 
 def _entry_cap(args) -> int:
@@ -396,12 +231,11 @@ def _cmd_verify_delta1(args) -> int:
     cap = _entry_cap(args)
     expr = parse_poset_expr(args.target)
     poset = build(expr, cap=cap)
-    result = _poset_result("verify-delta1", to_text(expr), poset)
+    text = to_text(expr)
     average = verify_constant_average(poset, cap=cap)
-    result.orbits = _orbit_dicts(average.orbits)
-    result.checks = _check_dicts([check_constant_average(
-        average, f"orbit averages constant [{to_text(expr)}]")])
-    return _finish(result, args)
+    return _finish(args, text=text, poset=poset, orbits=average.orbits,
+                   checks=[check_constant_average(
+                       average, f"orbit averages constant [{text}]")])
 
 
 def _cmd_conjectures(args) -> int:
@@ -444,24 +278,23 @@ def _sweep(args, entries: list[CatalogEntry], check) -> int:
     each entry.  An entry past the cap is skipped and listed among the
     witnesses; a sweep that skipped one did not do its work, so it exits 3
     unless a check failed."""
-    result = RunResult(command=args.command)
     checks: list[CheckResult] = []
+    witnesses: list[dict] = []
     cap = _entry_cap(args)
     skipped = 0
     for entry in entries:
         try:
-            entry_checks, witnesses = check(entry, cap)
+            entry_checks, entry_witnesses = check(entry, cap)
         except CapExceeded:
-            result.witnesses.append({"entry": entry.name, "status": "skipped",
-                                     "reason": f"more than {cap} ideals"})
+            witnesses.append({"entry": entry.name, "status": "skipped",
+                              "reason": f"more than {cap} ideals"})
             skipped += 1
             continue
         checks.extend(entry_checks)
-        result.witnesses.extend(witnesses)
-    result.checks = _check_dicts(checks)
-    if len(result.witnesses) > skipped:
+        witnesses.extend(entry_witnesses)
+    if len(witnesses) > skipped:
         print("COUNTEREXAMPLE FOUND; see witnesses", file=sys.stderr)
-    code = _finish(result, args)
+    code = _finish(args, checks=checks, witnesses=witnesses)
     if skipped:
         print(f"skipped {skipped} of {len(entries)} targets: more than "
               f"{cap} ideals each", file=sys.stderr)
@@ -472,7 +305,6 @@ def _sweep(args, entries: list[CatalogEntry], check) -> int:
 def _cmd_encode(args) -> int:
     expr = parse_poset_expr(args.expr)
     poset = build(expr, cap=_entry_cap(args))
-    result = _poset_result("encode", to_text(expr), poset)
     mask = _parse_seed(poset, args.seed_ideal)
     try:
         codec = grid_codec(poset)
@@ -482,14 +314,11 @@ def _cmd_encode(args) -> int:
         except InvalidSubset:
             raise ValueError(
                 "no codec applies to this poset and ideal") from None
-    result.checks = [
-        {"name": "encode", "passed": True, "details": codec.encode(mask)}
-    ]
-    return _finish(result, args)
+    return _finish(args, text=to_text(expr), poset=poset,
+                   checks=[CheckResult("encode", True, codec.encode(mask))])
 
 
 def _cmd_step_word(args) -> int:
-    result = RunResult(command="step-word")
     word = args.word
     cap = _entry_cap(args)
     if args.steps > cap:
@@ -502,42 +331,23 @@ def _cmd_step_word(args) -> int:
     else:
         steps = psi_iterates(word, args.steps)
     details = " ".join(f"{i}:{w}" for i, w in enumerate(steps, start=1))
-    result.checks = [
-        {"name": "step-word", "passed": True, "details": details}
-    ]
-    return _finish(result, args)
+    return _finish(args, checks=[CheckResult("step-word", True, details)])
 
 
 def _cmd_catalog(args) -> int:
-    result = RunResult(command="catalog")
-    checks = []
-    for fam in ("grid [m]x[n]", "staircase H(n)", "kproduct [m]xK(n-1)"):
-        checks.append(
-            {"name": f"family[{fam}]", "passed": True,
-             "details": "parametrized family"}
-        )
+    checks = [CheckResult(f"family[{fam}]", True, "parametrized family")
+              for fam in ("grid [m]x[n]", "staircase H(n)",
+                          "kproduct [m]xK(n-1)")]
     for entry in SPORADIC:
         poset = entry.realize_poset()
-        realization = (
-            f"layer({entry.layer_family}{entry.layer_rank},"
-            f"{entry.layer_pivot})"
-        )
+        realization = to_text(Layer(entry.layer_family, entry.layer_rank,
+                                    entry.layer_pivot))
         extra = f", expr {to_text(entry.expr)}" if entry.expr else ""
-        checks.append(
-            {
-                "name": f"entry[{entry.name}]",
-                "passed": True,
-                "details": f"{realization}, {poset.n_elements} elements, "
-                f"max rank {poset.max_rank}{extra}",
-            }
-        )
-    result.checks = checks
-    return _finish(result, args)
-
-
-def _finish(result: RunResult, args) -> int:
-    result.elapsed_ms = int((time.monotonic() - args.start_time) * 1000)
-    return _emit(result, args)
+        checks.append(CheckResult(
+            f"entry[{entry.name}]", True,
+            f"{realization}, {poset.n_elements} elements, "
+            f"max rank {poset.max_rank}{extra}"))
+    return _finish(args, checks=checks)
 
 
 def _positive(text: str) -> int:

@@ -3,7 +3,8 @@
 An expression tree of the frozen nodes below describes how a poset is
 assembled; build() turns it into a concrete Poset.  Element keys record the
 assembly (tuples for products, tagged pairs for sums, ideal masks for J), so
-structural encoders can find their way around the result.
+structural encoders can find their way around the result.  GRAMMAR gives
+each node's text form, which to_text prints and parse_poset_expr reads.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Union
 
 from ._record import Record
 from .poset import CapExceeded, DEFAULT_CAP, NotGraded, Poset, ideal_masks
+from .roots import FAMILY_RANK_RANGE
 
 PosetExpr = Union["Chain", "K", "H", "Prod", "OSum", "DUnion", "J", "Layer"]
 
@@ -113,26 +115,129 @@ class Layer(_Node):
         _set(self, "pivot", pivot)
 
 
+# The text form of every node, read by both to_text and parse_poset_expr:
+# the node's name and the kinds of its fields, in order.  "int" is an
+# integer of at least 1, "expr" a nested expression, "system" the family
+# letter and rank of a root system written as one token (E6), and "pivot"
+# an int of at most that rank.  Names are read in any case.
+GRAMMAR = {
+    Chain: ("chain", ("int",)),
+    K: ("K", ("int",)),
+    H: ("H", ("int",)),
+    Prod: ("prod", ("expr", "expr")),
+    OSum: ("osum", ("expr", "expr")),
+    DUnion: ("dunion", ("expr", "expr")),
+    J: ("J", ("expr",)),
+    Layer: ("layer", ("system", "pivot")),
+}
+_BY_NAME = {name.lower(): (node, kinds)
+            for node, (name, kinds) in GRAMMAR.items()}
+
+
 def to_text(expr: PosetExpr) -> str:
-    """Expression in the form the command-line parser accepts."""
-    match expr:
-        case Chain(n):
-            return f"chain({n})"
-        case K(r):
-            return f"K({r})"
-        case H(n):
-            return f"H({n})"
-        case Prod(a, b):
-            return f"prod({to_text(a)},{to_text(b)})"
-        case OSum(a, b):
-            return f"osum({to_text(a)},{to_text(b)})"
-        case DUnion(a, b):
-            return f"dunion({to_text(a)},{to_text(b)})"
-        case J(inner):
-            return f"J({to_text(inner)})"
-        case Layer(family, rank, pivot):
-            return f"layer({family}{rank},{pivot})"
-    raise TypeError(f"not a poset expression: {expr!r}")
+    """Expression in the form parse_poset_expr reads."""
+    if type(expr) not in GRAMMAR:
+        raise TypeError(f"not a poset expression: {expr!r}")
+    name, kinds = GRAMMAR[type(expr)]
+    values = iter(expr._values())
+    fields = []
+    for kind in kinds:
+        value = next(values)
+        if kind == "expr":
+            value = to_text(value)
+        elif kind == "system":
+            value = f"{value}{next(values)}"
+        fields.append(str(value))
+    return f"{name}({','.join(fields)})"
+
+
+class ExprParseError(ValueError):
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"byte {offset}: {message}")
+        self.offset = offset
+
+
+def parse_poset_expr(text: str) -> PosetExpr:
+    """The expression that text spells in GRAMMAR, NAME(FIELD,...) nested,
+    with case and whitespace ignored.  A text that is none raises
+    ExprParseError at the offset of its first fault."""
+    expr, pos = _parse(text, 0)
+    pos = _skip_space(text, pos)
+    if pos != len(text):
+        raise ExprParseError("unexpected trailing input", pos)
+    return expr
+
+
+def _parse(text: str, pos: int) -> tuple[PosetExpr, int]:
+    """The expression that starts at pos, and the offset after it."""
+    name, start, pos = _word(text, pos)
+    pos = _expect(text, pos, "(")
+    if name.lower() not in _BY_NAME:
+        raise ExprParseError(f"unknown constructor {name!r}", start)
+    node, kinds = _BY_NAME[name.lower()]
+    values: list = []
+    for k, kind in enumerate(kinds):
+        if k:
+            pos = _expect(text, pos, ",")
+        if kind == "expr":
+            value, pos = _parse(text, pos)
+            values.append(value)
+        elif kind == "system":
+            token, start, pos = _word(text, pos)
+            family, digits = token[:1].upper(), token[1:]
+            if family not in FAMILY_RANK_RANGE or not digits.isdecimal():
+                raise ExprParseError("expected a system name like A3 or E6",
+                                     start)
+            rank = int(digits)
+            lo, hi = FAMILY_RANK_RANGE[family]
+            if rank < lo or (hi is not None and rank > hi):
+                raise ExprParseError(f"{family}{rank} is not a valid system",
+                                     start)
+            values += (family, rank)
+        else:
+            digits, start, end = _run(text, pos, str.isdecimal)
+            if not digits:
+                raise ExprParseError("expected an integer", start)
+            value = int(digits)
+            if value < 1:
+                raise ExprParseError("integer parameters must be at least 1",
+                                     start)
+            if kind == "pivot" and value > values[-1]:
+                # offset of the field, before any space
+                raise ExprParseError(
+                    f"pivot {value} outside 1..{values[-1]}", pos)
+            values.append(value)
+            pos = end
+    return node(*values), _expect(text, pos, ")")
+
+
+def _skip_space(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def _run(text: str, pos: int, accept) -> tuple[str, int, int]:
+    """After any space at pos, the longest run of characters that accept
+    passes: (run, its start, its end)."""
+    start = end = _skip_space(text, pos)
+    while end < len(text) and accept(text[end]):
+        end += 1
+    return text[start:end], start, end
+
+
+def _word(text: str, pos: int) -> tuple[str, int, int]:
+    word, start, end = _run(text, pos, lambda ch: ch.isalnum() or ch == "_")
+    if not word:
+        raise ExprParseError("expected a name", start)
+    return word, start, end
+
+
+def _expect(text: str, pos: int, ch: str) -> int:
+    pos = _skip_space(text, pos)
+    if text[pos:pos + 1] != ch:
+        raise ExprParseError(f"expected {ch!r}", pos)
+    return pos + 1
 
 
 def build(expr: PosetExpr, cap: int = DEFAULT_CAP) -> Poset:

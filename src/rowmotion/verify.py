@@ -17,7 +17,7 @@ from .catalog import CatalogEntry, classical_layer_expr, entry_expr_poset
 from .constructions import build, grid_poset, k_product_poset
 from .homomesy import AverageReport, verify_constant_average
 from .isomorphism import are_isomorphic
-from .poset import DEFAULT_CAP, IdealSet, OrbitReport, Poset
+from .poset import CapExceeded, DEFAULT_CAP, IdealSet, OrbitReport, Poset
 from .roots import layer as build_layer
 from .words import (
     MarkedSequence,
@@ -146,7 +146,10 @@ def verify_grid(
     zigzag on window 1 prove that every window rebuilds its iterate
     (_windows_shift), and an orbit where that fails is checked again
     window by window, for the names of its failing words and windows
-    (_window_failures)."""
+    (_window_failures).  A grid of cap elements or more has more than cap
+    ideals, so it is refused before it is built."""
+    if m * n >= cap:
+        raise CapExceeded(f"more than {cap} ideals")
     poset = grid_poset(m, n)
     period = m + n
     checks: list[CheckResult] = []
@@ -269,7 +272,10 @@ def verify_k_product(
     listing, and psi_bar runs once per starred ideal, for the transport
     check.  Each ideal's word and its class come from one codec.encode,
     and the per-class average checks read the failures of the one
-    constant-average report."""
+    constant-average report.  A product of cap elements or more is refused
+    before it is built, as in verify_grid."""
+    if 2 * m * n >= cap:
+        raise CapExceeded(f"more than {cap} ideals")
     poset = k_product_poset(m, n)
     period = m + 2 * n - 1
     expected = Fraction(2 * m * n, period)

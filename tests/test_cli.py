@@ -14,14 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rowmotion
-from rowmotion import cli
-from rowmotion.cli import (
-    ExprParseError,
-    RunResult,
-    main,
-    parse_poset_expr,
-)
+from rowmotion import cli, constructions, verify
+from rowmotion.cli import ExprParseError, main, parse_poset_expr
 from rowmotion.constructions import (
+    GRAMMAR,
     H,
     J,
     K,
@@ -33,6 +29,7 @@ from rowmotion.constructions import (
     to_text,
 )
 from rowmotion.homomesy import IDEAL_IDENTITY, Witness
+from rowmotion.roots import FAMILY_RANK_RANGE
 from rowmotion.verify import CheckResult
 
 JSON_KEYS = {
@@ -74,19 +71,77 @@ def test_grammar_is_case_and_space_insensitive():
 
 
 def test_grammar_errors_carry_byte_offsets():
+    # one case per fault the parser reports, each with its message
     cases = [
-        ("nosuch(3)", 0),
-        ("prod(chain(2)", 13),
-        ("chain(0)", 6),
-        ("chain(x)", 6),
-        ("layer(A2,9)", 9),
-        ("layer(Q4,1)", 6),
-        ("chain(2)extra", 8),
+        ("", 0, "expected a name"),
+        ("  (3)", 2, "expected a name"),
+        ("layer( ,1)", 7, "expected a name"),
+        ("chain 3", 6, "expected '('"),
+        ("prod(chain(2) chain(3))", 14, "expected ','"),
+        ("prod(chain(2)", 13, "expected ','"),
+        ("chain(3", 7, "expected ')'"),
+        ("nosuch(3)", 0, "unknown constructor 'nosuch'"),
+        ("prod(chain(2),Foo(1))", 14, "unknown constructor 'Foo'"),
+        ("chain(x)", 6, "expected an integer"),
+        ("chain(0)", 6, "integer parameters must be at least 1"),
+        ("layer(A3, 0)", 10, "integer parameters must be at least 1"),
+        ("layer(Q4,1)", 6, "expected a system name like A3 or E6"),
+        ("layer(E,1)", 6, "expected a system name like A3 or E6"),
+        ("layer(e9,1)", 6, "E9 is not a valid system"),
+        ("layer(A2,9)", 9, "pivot 9 outside 1..2"),
+        ("layer(A2, 9)", 9, "pivot 9 outside 1..2"),
+        ("chain(2)extra", 8, "unexpected trailing input"),
     ]
-    for text, offset in cases:
+    for text, offset, message in cases:
         with pytest.raises(ExprParseError) as info:
             parse_poset_expr(text)
         assert info.value.offset == offset, text
+        assert str(info.value) == f"byte {offset}: {message}", text
+
+
+@pytest.mark.parametrize("text,message", [
+    ("chain(²)", "byte 6: expected an integer"),
+    ("layer(A²,1)", "byte 6: expected a system name like A3 or E6"),
+])
+def test_a_digit_that_is_no_decimal_is_a_parse_error(capsys, text, message):
+    # str.isdigit accepts a superscript two, which int refuses
+    code, out, err = run(capsys, "orbits", text)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {message}\n"
+
+
+def _random_expr(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(8 if depth < 3 else 4)
+    if kind == 0:
+        return Chain(rng.randint(1, 30))
+    if kind == 1:
+        return K(rng.randint(1, 30))
+    if kind == 2:
+        return H(rng.randint(1, 30))
+    if kind == 3:
+        family = rng.choice("ABCDEFG")
+        lo, hi = FAMILY_RANK_RANGE[family]
+        rank = rng.randint(lo, hi or 40)
+        return Layer(family, rank, rng.randint(1, rank))
+    if kind == 4:
+        return J(_random_expr(rng, depth + 1))
+    pair = (Prod, OSum, DUnion)[kind - 5]
+    return pair(_random_expr(rng, depth + 1), _random_expr(rng, depth + 1))
+
+
+def test_every_printed_expression_parses_back():
+    rng = random.Random(20261019)
+    kinds = set()
+    for _ in range(500):
+        expr = _random_expr(rng)
+        assert parse_poset_expr(to_text(expr)) == expr, expr
+        kinds.add(type(expr))
+    assert kinds == set(GRAMMAR)
+
+
+def test_the_command_line_reads_the_grammar_of_constructions():
+    assert cli.parse_poset_expr is constructions.parse_poset_expr
+    assert cli.ExprParseError is constructions.ExprParseError
 
 
 def test_nested_expression():
@@ -348,6 +403,27 @@ def test_large_inputs_are_refused_quickly(capsys, argv):
     assert code == 3
     assert "more than 20000 ideals" in err
     assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-grid", "300", "300"],
+    ["verify-grid", "4000", "4000"],
+    ["verify-k", "100", "100"],
+    ["verify-k", "2000", "2000"],
+])
+def test_a_codec_suite_refuses_a_large_shape_before_building_it(
+        capsys, monkeypatch, argv):
+    # m*n grid elements (2mn for K) give more ideals than that
+    def build(*shape):
+        raise AssertionError(f"built the poset of {shape}")
+
+    monkeypatch.setattr(verify, "grid_poset", build)
+    monkeypatch.setattr(verify, "k_product_poset", build)
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 0.5
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: more than 20000 ideals\n"
 
 
 def test_many_elements_are_refused_before_enumerating(capsys):
@@ -616,10 +692,11 @@ def test_uncapped_sweep_skips_nothing(capsys):
 def test_csv_failures_go_to_stderr(capsys):
     # a failing check must stay visible in csv mode, which only carries
     # orbit rows on stdout
-    from rowmotion.cli import RunResult, _emit
+    from rowmotion.cli import _emit
 
-    result = RunResult(command="demo")
-    result.checks = [{"name": "x", "passed": False, "details": "boom"}]
+    result = {key: None for key in JSON_KEYS}
+    result.update(orbits=[], witnesses=[])
+    result["checks"] = [{"name": "x", "passed": False, "details": "boom"}]
 
     class Args:
         format = "csv"
@@ -631,15 +708,18 @@ def test_csv_failures_go_to_stderr(capsys):
     assert "x" in captured.err
 
 
-def test_run_result_round_trip():
-    result = RunResult(command="orbits")
-    result.poset = "chain(2)"
-    result.n_elements = 2
-    result.max_rank = 2
-    result.orbits = [{"orbit_id": 0, "length": 3, "avg_size": "2/3",
-                      "sizes": [0, 1, 1]}]
-    doc = result.to_dict()
+def test_run_result_round_trip(monkeypatch):
+    results = []
+    monkeypatch.setattr(cli, "_emit",
+                        lambda result, args: results.append(result) or 0)
+    main(["orbits", "chain(2)", "--no-timing"])
+    (doc,) = results
+    assert doc["poset"] == "chain(2)"
+    assert (doc["n_elements"], doc["max_rank"]) == (2, 2)
+    assert doc["orbits"] == [{"orbit_id": 0, "length": 3, "avg_size": "2/3",
+                              "sizes": [0, 1, 1]}]
     assert set(doc) == JSON_KEYS
+    assert json.loads(cli._to_json(doc)) == doc
 
 
 # -- the JSON writer ----------------------------------------------------------
@@ -698,7 +778,7 @@ def test_json_writer_matches_json_dumps_on_each_command(argv, monkeypatch):
     monkeypatch.setattr(cli, "_emit",
                         lambda result, args: results.append(result) or 0)
     main(argv)
-    (doc,) = [result.to_dict() for result in results]
+    (doc,) = results
     assert cli._to_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 

@@ -36,9 +36,14 @@ The word layer's errors run too: step-word on one refused starred word per
 message of validate_starred (a stray letter, two stars, an even number of
 ones, too few ones before the star, no zero after it) and on the
 non-binary 012, and verify-grid with a --word table on 3 4 0101011 and
-2 2 0011.  The records' own output paths run too: catalog, and the parse
-errors of orbits "prod(chain(2)" and orbits "foo(3)".  Each runs in json
-and table format, and orbits also in csv, each with --no-timing.
+2 2 0011.  The records' own output paths run too: catalog, and orbits on
+one text per message of the expression parser (PARSE_ERRORS: a missing
+name, a missing "(", ",", or ")", an unknown constructor, a missing
+integer, a zero, an unknown and an invalid system, a pivot past the rank,
+and trailing input).  verify-grid 150 150 and verify-k 100 100 are refused
+at the default clamp of 20000 ideals, the poset having more elements than
+that.  Each runs in json and table format, and orbits also in csv, each
+with --no-timing.
 
 USAGE_CASES run as listed, with --no-timing where the command could
 succeed.  They are the argv at the edge of the plain layout, which the
@@ -70,6 +75,10 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = ROOT / "perfbench" / "expected.json"
 TIMEOUT_S = 600
 JOBS = 2
+# one text per message of the expression parser
+PARSE_ERRORS = ("(3)", "chain 3", "prod(chain(2)", "chain(3", "foo(3)",
+                "chain(x)", "chain(0)", "layer(Q4,1)", "layer(E9,1)",
+                "layer(A2,9)", "chain(2)extra")
 RUN_MAIN = ("import sys; from rowmotion.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
 
@@ -124,8 +133,9 @@ def base_commands() -> list[tuple[str, ...]]:
         "1*0x11", "1**011", "11*011", "0*1011", "01*101", "012")]
     commands += [("verify-grid", "3", "4", "--word", "0101011"),
                  ("verify-grid", "2", "2", "--word", "0011")]
-    commands += [("catalog",), ("orbits", "prod(chain(2)"),
-                 ("orbits", "foo(3)")]
+    commands += [("catalog",)]
+    commands += [("orbits", text) for text in PARSE_ERRORS]
+    commands += [("verify-grid", "150", "150"), ("verify-k", "100", "100")]
     return list(dict.fromkeys(commands))
 
 
