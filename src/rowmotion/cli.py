@@ -9,6 +9,7 @@ exceeded the configured cap, or a sweep skipped a target that did.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
@@ -35,7 +36,6 @@ from .poset import (
 )
 from .verify import (
     CheckResult,
-    _fraction_str,
     check_constant_average,
     verify_catalog_entry,
     verify_grid,
@@ -53,15 +53,20 @@ UNBUDGETED_CAP = 20000
 
 
 def _orbit_dicts(reports: Sequence[OrbitReport]) -> list[dict]:
-    return [
-        {
+    """One row per orbit.  avg_size is the size total and the orbit length
+    each divided by their gcd: the digits _fraction_str(r.average_size)
+    prints, without a Fraction per orbit."""
+    rows = []
+    for k, r in enumerate(reports):
+        total = sum(r.antichain_sizes)
+        g = math.gcd(total, r.length)
+        rows.append({
             "orbit_id": k,
             "length": r.length,
-            "avg_size": _fraction_str(r.average_size),
+            "avg_size": f"{total // g}/{r.length // g}",
             "sizes": list(r.antichain_sizes),
-        }
-        for k, r in enumerate(reports)
-    ]
+        })
+    return rows
 
 
 def _to_json(value, indent: str = "\n") -> str:
@@ -69,10 +74,13 @@ def _to_json(value, indent: str = "\n") -> str:
     have str keys, one join per container; indent is the newline and the
     indentation of value's own line.  json.dumps falls back to its
     pure-Python encoder under indent, at several times the cost.  bool is a
-    subclass of int, so only exact ints print by int.__repr__, and every
-    scalar other than a str or an exact int is left to json.dumps."""
-    if isinstance(value, str):
+    subclass of int, so only exact ints print by int.__repr__.  An exact
+    str or int, the common leaf, is told apart before the container tests;
+    every other scalar is left to json.dumps."""
+    if type(value) is str:
         return _json_str(value)
+    if type(value) is int:
+        return int.__repr__(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -89,8 +97,6 @@ def _to_json(value, indent: str = "\n") -> str:
         items = [f"{_json_str(key)}: {_to_json(value[key], inner)}"
                  for key in sorted(value)]
         return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
-    if type(value) is int:
-        return int.__repr__(value)
     return json.dumps(value)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
@@ -451,7 +451,7 @@ def all_orbits(poset: Poset, cap: int = DEFAULT_CAP) -> list[OrbitReport]:
     masks, _, minima, cycles = _list_orbits(poset, cap)
     # sizes[k]: the antichain size of the image of masks[k], which is the
     # antichain size of the next ideal on the cycle
-    sizes = [a.bit_count() for a in _rows(minima, len(masks))]
+    sizes = _bit_counts(minima, len(masks))
     return [OrbitReport(poset, len(c), tuple(map(masks.__getitem__, c)),
                         tuple(map(sizes.__getitem__, c[-1:] + c[:-1])))
             for c in cycles]
@@ -468,48 +468,68 @@ def operator_order(poset: Poset, cap: int = DEFAULT_CAP) -> int:
 # _step runs rowmotion on every ideal at once, once per listing, in
 # _list_orbits; every orbit statistic is read from that one listing.  The
 # ideals are held transposed: column x is an int whose bit k says whether
-# ideal k, in ideal_masks order, holds element x.  _columns transposes the
-# masks forward, with 8 strided slices per element; masks of up to 64 bits
-# go in with one pack, wider ones with one to_bytes per ideal.  _rows
-# transposes the image columns back, and all_orbits the antichain columns,
-# with 8 shift-and-mask gathers per column; rows of up to 64 bits come out
-# of one unpack, wider ones take one from_bytes per ideal.
+# ideal k, in ideal_masks order, holds element x.  Both transposes go
+# through _transpose8, which transposes the 8x8 bit block in every 64-bit
+# lane of one int; a transpose is its own inverse.  _columns transposes the
+# masks forward, one block per byte of the masks: masks of up to 64 bits go
+# in with one pack, wider ones with one to_bytes per ideal.  _rows
+# transposes the image columns back, one block per 8 columns: rows of up to
+# 64 bits come out of one unpack, wider ones take one from_bytes per ideal.
+# all_orbits reads the antichain sizes from the minima columns with
+# _bit_counts, a bit-sliced counter, without transposing them back.
+
+# (shift, lane) of the three delta swaps of an 8x8 bit transpose, byte r of
+# a lane holding row r: bits at distance 7, then 2x2 blocks at distance
+# 14, then 4x4 blocks at distance 28 trade places
+_DELTA_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                (28, 0x00000000F0F0F0F0))
 
 
-# _SPREAD[b][r] maps a byte to its bit b, moved to bit r: counting up from
-# 0, bit b is clear for 2**b bytes, then set for 2**b, and so on
-_SPREAD = tuple(
-    tuple((bytes(1 << b) + bytes([1 << r]) * (1 << b)) * (128 >> b)
-          for r in range(8))
-    for b in range(8)
-)
+@lru_cache(maxsize=1)
+def _swap_masks(nbytes: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each delta swap, its lane repeated over nbytes."""
+    return tuple((shift, int.from_bytes(
+        lane.to_bytes(8, "little") * (nbytes // 8), "little"))
+        for shift, lane in _DELTA_SWAPS)
+
+
+def _transpose8(x: int, nbytes: int) -> int:
+    """Transpose the 8x8 bit block in each 64-bit lane of x, nbytes bytes
+    long (a multiple of 8): bit c of byte r of a lane trades places with
+    bit r of byte c.  No masked bit reaches past its own lane, so one
+    shift of the whole int moves every lane at once."""
+    for shift, mask in _swap_masks(nbytes):
+        t = (x ^ x >> shift) & mask
+        x ^= t ^ t << shift
+    return x
 
 
 def _columns(masks: Sequence[int], n: int) -> list[int]:
     """Transpose masks into one int per element, bit k taken from masks[k].
 
-    Byte j of mask k sits at buf[k * width + j]; the masks k = 8q + r of one
-    residue r form a strided slice, and a table moves the wanted bit of each
-    of its bytes to bit r, so byte q of the column collects ideals 8q..8q+7.
-    Masks of up to 64 bits are packed 8 bytes wide in one struct pack, the
-    inverse of the unpack in _rows; wider ones take one to_bytes each.
+    Byte j of mask k sits at buf[k * width + j], so byte j of every mask is
+    the strided slice buf[j::width]: in its 64-bit lane q, byte r holds
+    elements 8j..8j+7 of mask 8q + r.  Transposed, byte c of lane q holds
+    element 8j + c of masks 8q..8q+7, which is byte q of that element's
+    column, so each column is one strided slice of the block.  Masks of up
+    to 64 bits are packed 8 bytes wide in one struct pack, the inverse of
+    the unpack in _rows; wider ones take one to_bytes each.
     """
+    k = len(masks)
     if n <= 64:
         width = 8
-        buf = struct.pack(f"<{len(masks)}Q", *masks)
+        buf = struct.pack(f"<{k}Q", *masks)
     else:
         width = (n + 7) // 8
         buf = b"".join(m.to_bytes(width, "little") for m in masks)
-    stride = 8 * width
-    buf += bytes(-len(masks) % 8 * width)
+    nbytes = k + -k % 8
+    buf += bytes((nbytes - k) * width)
     columns = []
-    for x in range(n):
-        j, b = divmod(x, 8)
-        column = 0
-        for r, table in enumerate(_SPREAD[b]):
-            column |= int.from_bytes(
-                buf[j + r * width::stride].translate(table), "little")
-        columns.append(column)
+    for j in range((n + 7) // 8):
+        block = _transpose8(int.from_bytes(buf[j::width], "little"),
+                            nbytes).to_bytes(nbytes, "little")
+        columns += [int.from_bytes(block[c::8], "little")
+                    for c in range(min(8, n - 8 * j))]
     return columns
 
 
@@ -517,31 +537,64 @@ def _rows(columns: Sequence[int], k: int) -> list[int]:
     """Transpose columns into k rows, bit x of row i taken from columns[x]:
     the inverse of _columns, one block of 8 columns at a time.
 
-    Row i = 8q + r takes width bytes at buf[i * stride].  Byte q of a
-    column holds rows 8q..8q+7; its bit r, moved to bit 0 and then to bit b
-    for column 8a + b, gives byte a of row 8q + r for every q at once, and
-    the rows of one residue r form a strided slice.  Rows of up to 8 bytes
-    are padded to 8 and read in one unpack.
+    Column 8a + c fills byte c of every 64-bit lane of a block, its byte q
+    going to lane q; transposed, byte r of lane q is byte a of row 8q + r.
+    Row i takes width bytes at buf[i * stride], so the block goes into the
+    rows with one strided assignment at buf[a::stride].  Rows of up to 8
+    bytes are padded to 8 and read in one unpack.
     """
     width = (len(columns) + 7) // 8
     if not width:
         return [0] * k
     depth = (k + 7) // 8
+    nbytes = 8 * depth
     stride = max(width, 8)
-    low = int.from_bytes(b"\1" * depth, "little")  # bit 0 of every byte
-    buf = bytearray(8 * depth * stride)
-    for r in range(8):
-        for a in range(width):
-            gathered = 0
-            for b, column in enumerate(columns[8 * a:8 * a + 8]):
-                gathered |= (column >> r & low) << b
-            buf[r * stride + a::8 * stride] = gathered.to_bytes(
-                depth, "little")
+    buf = bytearray(nbytes * stride)
+    for a in range(width):
+        block = bytearray(nbytes)
+        for c, column in enumerate(columns[8 * a:8 * a + 8]):
+            block[c::8] = column.to_bytes(depth, "little")
+        buf[a::stride] = _transpose8(int.from_bytes(block, "little"),
+                                     nbytes).to_bytes(nbytes, "little")
     if stride == 8:
         return list(struct.unpack_from(f"<{k}Q", buf))
     view = memoryview(buf)
     return [int.from_bytes(view[i:i + width], "little")
             for i in range(0, k * width, width)]
+
+
+# the digits of format(x, "b") as the bytes 0 and 1
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_counts(columns: Sequence[int], k: int) -> bytes:
+    """Byte i is the number of columns with bit i set, for i < k: the
+    popcounts of the k rows of _rows(columns, k), without the transpose.
+
+    A ripple-carry adder adds the columns into counter planes, plane b
+    holding bit b of every row's count.  Each plane is written out in
+    binary, most significant row first, and its digits become bytes 0 and
+    1; read big-endian and shifted by b, byte i of the int holds bit b of
+    row i's count.  A count must stay below 256.  For the minima columns of
+    a listing it does: the closures of the 2**w subsets of an antichain of
+    w elements are 2**w distinct ideals, so no antichain size exceeds
+    log2(k), and k < 2**256.
+    """
+    planes = []
+    for carry in columns:
+        for b, plane in enumerate(planes):
+            planes[b] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    counts = 0
+    for b, plane in enumerate(planes):
+        counts |= int.from_bytes(format(plane, f"0{k}b").encode().translate(
+            _BINARY_DIGITS), "big") << b
+    return counts.to_bytes(k, "little")
 
 
 def _covers(poset: Poset) -> tuple[list[list[int]], list[list[int]]]:

@@ -26,9 +26,11 @@ from rowmotion.constructions import (
     Layer,
     OSum,
     Prod,
+    build,
     to_text,
 )
 from rowmotion.homomesy import IDEAL_IDENTITY, Witness
+from rowmotion.poset import Poset, all_orbits
 from rowmotion.roots import FAMILY_RANK_RANGE
 from rowmotion.verify import CheckResult
 
@@ -722,6 +724,34 @@ def test_run_result_round_trip(monkeypatch):
     assert json.loads(cli._to_json(doc)) == doc
 
 
+def test_orbit_averages_print_as_the_reduced_fraction(capsys):
+    # avg_size is printed from the gcd of the size total and the length;
+    # it must read as _fraction_str of the exact average in json and csv
+    exprs = ("prod(chain(4),chain(4))", "prod(chain(5),K(3))",
+             "layer(E6,2)", "chain(1)")
+    reduced = unreduced = 0
+    for expr in exprs:
+        reports = all_orbits(build(parse_poset_expr(expr)))
+        expected = [verify._fraction_str(r.average_size) for r in reports]
+        for r in reports:
+            if r.length > 1 and r.average_size.denominator == r.length:
+                unreduced += 1
+            elif r.average_size.denominator != r.length:
+                reduced += 1
+        code, out, _ = run(capsys, "orbits", expr, "--format", "json",
+                           "--no-timing")
+        assert code == 0
+        assert [o["avg_size"] for o in json.loads(out)["orbits"]] == expected
+        code, out, _ = run(capsys, "orbits", expr, "--format", "csv")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == expected, expr
+    assert reduced and unreduced
+    (empty,) = cli._orbit_dicts(all_orbits(Poset.empty()))
+    assert empty == {"orbit_id": 0, "length": 1, "avg_size": "0/1",
+                     "sizes": [0]}
+
+
 # -- the JSON writer ----------------------------------------------------------
 
 # quotes, backslashes, every escaped control character, DEL, non-ASCII text
@@ -757,6 +787,21 @@ def test_json_writer_matches_json_dumps_on_random_values():
     rng = random.Random(20261019)
     for _ in range(2000):
         value = _random_json(rng)
+        assert cli._to_json(value) == json.dumps(
+            value, sort_keys=True, indent=2), value
+
+
+def test_json_writer_prints_subclassed_leaves_like_json_dumps():
+    # only an exact str or int takes the writer's own leaf route
+
+    class Text(str):
+        pass
+
+    class Count(int):
+        pass
+
+    for value in (Text('a"é'), [Text("b"), 1], {"k": Text("")},
+                  [Count(3), 4], True, [False, 2]):
         assert cli._to_json(value) == json.dumps(
             value, sort_keys=True, indent=2), value
 

@@ -8,7 +8,8 @@ tests/orbit_oracles.py computes the same listing, counts and reports by
 walking every orbit.  The shapes are those of the acceptance suite, plus
 inputs that fail.  ideal_masks is held to the
 level-by-level enumeration of the same module, and _columns and _rows, the
-listing's two transposes, to a transpose read one bit at a time.
+listing's two transposes, and _bit_counts, its antichain-size counter, to a
+transpose read one bit at a time.
 """
 
 import random
@@ -213,7 +214,7 @@ def test_empty_and_one_element_posets():
 def transposed(columns, k):
     """k rows, bit x of row i read from bit i of columns[x], one bit at a
     time."""
-    if not columns:
+    if not columns or not k:
         return [0] * k
     bits = [format(c, "b").zfill(k)[::-1] for c in columns]
     return [int("".join(row)[::-1], 2) for row in zip(*bits)]
@@ -230,6 +231,40 @@ def test_rows_transpose_back_like_columns():
             expected = transposed(columns, k)
             assert poset_module._rows(columns, k) == expected, (n, k)
             assert poset_module._columns(columns, k) == expected, (n, k)
+    # no rows, two rows, and masks of 200 and 400 bits: one block
+    # transpose per byte covers several 8-byte groups of each mask
+    for n, k in [(n, k) for n in (0, 1, 7, 8, 9, 64, 65, 128)
+                 for k in (0, 2)] + [(n, k) for n in (200, 400)
+                                     for k in (0, 1, 2, 7, 9, 64, 65)]:
+        columns = [rng.getrandbits(k) for _ in range(n)]
+        expected = transposed(columns, k)
+        assert poset_module._rows(columns, k) == expected, (n, k)
+        assert poset_module._columns(columns, k) == expected, (n, k)
+
+
+def test_bit_counts_match_the_transposed_popcounts():
+    # the counter adds columns into planes; 255 columns of ones give the
+    # largest count a byte holds
+    rng = random.Random(23)
+    for k in (0, 1, 7, 9, 12870):
+        for n, columns in (
+                (0, []),
+                (1, [rng.getrandbits(k)]),
+                (9, [rng.getrandbits(k) for _ in range(9)]),
+                (64, [rng.getrandbits(k) for _ in range(64)]),
+                (255, [(1 << k) - 1] * 255)):
+            counts = poset_module._bit_counts(columns, k)
+            assert isinstance(counts, bytes)
+            assert list(counts) == [r.bit_count()
+                                    for r in transposed(columns, k)], (n, k)
+
+
+def test_a_listing_of_wide_masks_matches_the_walker():
+    # 400 elements, so each mask spans 50 bytes, and 20301 ideals
+    poset = grid_poset(2, 200)
+    orbits = all_orbits(poset)
+    assert sum(o.length for o in orbits) == 20301
+    assert orbits == walked_orbits(poset)
 
 
 def test_counters_on_a_chain():

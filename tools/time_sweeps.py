@@ -1,23 +1,28 @@
 """Time the end-to-end sweeps of two source trees of rowmotion.
 
-    python3 tools/time_sweeps.py PARENT_SRC CHANGE_SRC [--out FILE]
+    python3 tools/time_sweeps.py PARENT_SRC CHANGE_SRC [--pairs N]
+        [--only TEXT [TEXT ...]] [--out FILE]
 
 PARENT_SRC and CHANGE_SRC are the src/ directories of two checkouts.  The
 sweeps are verify-grid 8 8, verify-grid 9 9 --budget, verify-k 6 4,
-conjectures and verify-delta1, and two refusals, orbits prod(chain(2),K(100))
-and orbits prod(chain(20),chain(20)), which enumerate ideals up to the
-default clamp of 20000 and exit 3; each runs with --format json
---no-timing.  Every run is a fresh interpreter with PYTHONPATH set to one
-tree and PYTHONHASHSEED=0, timed from outside as wall time around the whole
-process, start-up included, and as the CPU time the kernel charged it; its
-output is discarded and its exit code kept.  The child also times the
-reference loop of perfbench/child.py (imported, not run as a script)
-before it imports the package and after main() returns, as perfbench does,
-and writes the two times to a pipe.  The wall time less those two loops
-is also reported scaled to perfbench's reference machine: times 0.01 s
-over the mean loop time, so that a run on a slow moment of a shared
-machine is not read as a slow command.  The CPU time includes the loops.
-A pair runs one command once on each side, and each command gets PAIRS pairs;
+conjectures and verify-delta1; one listing, orbits prod(chain(8),chain(8))
+(12870 ideals); and two refusals, orbits prod(chain(2),K(100)) and orbits
+prod(chain(20),chain(20)), which enumerate ideals up to the default clamp
+of 20000 and exit 3.  Each runs with --format json --no-timing.  --only
+keeps the commands whose text, its words joined by spaces, contains one of
+the TEXTs (orbits prod(chain(2) for the first refusal alone); the run stops
+with a usage error when none does.  Every run is a fresh interpreter with
+PYTHONPATH set to one tree and PYTHONHASHSEED=0, timed from outside as
+wall time around the whole process, start-up included, and as the CPU
+time the kernel charged it; its output is discarded and its exit code
+kept.  The child also times the reference loop of perfbench/child.py
+(imported, not run as a script) before it imports the package and after
+main() returns, as perfbench does, and writes the two times to a pipe.
+The wall time less those two loops is also reported scaled to
+perfbench's reference machine: times 0.01 s over the mean loop time, so
+that a run on a slow moment of a shared machine is not read as a slow
+command.  The CPU time includes the loops.  A pair runs one command once
+on each side, and each command gets N pairs (--pairs, 5 by default);
 pairs alternate which side goes first (odd pairs the parent, even pairs
 the change), and the commands take turns within a round of pairs.  One
 command of each tree runs untimed first, so that neither side pays for
@@ -26,9 +31,10 @@ compiling its bytecode.
 The script prints, per command, the median wall and scaled times of each
 side and in how many pairs the change was faster by each; the JSON summary
 adds the quartiles and the median CPU times.  With --out, the same summary
-and every pair go into that JSON file under the key "sweeps"; the file's
-other keys are kept.  Wall and CPU times are seconds on the machine that
-runs the script; scaled times are seconds at perfbench's reference speed.
+and every pair go into that JSON file under the key "sweeps", its command
+naming --pairs and --only; the file's other keys are kept.  Wall and CPU
+times are seconds on the machine that runs the script; scaled times are
+seconds at perfbench's reference speed.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ COMMANDS = (
     ("verify-k", "6", "4"),
     ("conjectures",),
     ("verify-delta1",),
+    ("orbits", "prod(chain(8),chain(8))"),
     ("orbits", "prod(chain(2),K(100))"),
     ("orbits", "prod(chain(20),chain(20))"),
 )
@@ -68,7 +75,6 @@ finally:
     os.write(int(sys.argv[2]), f"{before} {child.reference_loop()}".encode())
 sys.exit(code)
 """
-PAIRS = 5
 # perfbench's nominal reference loop time, REF_NOMINAL_S in perfbench/run.py
 REF_NOMINAL_S = 0.01
 
@@ -106,6 +112,8 @@ def run(src: str, argv: list[str]) -> dict:
 
 
 def quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return values * 2
     q = statistics.quantiles(values, n=4)
     return [q[0], q[2]]
 
@@ -143,31 +151,39 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
+    parser.add_argument("--pairs", type=int, default=5, metavar="N")
+    parser.add_argument("--only", nargs="+", metavar="TEXT")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     for src in (args.parent_src, args.change_src):
         if not (Path(src) / "rowmotion" / "cli.py").is_file():
             parser.error(f"{src} holds no rowmotion package")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    commands = [c for c in COMMANDS if args.only is None
+                or any(text in " ".join(c) for text in args.only)]
+    if not commands:
+        parser.error("--only matches no command")
     sides = {"parent": args.parent_src, "change": args.change_src}
     for src in sides.values():
         run(src, ["catalog", "--no-timing"])
-    runs: dict[str, list[dict]] = {" ".join(c): [] for c in COMMANDS}
-    for pair in range(1, PAIRS + 1):
+    runs: dict[str, list[dict]] = {" ".join(c): [] for c in commands}
+    for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
-        for command in COMMANDS:
+        for command in commands:
             argv = [*command, "--format", "json", "--no-timing"]
             row = {"pair": pair, "first": order[0]}
             for side in order:
                 for key, value in run(sides[side], argv).items():
                     row[f"{side}_{key}"] = value
             runs[" ".join(command)].append(row)
-        print(f"pair {pair} of {PAIRS} done", file=sys.stderr)
+        print(f"pair {pair} of {args.pairs} done", file=sys.stderr)
     summary = {name: summarize(rows) for name, rows in runs.items()}
     width = max(map(len, summary))
     for name, s in summary.items():
         line = (f"{name:<{width}}  parent {s['parent']:.3f} s  "
                 f"change {s['change']:.3f} s  "
-                f"faster in {s['change_wins']} of {PAIRS}")
+                f"faster in {s['change_wins']} of {args.pairs}")
         if "parent_scaled" in s:
             line += (f"  scaled {s['parent_scaled']:.3f} -> "
                      f"{s['change_scaled']:.3f} s  "
@@ -176,7 +192,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         data = json.loads(args.out.read_text()) if args.out.exists() else {}
         data["sweeps"] = {
-            "command": "python3 tools/time_sweeps.py PARENT_SRC CHANGE_SRC",
+            "command": " ".join(
+                ["python3 tools/time_sweeps.py PARENT_SRC CHANGE_SRC",
+                 f"--pairs {args.pairs}",
+                 *(["--only", *map(repr, args.only)] if args.only else [])]),
             "machine": f"{os.cpu_count()} CPUs, Python "
                        f"{platform.python_version()}; wall seconds "
                        "less the reference loops, and the same scaled to "
