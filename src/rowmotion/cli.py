@@ -74,9 +74,12 @@ def _to_json(value, indent: str = "\n") -> str:
     have str keys, one join per container; indent is the newline and the
     indentation of value's own line.  json.dumps falls back to its
     pure-Python encoder under indent, at several times the cost.  bool is a
-    subclass of int, so only exact ints print by int.__repr__.  An exact
-    str or int, the common leaf, is told apart before the container tests;
-    every other scalar is left to json.dumps."""
+    subclass of int, so only exact ints print by int.__repr__, or by str,
+    which gives the same digits for them and which a list comprehension
+    calls faster than map calls int.__repr__.  An exact str or int, the
+    common leaf, is told apart before the container tests; every other
+    scalar is left to json.dumps.  A list of dicts that give the same keys
+    in the same order, such as the orbit rows, prints from one template."""
     if type(value) is str:
         return _json_str(value)
     if type(value) is int:
@@ -86,7 +89,11 @@ def _to_json(value, indent: str = "\n") -> str:
             return "[]"
         inner = indent + "  "
         if set(map(type, value)) == {int}:
-            items = map(int.__repr__, value)
+            items = [str(item) for item in value]
+        elif (type(value[0]) is dict and value[0]
+              and all(type(item) is dict for item in value)
+              and len(set(map(tuple, value))) == 1):
+            items = _dict_rows(value, inner)
         else:
             items = [_to_json(item, inner) for item in value]
         return f"[{inner}{(',' + inner).join(items)}{indent}]"
@@ -100,13 +107,26 @@ def _to_json(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
+def _dict_rows(rows: Sequence[dict], indent: str) -> list[str]:
+    """_to_json of each of rows, dicts that give the same keys in the same
+    order, from one template: the keys are sorted and escaped once, and
+    each value still goes through _to_json."""
+    keys = sorted(rows[0])
+    inner = indent + "  "
+    template = "{" + ",".join(
+        inner + _json_str(key).replace("%", "%%") + ": %s" for key in keys
+    ) + indent + "}"
+    return [template % tuple([_to_json(row[key], inner) for key in keys])
+            for row in rows]
+
+
 def _render(result: dict, fmt: str) -> str:
     if fmt == "json":
         return _to_json(result)
     if fmt == "csv":
         lines = ["orbit_id,length,avg_size,sizes"]
         for o in result["orbits"]:
-            sizes = " ".join(str(s) for s in o["sizes"])
+            sizes = " ".join([str(s) for s in o["sizes"]])
             lines.append(f"{o['orbit_id']},{o['length']},{o['avg_size']},{sizes}")
         return "\n".join(lines)
     lines = [f"command: {result['command']}"]
@@ -119,7 +139,7 @@ def _render(result: dict, fmt: str) -> str:
         lines.append("")
         lines.append(f"{'orbit':>5}  {'length':>6}  {'avg':>8}  sizes")
         for o in result["orbits"]:
-            sizes = " ".join(str(s) for s in o["sizes"])
+            sizes = " ".join([str(s) for s in o["sizes"]])
             lines.append(
                 f"{o['orbit_id']:>5}  {o['length']:>6}  {o['avg_size']:>8}  {sizes}"
             )

@@ -12,6 +12,8 @@ import math
 import struct
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
@@ -342,13 +344,19 @@ def ideal_masks(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[int]:
     with the ideals it yields.  Each ideal is grown from the empty one by
     adding its members in increasing order.  The walk holds an ideal s and
     the elements addable to s above the last one added.  Each such j gives
-    the child s plus j, whose addable elements are those of s above j and
-    the upper covers of j whose strict down-set now lies in s plus j.  The
-    walk stacks every child but the largest, lowest j first, and moves
-    straight into the largest; at a leaf, where nothing is addable, it pops
-    the stack.  So s plus a larger element, and every ideal grown from it,
-    comes before s plus a smaller one: the lexicographic order, with
-    element 0 most significant.
+    the child t = s plus j, whose addable elements are those of s above j
+    and the upper covers of j that become addable.  Since t is an ideal
+    that holds j, an upper cover of j is addable once its other lower
+    covers lie in t; so the new ones depend only on t & rel_j, where rel_j
+    holds the other lower covers of j's upper covers, and a table of j
+    maps each such key to them.  The table is filled as the walk meets
+    its keys, one lookup per child, so the tables never hold more keys
+    than the walk has met ideals, recorded or stacked.  The walk stacks
+    every child but the largest, lowest j first, and moves straight into
+    the largest; at a leaf, where nothing is addable, it pops the stack.
+    So s plus a larger element, and every ideal grown from it, comes
+    before s plus a smaller one: the lexicographic order, with element 0
+    most significant.
 
     A poset on n elements has at least n+1 ideals (the prefixes of the
     linear extension), so n >= cap is refused before the search.  The walk
@@ -359,45 +367,58 @@ def ideal_masks(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[int]:
     n = poset.n_elements
     if n >= cap:
         raise CapExceeded(f"more than {cap} ideals")
-    # grow[j + 1]: (bit, strict down-set) of each upper cover of j, read
-    # at the bit_length of j's bit
-    grow = [[] for _ in range(n + 1)]
-    minimal = poset.full_mask
-    for j, z in poset.covers:
-        grow[j + 1].append((1 << z, poset.down[z] ^ (1 << z)))
-        minimal &= ~(1 << z)
+    lower, upper = _covers(poset)
+    # grow[j + 1], read at the bit_length of j's bit: rel_j; j's table;
+    # and (z, the other lower covers of z) of each upper cover z of j,
+    # which fill the table
+    grow = [(0, {}, ())]
+    for j, above in enumerate(upper):
+        covers = []
+        rel = 0
+        for z in above:
+            others = 0
+            for i in lower[z]:
+                if i != j:
+                    others |= 1 << i
+            covers.append((z, others))
+            rel |= others
+        grow.append((rel, {}, covers))
+    # the minimal elements, of rank 1, come first in the linear extension
+    minimal = (1 << poset.rank.count(1)) - 1
     masks = []
-    record = masks.append
     # a stacked child takes two ints, its ideal and then its addable set,
-    # so that the stack holds no tuples
+    # so that the stack holds no tuples; the list methods are called by
+    # name, which the interpreter specializes, and not bound to locals
     stack = []
-    pop, push = stack.pop, stack.append
     s, addable = 0, minimal
     for _ in range(cap + 1):
-        record(s)
-        if addable:
+        masks.append(s)
+        if not addable:
+            if not stack:
+                break
+            addable = stack.pop()
+            s = stack.pop()
+            continue
+        while True:
             low = addable & -addable
-            while addable != low:
-                addable ^= low
-                t = s | low
-                rest = addable
-                for bit, below in grow[low.bit_length()]:
-                    if below & t == below:
-                        rest |= bit
-                push(t)
-                push(rest)
-                low = addable & -addable
-            # low is the largest addable element: step into s plus low
-            s |= low
-            addable = 0
-            for bit, below in grow[low.bit_length()]:
-                if below & s == below:
-                    addable |= bit
-        elif stack:
-            addable = pop()
-            s = pop()
-        else:
-            break
+            addable ^= low
+            rel, table, covers = grow[low.bit_length()]
+            # rel holds no low, so s & rel is t & rel_j
+            key = s & rel
+            up = table.get(key)
+            if up is None:
+                up = 0
+                for z, others in covers:
+                    if others & key == others:
+                        up |= 1 << z
+                table[key] = up
+            if not addable:
+                break
+            stack.append(s | low)
+            stack.append(addable | up)
+        # low is the largest addable element: step into s plus low
+        s |= low
+        addable = up
     if len(masks) > cap:
         raise CapExceeded(f"more than {cap} ideals")
     yield from masks
@@ -423,7 +444,7 @@ def _list_orbits(
     masks = list(ideal_masks(poset, cap))
     columns = _columns(masks, poset.n_elements)
     minima, image = _step(columns, *_covers(poset), (1 << len(masks)) - 1)
-    index = {mask: k for k, mask in enumerate(masks)}
+    index = dict(zip(masks, range(len(masks))))
     successor = list(map(index.__getitem__, _rows(image, len(masks))))
     seen = bytearray(len(masks))
     cycles = []
@@ -452,9 +473,20 @@ def all_orbits(poset: Poset, cap: int = DEFAULT_CAP) -> list[OrbitReport]:
     # sizes[k]: the antichain size of the image of masks[k], which is the
     # antichain size of the next ideal on the cycle
     sizes = _bit_counts(minima, len(masks))
-    return [OrbitReport(poset, len(c), tuple(map(masks.__getitem__, c)),
-                        tuple(map(sizes.__getitem__, c[-1:] + c[:-1])))
-            for c in cycles]
+    # one gather over the cycles laid end to end, then a slice per orbit;
+    # an orbit's sizes are its gathered sizes turned by one place
+    gather = itemgetter(*chain.from_iterable(cycles))
+    ideals, images = gather(masks), gather(sizes)
+    if len(masks) == 1:  # itemgetter of one index returns a bare item
+        ideals, images = (ideals,), (images,)
+    reports = []
+    end = 0
+    for c in cycles:
+        start, end = end, end + len(c)
+        reports.append(OrbitReport(
+            poset, len(c), ideals[start:end],
+            images[end - 1:end] + images[start:end - 1]))
+    return reports
 
 
 def operator_order(poset: Poset, cap: int = DEFAULT_CAP) -> int:
@@ -477,6 +509,13 @@ def operator_order(poset: Poset, cap: int = DEFAULT_CAP) -> int:
 # 64 bits come out of one unpack, wider ones take one from_bytes per ideal.
 # all_orbits reads the antichain sizes from the minima columns with
 # _bit_counts, a bit-sliced counter, without transposing them back.
+# _list_orbits maps the image rows back to positions with one dict built
+# by zip, and follows each cycle in a Python loop; all_orbits then gathers
+# the masks and the sizes of every orbit with one itemgetter over the
+# cycles laid end to end, and slices them per orbit.  The listing's own
+# walk, ideal_masks, looks up the upper covers each child makes addable
+# in a table per element, filled on first use.  The cli prints the orbit
+# rows, dicts that give the same keys, from one template.
 
 # (shift, lane) of the three delta swaps of an 8x8 bit transpose, byte r of
 # a lane holding row r: bits at distance 7, then 2x2 blocks at distance

@@ -759,10 +759,19 @@ def test_orbit_averages_print_as_the_reduced_fraction(capsys):
 _JSON_CHARS = 'ab"\\/\b\f\n\r\t\x00\x1f\x7f \u00e9\u65e5\u2028\U0001f600\ud800'
 
 
+def _random_key(rng: random.Random) -> str:
+    # "%" and braces would break a key spliced into a format template
+    return "".join(rng.choice(_JSON_CHARS + "%{}")
+                   for _ in range(rng.randrange(4)))
+
+
 def _random_json(rng: random.Random, depth: int = 0):
     """A nested value of the kinds the writer takes: str-keyed dicts, lists,
-    tuples, ints, True/False/None and strings, empty containers included."""
-    kind = rng.randrange(9 if depth < 4 else 4)
+    tuples, ints, True/False/None and strings, empty containers included;
+    and rows, lists of dicts that give one key set, as the orbit listing
+    does, with near-misses: a last row that gives its keys in the other
+    order, or no keys at all."""
+    kind = rng.randrange(10 if depth < 4 else 4)
     if kind == 0:
         return rng.choice([0, 1, -1, rng.randint(-10**20, 10**20)])
     if kind == 1:
@@ -779,16 +788,47 @@ def _random_json(rng: random.Random, depth: int = 0):
         return items
     if kind == 6:
         return tuple(items)
-    return {"".join(rng.choice(_JSON_CHARS) for _ in range(rng.randrange(4))):
-            item for item in items}
+    if kind == 9:
+        keys = list(dict.fromkeys(_random_key(rng)
+                                  for _ in range(rng.randrange(5))))
+        rows = [{key: _random_json(rng, depth + 1) for key in keys}
+                for _ in range(rng.randrange(1, 4))]
+        near_miss = rng.randrange(4)
+        if near_miss == 0:
+            rows[-1] = dict(reversed(rows[-1].items()))
+        elif near_miss == 1:
+            rows[-1] = {}
+        return rows
+    return {_random_key(rng): item for item in items}
 
 
-def test_json_writer_matches_json_dumps_on_random_values():
+def _row_lists(value) -> int:
+    """How many lists and tuples in value hold nonempty dicts that all
+    give one key set, in whatever order."""
+    if isinstance(value, dict):
+        return sum(map(_row_lists, value.values()))
+    if not isinstance(value, (list, tuple)):
+        return 0
+    rows = (len(value) > 0
+            and all(type(item) is dict and item for item in value)
+            and len({frozenset(item) for item in value}) == 1)
+    return rows + sum(map(_row_lists, value))
+
+
+def test_json_writer_matches_json_dumps_on_random_values(monkeypatch):
+    templated = []
+    dict_rows = cli._dict_rows
+    monkeypatch.setattr(cli, "_dict_rows", lambda rows, indent: (
+        templated.append(rows) or dict_rows(rows, indent)))
     rng = random.Random(20261019)
+    rows = 0
     for _ in range(2000):
         value = _random_json(rng)
+        rows += _row_lists(value)
         assert cli._to_json(value) == json.dumps(
             value, sort_keys=True, indent=2), value
+    # the row template and, on the near-misses, the generic route
+    assert 0 < len(templated) < rows
 
 
 def test_json_writer_prints_subclassed_leaves_like_json_dumps():

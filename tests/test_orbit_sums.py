@@ -7,14 +7,18 @@ popcounts over its columns, the order from its lengths.
 tests/orbit_oracles.py computes the same listing, counts and reports by
 walking every orbit.  The shapes are those of the acceptance suite, plus
 inputs that fail.  ideal_masks is held to the
-level-by-level enumeration of the same module, and _columns and _rows, the
-listing's two transposes, and _bit_counts, its antichain-size counter, to a
-transpose read one bit at a time.
+level-by-level enumeration of the same module, and on posets of at most 14
+elements to every down-closed subset, found by brute force; its lookup
+tables are held to the ideals its walk meets.  _columns and _rows, the
+listing's two transposes, and _bit_counts, its antichain-size counter, are
+held to a transpose read one bit at a time.
 """
 
 import random
 import time
+import traceback
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -27,12 +31,14 @@ from orbit_oracles import (
 )
 from rowmotion import homomesy, poset as poset_module
 from rowmotion.catalog import SPORADIC
-from rowmotion.cli import main
+from rowmotion.cli import UNBUDGETED_CAP, main
 from rowmotion.constructions import (
+    H,
     Chain,
     DUnion,
     J,
     K,
+    Layer,
     OSum,
     Prod,
     build,
@@ -47,6 +53,7 @@ from rowmotion.homomesy import (
 from rowmotion.poset import (
     DEFAULT_CAP,
     CapExceeded,
+    NotGraded,
     OrbitReport,
     Poset,
     all_orbits,
@@ -390,6 +397,100 @@ def test_ideal_masks_refuse_by_element_count():
     with pytest.raises(CapExceeded, match="more than 6 ideals"):
         next(ideal_masks(chain, cap=6))
     assert len(list(ideal_masks(chain, cap=7))) == 7
+
+
+def down_closed_subsets(poset):
+    """Every down-closed subset of a poset of at most 14 elements, by
+    brute force over all subsets, sorted by its indicator string with
+    element 0 first."""
+    n = poset.n_elements
+    lower = [0] * n
+    for a, b in poset.covers:
+        lower[b] |= 1 << a
+    # need[m]: the lower covers of the members of m
+    need = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        need[m] = need[m ^ low] | lower[low.bit_length() - 1]
+    closed = [m for m in range(1 << n) if not need[m] & ~m]
+    return sorted(closed, key=lambda m: format(m, f"0{n}b")[::-1])
+
+
+def _small_expr(rng, depth=0):
+    kind = rng.randrange(0 if depth else 3, 8 if depth < 3 else 3)
+    if kind == 0:
+        return Chain(rng.randint(1, 6))
+    if kind == 1:
+        return K(rng.randint(1, 4))
+    if kind == 2:
+        return H(rng.randint(1, 4))
+    if kind == 3:
+        return J(_small_expr(rng, depth + 1))
+    if kind == 4:
+        return Layer(*rng.choice([("A", 4, 2), ("D", 4, 1), ("B", 3, 3)]))
+    pair = (Prod, OSum, DUnion)[kind - 5]
+    return pair(_small_expr(rng, depth + 1), _small_expr(rng, depth + 1))
+
+
+def small_random_posets(count, seed):
+    """count posets of 1 to 14 elements built from seeded random
+    expressions of the grammar."""
+    rng = random.Random(seed)
+    posets = []
+    while len(posets) < count:
+        expr = _small_expr(rng)
+        try:
+            poset = build(expr, cap=200)
+        except (CapExceeded, NotGraded):
+            continue
+        if poset.n_elements <= 14:
+            posets.append(poset)
+    return posets
+
+
+@pytest.mark.parametrize("poset", small_random_posets(60, 20261019)
+                         + [Poset.empty()])
+def test_ideal_masks_match_every_down_closed_subset(poset):
+    want = down_closed_subsets(poset)
+    k = len(want)
+    assert list(ideal_masks(poset, k)) == want
+    with pytest.raises(CapExceeded, match=f"^more than {k - 1} ideals$"):
+        next(ideal_masks(poset, k - 1))
+
+
+def _walk_state(frame):
+    """(table entries, ideals met) of an ideal_masks frame: the ideals met
+    are those recorded and those stacked, two ints each."""
+    state = frame.f_locals
+    entries = sum(len(table) for _, table, _ in state["grow"])
+    return entries, len(state["masks"]) + len(state["stack"]) // 2
+
+
+def test_ideal_masks_fill_their_tables_as_they_walk():
+    # each of 16 maximal elements covers each of 16 minimal ones: 2**16
+    # ideals of minimal elements and 2**16 - 1 that hold them all; an
+    # eager table for a minimal element would hold 2**15 keys, one per
+    # set of the other minimal elements
+    fan = reduce(DUnion, [Chain(1)] * 16)
+    poset = build(OSum(fan, fan))
+    bottom = (1 << 16) - 1
+    want = list(range(1 << 16)) + [bottom | top << 16
+                                   for top in range(1, 1 << 16)]
+    want.sort(key=lambda m: format(m, "032b")[::-1])
+    assert len(want) == 131071
+    with pytest.raises(CapExceeded) as refused:
+        next(ideal_masks(poset, UNBUDGETED_CAP))
+    frames = [frame for frame, _ in traceback.walk_tb(
+        refused.value.__traceback__) if frame.f_code.co_name == "ideal_masks"]
+    entries, met = _walk_state(frames[0])
+    assert met > UNBUDGETED_CAP and entries <= met
+    with pytest.raises(CapExceeded):
+        next(ideal_masks(poset, len(want) - 1))
+    walk = ideal_masks(poset, len(want))
+    first = next(walk)
+    entries, met = _walk_state(walk.gi_frame)
+    assert met == len(want) and entries <= met
+    assert [first, *walk] == want
 
 
 def catalog_realizations():

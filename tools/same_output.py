@@ -32,6 +32,11 @@ swap), and layer(B6,3), layer(C5,5), layer(G2,1) and layer(F4,1) (the
 identity); and on layer(A120,60) under --cap 100, a 3660-element layer
 that is refused while it is built.  orbits also runs on layer(A80,1), an
 80-element chain.
+orbits also runs on the fan-in poset FAN_IN, the osum of two dunions of
+six chain(1): each of six maximal elements covers each of six minimal ones,
+127 ideals.  It runs as a listing and under --cap 10 and --cap 100, where
+it is refused (exit 3): at 10 by its 12 elements, before the walk, and at
+100 in the walk.
 The word layer's errors run too: step-word on one refused starred word per
 message of validate_starred (a stray letter, two stars, an even number of
 ones, too few ones before the star, no zero after it) and on the
@@ -79,6 +84,9 @@ JOBS = 2
 PARSE_ERRORS = ("(3)", "chain 3", "prod(chain(2)", "chain(3", "foo(3)",
                 "chain(x)", "chain(0)", "layer(Q4,1)", "layer(E9,1)",
                 "layer(A2,9)", "chain(2)extra")
+SIX = "dunion(chain(1),dunion(chain(1),dunion(chain(1),dunion(chain(1)," \
+    "dunion(chain(1),chain(1))))))"
+FAN_IN = f"osum({SIX},{SIX})"
 RUN_MAIN = ("import sys; from rowmotion.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
 
@@ -129,6 +137,8 @@ def base_commands() -> list[tuple[str, ...]]:
         "layer(B6,3)", "layer(C5,5)", "layer(G2,1)", "layer(F4,1)")]
     commands += [("conjectures", "layer(A120,60)", "--cap", "100")]
     commands += [("orbits", "layer(A80,1)")]
+    commands += [("orbits", FAN_IN), ("orbits", FAN_IN, "--cap", "10"),
+                 ("orbits", FAN_IN, "--cap", "100")]
     commands += [("step-word", word) for word in (
         "1*0x11", "1**011", "11*011", "0*1011", "01*101", "012")]
     commands += [("verify-grid", "3", "4", "--word", "0101011"),
