@@ -99,10 +99,11 @@ def staircase_entry(n: int) -> tuple[PosetExpr, Layer]:
 
 
 def k_product_entry(m: int, n: int) -> tuple[PosetExpr, Layer]:
-    """[m]xK(n-1) and its layer realization; needs m+n at least 3 for the
-    layer side."""
-    if m < 1 or n < 1:
-        raise ValueError("parameters must be positive")
+    """[m]xK(n-1) and its layer realization; needs n >= 2.  [m]xK(0) is
+    two disjoint chains, with two minimal elements, and a coefficient-one
+    layer has one, its pivot root."""
+    if m < 1 or n < 2:
+        raise ValueError("need m >= 1 and n >= 2")
     return Prod(Chain(m), K(n - 1)), Layer("D", m + n, m)
 
 

@@ -117,12 +117,13 @@ class Layer(_Node):
 
 # The text form of every node, read by both to_text and parse_poset_expr:
 # the node's name and the kinds of its fields, in order.  "int" is an
-# integer of at least 1, "expr" a nested expression, "system" the family
-# letter and rank of a root system written as one token (E6), and "pivot"
-# an int of at most that rank.  Names are read in any case.
+# integer of at least 1, "count" one of at least 0, "expr" a nested
+# expression, "system" the family letter and rank of a root system written
+# as one token (E6), and "pivot" an int of at most that rank.  Names are
+# read in any case.
 GRAMMAR = {
     Chain: ("chain", ("int",)),
-    K: ("K", ("int",)),
+    K: ("K", ("count",)),
     H: ("H", ("int",)),
     Prod: ("prod", ("expr", "expr")),
     OSum: ("osum", ("expr", "expr")),
@@ -157,20 +158,30 @@ class ExprParseError(ValueError):
         self.offset = offset
 
 
+# the deepest nesting parse_poset_expr reads, counted in constructors:
+# below the interpreter's recursion limit, with room for build and to_text
+MAX_DEPTH = 500
+
+
 def parse_poset_expr(text: str) -> PosetExpr:
-    """The expression that text spells in GRAMMAR, NAME(FIELD,...) nested,
-    with case and whitespace ignored.  A text that is none raises
-    ExprParseError at the offset of its first fault."""
-    expr, pos = _parse(text, 0)
+    """The expression that text spells in GRAMMAR, NAME(FIELD,...) nested
+    at most MAX_DEPTH constructors deep, with case and whitespace ignored.
+    A text that is none raises ExprParseError at the offset of its first
+    fault."""
+    expr, pos = _parse(text, 0, 1)
     pos = _skip_space(text, pos)
     if pos != len(text):
         raise ExprParseError("unexpected trailing input", pos)
     return expr
 
 
-def _parse(text: str, pos: int) -> tuple[PosetExpr, int]:
-    """The expression that starts at pos, and the offset after it."""
+def _parse(text: str, pos: int, depth: int) -> tuple[PosetExpr, int]:
+    """The expression that starts at pos, depth constructors deep, and the
+    offset after it."""
     name, start, pos = _word(text, pos)
+    if depth > MAX_DEPTH:
+        raise ExprParseError(
+            f"expressions nest at most {MAX_DEPTH} constructors deep", start)
     pos = _expect(text, pos, "(")
     if name.lower() not in _BY_NAME:
         raise ExprParseError(f"unknown constructor {name!r}", start)
@@ -180,7 +191,7 @@ def _parse(text: str, pos: int) -> tuple[PosetExpr, int]:
         if k:
             pos = _expect(text, pos, ",")
         if kind == "expr":
-            value, pos = _parse(text, pos)
+            value, pos = _parse(text, pos, depth + 1)
             values.append(value)
         elif kind == "system":
             token, start, pos = _word(text, pos)
@@ -199,7 +210,7 @@ def _parse(text: str, pos: int) -> tuple[PosetExpr, int]:
             if not digits:
                 raise ExprParseError("expected an integer", start)
             value = int(digits)
-            if value < 1:
+            if value < 1 and kind != "count":
                 raise ExprParseError("integer parameters must be at least 1",
                                      start)
             if kind == "pivot" and value > values[-1]:

@@ -10,19 +10,10 @@ from __future__ import annotations
 from .poset import Poset
 
 
-def _neighbour_lists(poset: Poset) -> tuple[list[list[int]], list[list[int]]]:
-    ups: list[list[int]] = [[] for _ in range(poset.n_elements)]
-    downs: list[list[int]] = [[] for _ in range(poset.n_elements)]
-    for a, b in poset.covers:
-        ups[a].append(b)
-        downs[b].append(a)
-    return ups, downs
-
-
 def _stable_colors(poset: Poset) -> list[int]:
     """Refine (rank, up-degree, down-degree) by neighbour multisets until the
     partition stops splitting."""
-    ups, downs = _neighbour_lists(poset)
+    ups, downs = poset.upper, poset.lower
     n = poset.n_elements
     initial = [
         (poset.rank[i], len(ups[i]), len(downs[i])) for i in range(n)
@@ -63,8 +54,8 @@ def are_isomorphic(p: Poset, q: Poset) -> bool:
     if sorted(cp) != sorted(cq):
         return False
 
-    ups_p, downs_p = _neighbour_lists(p)
-    ups_q, downs_q = _neighbour_lists(q)
+    ups_p, downs_p = p.upper, p.lower
+    ups_q, downs_q = q.upper, q.lower
     by_color: dict[int, list[int]] = {}
     for j in range(n):
         by_color.setdefault(cq[j], []).append(j)

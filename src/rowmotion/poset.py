@@ -46,33 +46,40 @@ class Poset:
 
     rank values start at 1 for minimal elements; covers raise rank by exactly
     one and every maximal element sits at the top rank, so all maximal chains
-    have the same length.
+    have the same length.  lower[i] and upper[i] are the lower and upper
+    covers of element i, and down[i] and up[i] the masks of the elements
+    below and above it, i included.
     """
 
     __slots__ = (
-        "n_elements", "rank", "labels", "keys", "covers",
+        "n_elements", "rank", "labels", "keys", "covers", "lower", "upper",
         "down", "up", "max_rank", "full_mask", "_key_index",
     )
 
-    def __init__(self, n_elements, rank, labels, keys, covers, down, up):
-        self.n_elements = n_elements
+    def __init__(self, rank, labels, keys, key_index, covers, lower, upper,
+                 down, up):
+        self.n_elements = len(rank)
         self.rank = rank
         self.labels = labels
         self.keys = keys
+        self._key_index = key_index
         self.covers = covers
+        self.lower = lower
+        self.upper = upper
         self.down = down
         self.up = up
-        self.max_rank = max(rank) if rank else 0
-        self.full_mask = (1 << n_elements) - 1
-        self._key_index = {k: i for i, k in enumerate(keys)}
+        # rank is sorted: the linear extension lists rank first
+        self.max_rank = rank[-1] if rank else 0
+        self.full_mask = (1 << self.n_elements) - 1
 
     @classmethod
     def from_cover_data(cls, elements, cover_pairs):
         """Build a poset from (key, rank, label) triples and cover pairs on keys.
 
         Elements are re-indexed by (rank, listed position), which is a linear
-        extension because covers must increase rank.  Raises NotGraded if the
-        data does not satisfy the graded-poset conditions.
+        extension because covers must increase rank.  Each element's lower
+        and upper covers are kept as index tuples in that order.  Raises
+        NotGraded if the data does not satisfy the graded-poset conditions.
         """
         elements = list(elements)
         n = len(elements)
@@ -80,9 +87,9 @@ class Poset:
         keys = tuple(elements[t][0] for t in order)
         rank = tuple(elements[t][1] for t in order)
         labels = tuple(elements[t][2] for t in order)
-        if len(set(keys)) != n:
+        index = dict(zip(keys, range(n)))
+        if len(index) != n:
             raise ValueError("duplicate element keys")
-        index = {k: i for i, k in enumerate(keys)}
 
         covers = set()
         for a, b in cover_pairs:
@@ -94,32 +101,37 @@ class Poset:
                 )
             covers.add((i, j))
         covers = tuple(sorted(covers))
-
+        lower = [[] for _ in range(n)]
+        upper = [[] for _ in range(n)]
         down = [1 << i for i in range(n)]
-        up = [1 << i for i in range(n)]
-        for i, j in covers:  # i < j holds: rank sorts lower covers first
-            down[j] |= down[i]
-        for i, j in sorted(covers, key=lambda c: -c[1]):
-            up[i] |= up[j]
-
-        has_upper = [False] * n
-        has_lower = [False] * n
+        up = down[:]
+        # i < j in each cover, and the covers run in order of i: every
+        # lower cover of i is closed before i closes j, and read backwards
+        # every upper cover of j is closed before j closes i
         for i, j in covers:
-            has_upper[i] = True
-            has_lower[j] = True
-        d = max(rank) if n else 0
+            lower[j].append(i)
+            upper[i].append(j)
+            down[j] |= down[i]
+        for i, j in reversed(covers):
+            up[i] |= up[j]
+        lower = tuple(map(tuple, lower))
+        upper = tuple(map(tuple, upper))
+
+        poset = cls(rank, labels, keys, index, covers, lower, upper,
+                    tuple(down), tuple(up))
+        if n and rank[0] < 1:
+            raise NotGraded("ranks must start at 1")
+        top = poset.max_rank
         for i in range(n):
-            if rank[i] < 1:
-                raise NotGraded("ranks must start at 1")
-            if not has_lower[i] and rank[i] != 1:
+            if not lower[i] and rank[i] != 1:
                 raise NotGraded(f"minimal element {labels[i]} has rank {rank[i]}")
-            if not has_upper[i] and rank[i] != d:
+            if not upper[i] and rank[i] != top:
                 raise NotGraded(f"maximal element {labels[i]} has rank {rank[i]}")
-        return cls(n, rank, labels, tuple(keys), covers, tuple(down), tuple(up))
+        return poset
 
     @classmethod
     def empty(cls):
-        return cls(0, (), (), (), (), (), ())
+        return cls((), (), (), {}, (), (), (), (), ())
 
     # -- basic relations ---------------------------------------------------
 
@@ -367,7 +379,7 @@ def ideal_masks(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[int]:
     n = poset.n_elements
     if n >= cap:
         raise CapExceeded(f"more than {cap} ideals")
-    lower, upper = _covers(poset)
+    lower, upper = poset.lower, poset.upper
     # grow[j + 1], read at the bit_length of j's bit: rel_j; j's table;
     # and (z, the other lower covers of z) of each upper cover z of j,
     # which fill the table
@@ -443,7 +455,8 @@ def _list_orbits(
     """
     masks = list(ideal_masks(poset, cap))
     columns = _columns(masks, poset.n_elements)
-    minima, image = _step(columns, *_covers(poset), (1 << len(masks)) - 1)
+    minima, image = _step(columns, poset.lower, poset.upper,
+                          (1 << len(masks)) - 1)
     index = dict(zip(masks, range(len(masks))))
     successor = list(map(index.__getitem__, _rows(image, len(masks))))
     seen = bytearray(len(masks))
@@ -514,8 +527,7 @@ def operator_order(poset: Poset, cap: int = DEFAULT_CAP) -> int:
 # the masks and the sizes of every orbit with one itemgetter over the
 # cycles laid end to end, and slices them per orbit.  The listing's own
 # walk, ideal_masks, looks up the upper covers each child makes addable
-# in a table per element, filled on first use.  The cli prints the orbit
-# rows, dicts that give the same keys, from one template.
+# in a table per element, filled on first use.
 
 # (shift, lane) of the three delta swaps of an 8x8 bit transpose, byte r of
 # a lane holding row r: bits at distance 7, then 2x2 blocks at distance
@@ -636,17 +648,8 @@ def _bit_counts(columns: Sequence[int], k: int) -> bytes:
     return counts.to_bytes(k, "little")
 
 
-def _covers(poset: Poset) -> tuple[list[list[int]], list[list[int]]]:
-    """Lower and upper covers of every element."""
-    lower = [[] for _ in range(poset.n_elements)]
-    upper = [[] for _ in range(poset.n_elements)]
-    for a, b in poset.covers:
-        lower[b].append(a)
-        upper[a].append(b)
-    return lower, upper
-
-
-def _step(cur: Sequence[int], lower: list[list[int]], upper: list[list[int]],
+def _step(cur: Sequence[int], lower: Sequence[Sequence[int]],
+          upper: Sequence[Sequence[int]],
           full: int) -> tuple[list[int], list[int]]:
     """Rowmotion on every column at once: (minima, image).
 

@@ -19,10 +19,16 @@ from rowmotion.constructions import (
     build,
     grid_poset,
     k_product_poset,
+    parse_poset_expr,
     to_text,
 )
-from rowmotion.isomorphism import are_isomorphic
-from rowmotion.poset import CapExceeded, enumerate_ideals, rowmotion_ideal
+from rowmotion.isomorphism import _stable_colors, are_isomorphic
+from rowmotion.poset import (
+    CapExceeded,
+    Poset,
+    enumerate_ideals,
+    rowmotion_ideal,
+)
 
 
 def test_grid_counts_and_ranks():
@@ -85,6 +91,61 @@ def test_iterated_ideal_lattice_sizes():
     e = Prod(Chain(2), Chain(3))
     assert build(J(e)).n_elements == 10
     assert build(J(J(e))).n_elements == 16
+
+
+def _crown(turn=0):
+    """Four minimal elements a_i and four maximal ones b_i, with a_i below
+    b_i and b_(i+1): one 8-cycle of covers.  turn relabels the b_i."""
+    elements = [(f"a{i}", 1, f"a{i}") for i in range(4)]
+    elements += [(f"b{i}", 2, f"b{i}") for i in range(4)]
+    covers = [(f"a{i}", f"b{(i + d + turn) % 4}")
+              for i in range(4) for d in (0, 1)]
+    return Poset.from_cover_data(elements, covers)
+
+
+ANTICHAIN2 = "dunion(chain(1),chain(1))"
+K22 = f"osum({ANTICHAIN2},{ANTICHAIN2})"
+
+
+def _invariants(poset):
+    """What are_isomorphic compares before its search, in its order."""
+    return (poset.n_elements, sorted(poset.rank), len(poset.covers),
+            sorted(_stable_colors(poset)))
+
+
+def test_the_search_tells_the_crown_from_two_disjoint_k22():
+    crown = _crown()
+    twice = build(parse_poset_expr(f"dunion({K22},{K22})"))
+    # 8 elements, 8 covers and one colour per rank on both sides
+    assert _invariants(crown) == _invariants(twice)
+    assert not are_isomorphic(crown, twice)
+    assert not are_isomorphic(twice, crown)
+    assert are_isomorphic(crown, crown)
+    assert are_isomorphic(crown, _crown(turn=1))
+
+
+def _fork(covers):
+    """Two minimal elements a, b below three maximal ones c, d, e."""
+    elements = [(k, 1 if k in "ab" else 2, k) for k in "abcde"]
+    return Poset.from_cover_data(elements, [tuple(c) for c in covers])
+
+
+@pytest.mark.parametrize("left,right,first_difference", [
+    (build(Chain(3)), build(Chain(2)), 0),
+    # ranks 1, 2, 2, 3 against 1, 1, 2, 3
+    (build(K(1)), build(parse_poset_expr(f"osum({ANTICHAIN2},chain(2))")), 1),
+    # ranks 1, 1, 2, 2 with 2 covers against 4
+    (build(parse_poset_expr("dunion(chain(2),chain(2))")),
+     build(parse_poset_expr(K22)), 2),
+    # 4 covers each: a below c, d, e against a and b below two each
+    (_fork(["ac", "ad", "ae", "be"]), _fork(["ac", "ad", "bd", "be"]), 3),
+], ids=["element count", "rank multiset", "cover count", "colours"])
+def test_each_early_invariant_refuses_a_pair(left, right, first_difference):
+    ours, theirs = _invariants(left), _invariants(right)
+    assert ours[:first_difference] == theirs[:first_difference]
+    assert ours[first_difference] != theirs[first_difference]
+    assert not are_isomorphic(left, right)
+    assert not are_isomorphic(right, left)
 
 
 def test_build_honours_cap():

@@ -83,6 +83,14 @@ def test_k_product_family_layer(m, n):
     assert are_isomorphic(build(expr), k_product_poset(m, n))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_k_product_family_layer_refuses_one_strand_element(m):
+    # [m]xK(0) is two disjoint chains; a layer has one minimal element
+    assert k_product_poset(m, 1).rank.count(1) == 2
+    with pytest.raises(ValueError, match="n >= 2"):
+        k_product_entry(m, 1)
+
+
 def classical_cases():
     for l in range(1, 6):
         for i in range(1, l + 1):

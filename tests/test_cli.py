@@ -53,6 +53,7 @@ def test_grammar_round_trips():
     for text, expr in [
         ("chain(4)", Chain(4)),
         ("k(3)", K(3)),
+        ("k( 0 )", K(0)),
         ("h(2)", H(2)),
         ("prod(chain(2),chain(3))", Prod(Chain(2), Chain(3))),
         ("osum(chain(1),k(2))", OSum(Chain(1), K(2))),
@@ -86,6 +87,7 @@ def test_grammar_errors_carry_byte_offsets():
         ("prod(chain(2),Foo(1))", 14, "unknown constructor 'Foo'"),
         ("chain(x)", 6, "expected an integer"),
         ("chain(0)", 6, "integer parameters must be at least 1"),
+        ("H(0)", 2, "integer parameters must be at least 1"),
         ("layer(A3, 0)", 10, "integer parameters must be at least 1"),
         ("layer(Q4,1)", 6, "expected a system name like A3 or E6"),
         ("layer(E,1)", 6, "expected a system name like A3 or E6"),
@@ -112,12 +114,65 @@ def test_a_digit_that_is_no_decimal_is_a_parse_error(capsys, text, message):
     assert err == f"parse error: {message}\n"
 
 
+def test_nesting_past_the_bound_is_refused_at_its_first_constructor(capsys):
+    bound = constructions.MAX_DEPTH
+    assert bound == 500
+    message = f"byte {2 * bound}: expressions nest at most 500 constructors deep"
+    # bound + 1 constructors, and an unclosed text ten times as deep
+    for text in ("J(" * bound + "chain(1)" + ")" * bound, "J(" * 5000):
+        with pytest.raises(ExprParseError) as info:
+            parse_poset_expr(text)
+        assert info.value.offset == 2 * bound
+        assert str(info.value) == message
+        code, out, err = run(capsys, "orbits", text)
+        assert (code, out, err) == (2, "", f"parse error: {message}\n")
+    # in a chain of ordinal sums the first constructor past the bound is
+    # the left operand of the 500th osum
+    deep = "osum(chain(1)," * 2000 + "chain(1)" + ")" * 2000
+    code, out, err = run(capsys, "orbits", deep)
+    offset = len("osum(chain(1),") * (bound - 1) + len("osum(")
+    assert (code, out) == (2, "")
+    assert err == (f"parse error: byte {offset}: expressions nest at most "
+                   "500 constructors deep\n")
+
+
+@pytest.mark.parametrize("outer", ["J(", "osum(chain(1),"])
+def test_an_expression_at_the_bound_round_trips(outer):
+    # parsed and printed only: building a 500-deep J chain takes long
+    depth = constructions.MAX_DEPTH - 1
+    text = outer * depth + "chain(1)" + ")" * depth
+    expr = parse_poset_expr(text)
+    assert to_text(expr) == text
+    # the nodes are walked by a loop: == on them recurses once per level
+    for _ in range(depth):
+        assert type(expr) in (J, OSum)
+        expr = expr._values()[-1]
+    assert expr == Chain(1)
+
+
+@pytest.mark.parametrize("command", ["verify-grid", "verify-k"])
+def test_the_suites_name_posets_that_the_parser_reads(capsys, command):
+    for m in range(1, 4):
+        for n in range(1, 4):
+            code, out, _ = run(capsys, command, str(m), str(n),
+                               "--format", "json", "--no-timing")
+            assert code == 0
+            suite = json.loads(out)
+            code, out, err = run(capsys, "orbits", suite["poset"],
+                                 "--format", "json", "--no-timing")
+            assert code == 0, err
+            listing = json.loads(out)
+            assert listing["poset"].lower() == suite["poset"].lower()
+            for key in ("n_elements", "max_rank", "orbits"):
+                assert listing[key] == suite[key], (command, m, n, key)
+
+
 def _random_expr(rng: random.Random, depth: int = 0):
     kind = rng.randrange(8 if depth < 3 else 4)
     if kind == 0:
         return Chain(rng.randint(1, 30))
     if kind == 1:
-        return K(rng.randint(1, 30))
+        return K(rng.randint(0, 30))
     if kind == 2:
         return H(rng.randint(1, 30))
     if kind == 3:
@@ -134,11 +189,14 @@ def _random_expr(rng: random.Random, depth: int = 0):
 def test_every_printed_expression_parses_back():
     rng = random.Random(20261019)
     kinds = set()
+    zero_k = False
     for _ in range(500):
         expr = _random_expr(rng)
         assert parse_poset_expr(to_text(expr)) == expr, expr
         kinds.add(type(expr))
+        zero_k = zero_k or "K(0)" in to_text(expr)
     assert kinds == set(GRAMMAR)
+    assert zero_k
 
 
 def test_the_command_line_reads_the_grammar_of_constructions():

@@ -448,14 +448,41 @@ def small_random_posets(count, seed):
     return posets
 
 
-@pytest.mark.parametrize("poset", small_random_posets(60, 20261019)
-                         + [Poset.empty()])
+SMALL_POSETS = small_random_posets(60, 20261019) + [Poset.empty()]
+
+
+@pytest.mark.parametrize("poset", SMALL_POSETS)
 def test_ideal_masks_match_every_down_closed_subset(poset):
     want = down_closed_subsets(poset)
     k = len(want)
     assert list(ideal_masks(poset, k)) == want
     with pytest.raises(CapExceeded, match=f"^more than {k - 1} ideals$"):
         next(ideal_masks(poset, k - 1))
+
+
+@pytest.mark.parametrize("poset", SMALL_POSETS)
+def test_cover_lists_regroup_the_covers_and_close_to_the_order(poset):
+    n = poset.n_elements
+    assert len(poset.lower) == len(poset.upper) == n
+    for lists in (poset.lower, poset.upper):
+        assert all(type(t) is tuple and list(t) == sorted(t) for t in lists)
+    assert sorted((i, j) for j in range(n) for i in poset.lower[j]) \
+        == list(poset.covers)
+    assert sorted((i, j) for i in range(n) for j in poset.upper[i]) \
+        == list(poset.covers)
+    # le[i][j]: i <= j, the reflexive-transitive closure of the covers
+    le = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in poset.covers:
+        le[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if le[i][k]:
+                for j in range(n):
+                    le[i][j] = le[i][j] or le[k][j]
+    assert poset.down == tuple(sum(1 << i for i in range(n) if le[i][j])
+                               for j in range(n))
+    assert poset.up == tuple(sum(1 << j for j in range(n) if le[i][j])
+                             for i in range(n))
 
 
 def _walk_state(frame):

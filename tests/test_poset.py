@@ -58,13 +58,37 @@ def test_from_cover_data_rejects_short_maximal():
         Poset.from_cover_data(elements, [("a", "b")])
 
 
+def test_from_cover_data_rejects_ranks_below_one():
+    with pytest.raises(NotGraded, match="^ranks must start at 1$"):
+        Poset.from_cover_data([("a", 0, "a"), ("b", 1, "b")], [("a", "b")])
+
+
+def test_from_cover_data_rejects_a_minimal_element_above_rank_one():
+    elements = [("a", 1, "a"), ("b", 2, "b"), ("c", 2, "c")]
+    with pytest.raises(NotGraded, match="^minimal element c has rank 2$"):
+        Poset.from_cover_data(elements, [("a", "b")])
+
+
+def test_from_cover_data_rejects_duplicate_keys():
+    with pytest.raises(ValueError, match="^duplicate element keys$"):
+        Poset.from_cover_data([("a", 1, "a"), ("a", 1, "b")], [])
+
+
 def test_from_cover_data_accepts_diamond():
+    # listed out of rank order, and with a cover given twice
     p = Poset.from_cover_data(
-        [("a", 1, "a"), ("b", 2, "b"), ("c", 2, "c"), ("d", 3, "d")],
-        [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
+        [("d", 3, "d"), ("a", 1, "a"), ("c", 2, "c"), ("b", 2, "b")],
+        [("c", "d"), ("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
     )
     assert p.max_rank == 3
-    assert sorted(p.rank) == [1, 2, 2, 3]
+    assert p.rank == (1, 2, 2, 3)
+    assert p.keys == ("a", "c", "b", "d")
+    assert p.index_of("b") == 2
+    assert p.covers == ((0, 1), (0, 2), (1, 3), (2, 3))
+    assert p.lower == ((), (0,), (0,), (1, 2))
+    assert p.upper == ((1, 2), (3,), (3,), ())
+    assert p.down == (0b0001, 0b0011, 0b0101, 0b1111)
+    assert p.up == (0b1111, 0b1010, 0b1100, 0b1000)
 
 
 def test_ideal_validation():
