@@ -12,11 +12,12 @@ from typing import NamedTuple
 from .poset import (
     DEFAULT_CAP,
     IdealSet,
+    Listing,
     OrbitReport,
     Poset,
-    _list_orbits,
     all_orbits,
     bits_of,
+    list_orbits,
 )
 from .roots import RootLayer
 
@@ -86,28 +87,18 @@ def occurrence_counts(poset: Poset, orbit: OrbitReport) -> OccurrenceTable:
     )
 
 
-def _listed_occurrences(
-    columns: list[int], minima: list[int], cycle: list[int]
-) -> OccurrenceTable:
-    """occurrence_counts of one orbit of a listing, by popcount.  With S
-    the bit set of the orbit's positions, element x lies in
-    (columns[x] & S).bit_count() of its ideals and in
-    (minima[x] & S).bit_count() of their antichains: the minima are the
-    antichains of the images, and an orbit's images are the orbit itself."""
-    orbit = _positions(cycle)
+def _listed_occurrences(listing: Listing, r: int) -> OccurrenceTable:
+    """occurrence_counts of orbit r of a listing, by popcount.  With S the
+    bit set of its positions, element x lies in (columns[x] & S).bit_count()
+    of its ideals and in (minima[x] & S).bit_count() of their antichains:
+    the minima are the antichains of the images, and an orbit's images are
+    the orbit itself."""
+    orbit = listing.orbit_bits(r)
     return OccurrenceTable(
-        len(cycle),
-        tuple([(c & orbit).bit_count() for c in columns]),
-        tuple([(c & orbit).bit_count() for c in minima]),
+        len(listing.cycles[r]),
+        tuple([(c & orbit).bit_count() for c in listing.columns]),
+        tuple([(c & orbit).bit_count() for c in listing.minima]),
     )
-
-
-def _positions(cycle: list[int]) -> int:
-    """The bit set of a cycle's positions."""
-    orbit = 0
-    for i in cycle:
-        orbit |= 1 << i
-    return orbit
 
 
 class Witness(NamedTuple):
@@ -159,19 +150,19 @@ def check_conjectures(
     orbit is counted element by element to name its witnesses."""
     poset = root_layer.poset
     star = root_layer.star
-    masks, columns, minima, cycles = _list_orbits(poset, cap)
+    masks, columns, minima, cycles = listing = list_orbits(poset, cap)
     full = (1 << len(masks)) - 1
     pairs = sorted({(min(p, q), max(p, q)) for p, q in enumerate(star)})
     stacked = [columns[p] << len(masks) | columns[q] for p, q in pairs]
     stacked += [minima[p] << len(masks) | full ^ minima[q] for p, q in pairs]
     witnesses = ([], [])
     for k, cycle in enumerate(cycles):
-        orbit = _positions(cycle)
+        orbit = listing.orbit_bits(k)
         orbit |= orbit << len(masks)
         if (list(map(int.bit_count, map(orbit.__and__, stacked)))
                 == [len(cycle)] * len(stacked)):
             continue
-        t = _listed_occurrences(columns, minima, cycle)
+        t = _listed_occurrences(listing, k)
         seed_bits = IdealSet(poset, masks[cycle[0]]).bit_string()
         for p, q in enumerate(star):
             for found, identity, lhs, rhs in (

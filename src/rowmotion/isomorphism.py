@@ -77,18 +77,21 @@ def are_isomorphic(p: Poset, q: Poset) -> bool:
                 return False
         return True
 
-    def solve(k: int) -> bool:
-        if k == n:
-            return True
+    # backtrack without recursion: tries[k] is order[k]'s next candidate
+    tries = [0] * n
+    k = 0
+    while 0 <= k < n:
         i = order[k]
-        for j in by_color[cp[i]]:
+        if match[i] != -1:
+            used[match[i]] = False
+        candidates = by_color[cp[i]]
+        for t in range(tries[k], len(candidates)):
+            j = candidates[t]
             if not used[j] and ok(i, j):
-                match[i] = j
-                used[j] = True
-                if solve(k + 1):
-                    return True
-                match[i] = -1
-                used[j] = False
-        return False
-
-    return solve(0)
+                match[i], used[j], tries[k] = j, True, t + 1
+                k += 1
+                break
+        else:
+            match[i], tries[k] = -1, 0
+            k -= 1
+    return k == n

@@ -1,14 +1,15 @@
-"""Walker and enumeration references for the bit-sliced orbit engine.
+"""Walker and enumeration references for the orbit engine, list_orbits.
 
 level_ideal_masks builds the ideals level by level, one prefix of the
 linear extension at a time; poset.ideal_masks yields the same masks in the
 same order from a depth-first search that visits each ideal once.
 walked_orbits lists the orbits by walking them one at a time, one
-rowmotion step per ideal; poset.all_orbits reads the same listing from one
-bit-sliced step.  The other functions check the walked orbits, counting
-them with rowmotion.homomesy.occurrence_counts.  The checkers in
-rowmotion.homomesy and poset.operator_order read the one bit-sliced
-listing instead, and count an orbit by popcounts over its columns, so the
+rowmotion step per ideal, and walked_listing builds the Listing that
+poset.list_orbits reads from one bit-sliced step, one bit and one step at
+a time.  The other functions check the walked orbits, counting them with
+rowmotion.homomesy.occurrence_counts.  poset.all_orbits,
+poset.operator_order and the checkers in rowmotion.homomesy read one
+Listing instead, and count an orbit by popcounts over its columns, so the
 two agree only if both are right.
 """
 
@@ -27,6 +28,7 @@ from rowmotion.homomesy import (
 from rowmotion.poset import (
     DEFAULT_CAP,
     CapExceeded,
+    Listing,
     OrbitReport,
     Poset,
     ideal_masks,
@@ -73,6 +75,30 @@ def walked_orbits(poset):
             seen.update(report.masks)
             orbits.append(report)
     return orbits
+
+
+def walked_listing(poset) -> Listing:
+    """list_orbits by walking: the masks level by level, the cycles as the
+    positions of the walked orbits, each column one bit per ideal, and each
+    minima column one bit per ideal of the maxima of the next ideal on its
+    walked orbit."""
+    masks = list(level_ideal_masks(poset))
+    position = {m: k for k, m in enumerate(masks)}
+    cycles = [[position[m] for m in orbit.masks]
+              for orbit in walked_orbits(poset)]
+    images = [0] * len(masks)
+    for cycle in cycles:
+        for k, after in zip(cycle, cycle[1:] + cycle[:1]):
+            images[k] = poset.maxima_mask(masks[after])
+
+    def columns(rows):
+        # the n digits of each row under a sentinel bit n, last row first,
+        # read down one digit place at a time
+        n = poset.n_elements
+        digits = [format(r | 1 << n, "b")[1:] for r in reversed(rows)]
+        return [int("".join(place), 2) for place in zip(*digits)][::-1]
+
+    return Listing((masks, columns(masks), columns(images), cycles))
 
 
 def walked_average(poset, expected=None) -> AverageReport:

@@ -124,6 +124,57 @@ def test_the_search_tells_the_crown_from_two_disjoint_k22():
     assert are_isomorphic(crown, _crown(turn=1))
 
 
+def _over_chain(poset, length):
+    """poset with a chain of length elements below all its minimal ones."""
+    elements = [(("chain", t), t + 1, f"c{t}") for t in range(length)]
+    elements += [(key, rank + length, label) for key, rank, label
+                 in zip(poset.keys, poset.rank, poset.labels)]
+    covers = [(("chain", t), ("chain", t + 1)) for t in range(length - 1)]
+    if length:
+        covers += [(("chain", length - 1), poset.keys[i])
+                   for i in range(poset.n_elements) if poset.rank[i] == 1]
+    covers += [(poset.keys[i], poset.keys[j]) for i, j in poset.covers]
+    return Poset.from_cover_data(elements, covers)
+
+
+def test_the_search_runs_on_5000_elements():
+    # one search step per element, so a search that recursed once per
+    # element ran out of stack here
+    assert are_isomorphic(build(Chain(5000)), build(Chain(5000)))
+    crown = _over_chain(_crown(), 4992)
+    twice = _over_chain(build(parse_poset_expr(f"dunion({K22},{K22})")),
+                        4992)
+    assert crown.n_elements == twice.n_elements == 5000
+    # the invariants agree, so the search matches all 4992 chain elements
+    # before the crown tells the two apart
+    assert _invariants(crown) == _invariants(twice)
+    assert not are_isomorphic(crown, twice)
+    assert not are_isomorphic(twice, crown)
+    assert are_isomorphic(crown, _over_chain(_crown(turn=1), 4992))
+
+
+def _two_k22(first):
+    """Two copies of K22: the minimal elements in first lie below b0 and
+    b1, the other two below b2 and b3."""
+    elements = [(f"a{i}", 1, f"a{i}") for i in range(4)]
+    elements += [(f"b{i}", 2, f"b{i}") for i in range(4)]
+    covers = [(f"a{i}", f"b{j}") for i in range(4) for j in range(4)
+              if (i in first) == (j < 2)]
+    return Poset.from_cover_data(elements, covers)
+
+
+def test_the_search_backtracks_to_an_isomorphism():
+    # the search matches the minimal elements in order, a0 to a0 and a1 to
+    # a1; where a0 and a1 lie in two copies of K22 on one side and in one
+    # on the other, the maximal elements find no match until it returns
+    # to the minimal ones and pairs a1 with a2
+    for length in (0, 4992):
+        ours = _over_chain(_two_k22({0, 1}), length)
+        theirs = _over_chain(_two_k22({0, 2}), length)
+        assert are_isomorphic(ours, theirs)
+        assert are_isomorphic(theirs, ours)
+
+
 def _fork(covers):
     """Two minimal elements a, b below three maximal ones c, d, e."""
     elements = [(k, 1 if k in "ab" else 2, k) for k in "abcde"]

@@ -1,12 +1,12 @@
-"""The bit-sliced orbit engine against the orbit-by-orbit walker.
+"""The orbit engine, list_orbits, against the orbit-by-orbit walker.
 
-all_orbits reads the listing from one bit-sliced step, and
-verify_constant_average, check_conjectures and operator_order read that
-same listing: the averages from its orbits, the per-orbit counts by
-popcounts over its columns, the order from its lengths.
-tests/orbit_oracles.py computes the same listing, counts and reports by
-walking every orbit.  The shapes are those of the acceptance suite, plus
-inputs that fail.  ideal_masks is held to the
+list_orbits returns a Listing from one bit-sliced step, and all_orbits,
+verify_constant_average (through all_orbits), check_conjectures and
+operator_order read that Listing: the averages from its antichain sizes,
+the per-orbit counts by popcounts over its columns and orbit bit sets, the
+order from its cycle lengths.  tests/orbit_oracles.py computes the same
+Listing, counts and reports by walking every orbit.  The shapes are those
+of the acceptance suite, plus inputs that fail.  ideal_masks is held to the
 level-by-level enumeration of the same module, and on posets of at most 14
 elements to every down-closed subset, found by brute force; its lookup
 tables are held to the ideals its walk meets.  _columns and _rows, the
@@ -19,6 +19,7 @@ import time
 import traceback
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 
 import pytest
 
@@ -26,6 +27,7 @@ from orbit_oracles import (
     level_ideal_masks,
     walked_average,
     walked_conjectures,
+    walked_listing,
     walked_order,
     walked_orbits,
 )
@@ -58,9 +60,11 @@ from rowmotion.poset import (
     Poset,
     all_orbits,
     ideal_masks,
+    list_orbits,
     operator_order,
 )
 from rowmotion.roots import FAMILY_RANK_RANGE, layer
+from test_acceptance import classical_cases, grid_cases, k_cases
 
 CLAW = OSum(Chain(1), DUnion(Chain(1), DUnion(Chain(1), Chain(1))))
 CLAW_TEXT = "osum(chain(1),dunion(chain(1),dunion(chain(1),chain(1))))"
@@ -78,9 +82,9 @@ def classical_layers():
 
 def listed_counts(poset):
     """The per-orbit counts check_conjectures reads from the listing."""
-    _, columns, minima, cycles = poset_module._list_orbits(poset, DEFAULT_CAP)
-    return [homomesy._listed_occurrences(columns, minima, cycle)
-            for cycle in cycles]
+    listing = list_orbits(poset)
+    return [homomesy._listed_occurrences(listing, r)
+            for r in range(len(listing.cycles))]
 
 
 def assert_same_average(poset, expected=None):
@@ -194,9 +198,9 @@ def test_only_failing_orbits_are_counted_element_by_element(monkeypatch):
     counted = []
     real = homomesy._listed_occurrences
 
-    def spy(columns, minima, cycle):
-        counted.append(cycle[0])
-        return real(columns, minima, cycle)
+    def spy(listing, r):
+        counted.append(listing.cycles[r][0])
+        return real(listing, r)
 
     monkeypatch.setattr(homomesy, "_listed_occurrences", spy)
     for entry in SPORADIC[:6]:
@@ -209,6 +213,31 @@ def test_only_failing_orbits_are_counted_element_by_element(monkeypatch):
     reports = check_conjectures(lay._replace(star=tuple(star)))
     failing = {w.orbit_index for rep in reports for w in rep.witnesses}
     assert 0 < len(counted) == len(failing) < reports[0].n_orbits
+
+
+def acceptance_shapes():
+    """The posets of the acceptance suite, plus the claw."""
+    yield from (grid_poset(m, n) for m, n in grid_cases())
+    yield from (k_product_poset(m, n) for m, n in k_cases())
+    yield from (layer(*case).poset for case in classical_cases())
+    yield from (entry.realize_poset() for entry in SPORADIC)
+    yield build(CLAW)
+
+
+def test_every_part_of_a_listing_matches_the_walker():
+    for poset in acceptance_shapes():
+        listing = list_orbits(poset)
+        walked = walked_listing(poset)
+        k = len(listing.masks)
+        assert sorted(chain.from_iterable(listing.cycles)) == list(range(k))
+        assert listing.masks == walked.masks, poset
+        assert listing.columns == walked.columns, poset
+        assert listing.minima == walked.minima, poset
+        assert listing.cycles == walked.cycles, poset
+        assert list(listing.sizes) == [
+            row.bit_count() for row in transposed(walked.minima, k)]
+        for r, cycle in enumerate(walked.cycles):
+            assert listing.orbit_bits(r) == sum(1 << i for i in cycle)
 
 
 def test_empty_and_one_element_posets():

@@ -1,10 +1,21 @@
 """Core poset mechanics: masks, ideals, antichains, the reverse operator."""
 
 import math
+from itertools import combinations
 
 import pytest
 
-from rowmotion.constructions import build, Chain, DUnion, grid_poset
+from rowmotion.constructions import (
+    H,
+    J,
+    Chain,
+    DUnion,
+    OSum,
+    Prod,
+    build,
+    grid_poset,
+    k_product_poset,
+)
 from rowmotion.poset import (
     CapExceeded,
     InvalidSubset,
@@ -22,6 +33,7 @@ from rowmotion.poset import (
     rowmotion_antichain,
     rowmotion_ideal,
 )
+from rowmotion.roots import layer
 
 
 def test_bits_of_enumerates_set_bits_ascending():
@@ -111,6 +123,23 @@ def test_antichain_validation():
     with pytest.raises(InvalidSubset):
         g.antichain([a, b])
     assert g.antichain([b, c]).mask == (1 << b) | (1 << c)
+
+
+@pytest.mark.parametrize("poset", [
+    grid_poset(3, 4), k_product_poset(2, 3), k_product_poset(3, 2),
+    build(H(4)), build(J(Prod(Chain(2), Chain(2)))),
+    build(DUnion(Chain(3), Chain(3))),
+    build(OSum(Chain(1), DUnion(Chain(1), DUnion(Chain(1), Chain(1))))),
+    layer("A", 4, 2).poset, layer("D", 4, 1).poset,
+], ids=["grid 3x4", "[2]xK(3)", "[3]xK(2)", "H(4)", "J([2]x[2])",
+        "two 3-chains", "claw", "layer(A4,2)", "layer(D4,1)"])
+def test_antichain_masks_are_the_pairwise_incomparable_subsets(poset):
+    assert poset.n_elements <= 12
+    for mask in range(1 << poset.n_elements):
+        incomparable = not any(
+            poset.le(i, j) or poset.le(j, i)
+            for i, j in combinations(bits_of(mask), 2))
+        assert poset.is_antichain_mask(mask) == incomparable, mask
 
 
 def test_closure_minima_maxima():
