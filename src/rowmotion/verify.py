@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import NamedTuple
+from operator import itemgetter
 
 from .catalog import CatalogEntry, classical_layer_expr, entry_expr_poset
 from .constructions import build, grid_poset, k_product_poset
@@ -36,10 +36,17 @@ from .words import (
 MAX_DETAILS = 5
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    details: str
+class CheckResult(tuple):
+    """A named pass/fail result, the tuple (name, passed, details); a tuple
+    subclass, as poset.Listing is."""
+
+    __slots__ = ()
+    name = property(itemgetter(0))
+    passed = property(itemgetter(1))
+    details = property(itemgetter(2))
+
+    def __new__(cls, name: str, passed: bool, details: str):
+        return tuple.__new__(cls, (name, passed, details))
 
     def as_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "details": self.details}
@@ -77,8 +84,9 @@ def _windows_shift(
     sequences: list[tuple[MarkedSequence, MarkedSequence]],
     later: list[str],
 ) -> bool:
-    """Whether the windows of one orbit rebuild every iterate, proved from
-    one window pair and one overlap compare per word.
+    """Whether the windows of one orbit rebuild every iterate, later[i]
+    being the successor of word i, proved from one window pair and one
+    overlap compare per word.
 
     Each word's marked sequences are checked to be its successor's shifted
     by one own symbol: the zero sequence after its first zero is the
@@ -105,29 +113,28 @@ def _windows_shift(
                  for zeros, ones in sequences]
     except ValueError:
         return False
-    return all(zigzag(*pair) == want
-               for pair, want in zip(pairs, later[1:]))
+    return all(zigzag(*pair) == want for pair, want in zip(pairs, later))
 
 
 def _window_failures(
     sequences: list[tuple[MarkedSequence, MarkedSequence]],
-    later: list[str],
+    words: list[str],
     period: int,
 ) -> list[str]:
     """The words of one orbit whose windows fail to rebuild an iterate,
-    window by window: each word names its first failing window.  Words of
-    one orbit share window pairs, and a pair met again is not rebuilt."""
+    window by window: each word names its first failing window, window j
+    of word i rebuilding word (i + j) % length.  Words of one orbit share
+    window pairs, and a pair met again is not rebuilt."""
     failures = []
     # window pair -> the word zigzag rebuilds from it
     rebuilt: dict[tuple[str, str], str] = {}
     for i, (zeros, ones) in enumerate(sequences):
         pairs = zip(zeros.windows, ones.windows)
-        for j, (pair, want) in enumerate(
-                zip(pairs, later[i + 1 : i + 1 + period]), 1):
+        for j, pair in zip(range(1, period + 1), pairs):
             if pair not in rebuilt:
                 rebuilt[pair] = zigzag(*pair)
-            if rebuilt[pair] != want:
-                failures.append(f"word {later[i]} window {j}")
+            if rebuilt[pair] != words[(i + j) % len(words)]:
+                failures.append(f"word {words[i]} window {j}")
                 break
     return failures
 
@@ -138,10 +145,11 @@ def verify_grid(
     cap: int = DEFAULT_CAP,
 ) -> tuple[Poset, tuple[OrbitReport, ...], list[CheckResult]]:
     """Every grid check on [m]x[n].  The codec checks read each ideal, its
-    rowmotion iterates and their antichain sizes from the orbit listing;
-    psi runs once per word, for the transport check.  Each word's marked
-    sequences are built once, from one split of the word: the profile
-    formula reads the ones sequence, and the windows check reads both, per
+    rowmotion iterates and their antichain sizes from the orbit listing,
+    the k-th iterate of word i being word (i + k) % length; psi runs once
+    per word, for the transport check, from the cut of the word that its
+    marked sequences are built from.  The profile formula reads the ones
+    sequence, and the windows check reads both, per
     orbit: one overlap compare per sequence with the next word's and
     zigzag on window 1 prove that every window rebuilds its iterate
     (_windows_shift), and an orbit where that fails is checked again
@@ -189,26 +197,24 @@ def verify_grid(
     n_ideals = 0
     codec = grid_codec(poset)
     for r in reports:
-        words = [codec.encode(mask) for mask in r.masks]
-        sizes = r.antichain_sizes
-        # in the orbit repeated, the j-th iterate of the i-th word and its
-        # antichain size sit at i + j, for every j up to the period
-        reps = 1 + -(-period // r.length)
-        later, later_sizes = words * reps, list(sizes) * reps
+        masks, sizes, length = r.masks, r.antichain_sizes, r.length
+        words = list(map(codec.encode, masks))
+        # the k-th iterate of word i is word (i + k) % length, and ahead[k]
+        # is the size of the k-th iterate of the orbit's first word
+        ahead = [sizes[k % length] for k in range(length + period)]
         sequences = []
-        for i, (mask, w) in enumerate(zip(r.masks, words)):
+        for i, (mask, w) in enumerate(zip(masks, words)):
             n_ideals += 1
             if codec.decode(w) != mask:
                 rt_fail.append(f"word {w}")
-            if later[i + 1] != psi(w):
+            if words[(i + 1) % length] != psi(w):
                 eq_fail.append(f"word {w}")
             if count_10(w) != sizes[i]:
                 size_fail.append(f"word {w}: {count_10(w)} vs {sizes[i]}")
-            ahead = slice(i + 1, i + 1 + period)
             pair = long_sequences(w)
             sequences.append(pair)
             formula = formula_sizes(w, pair[1])
-            iterated = later_sizes[ahead]
+            iterated = ahead[i + 1 : i + 1 + period]
             if formula != iterated:
                 # zip_longest: a step missing from either list differs too
                 step = next(j for j, (s, f) in enumerate(
@@ -218,30 +224,21 @@ def verify_grid(
                 period_fail.append(f"word {w}: climb total {sum(formula)}")
             # restates "operator order is m+n" word by word, so that a
             # failure names the words that do not return
-            if later[i + period] != w:
+            if words[(i + period) % length] != w:
                 period_fail.append(f"word {w} does not return")
-        if not _windows_shift(sequences, later):
-            window_fail += _window_failures(sequences, later, period)
-    checks.append(_result("codec round-trips", rt_fail, f"{n_ideals} ideals"))
-    checks.append(
-        _result("codec transports the dynamics", eq_fail, f"{n_ideals} ideals")
-    )
-    checks.append(
-        _result("descent count equals antichain size", size_fail,
-                f"{n_ideals} ideals")
-    )
-    checks.append(
-        _result("profile formula matches iterated sizes", formula_fail,
-                f"{n_ideals} words, {period} steps each")
-    )
-    checks.append(
-        _result("size total over one period is mn", period_fail,
-                f"{n_ideals} words")
-    )
-    checks.append(
-        _result("windows rebuild every iterate", window_fail,
-                f"{n_ideals} words, {period} windows each")
-    )
+        if not _windows_shift(sequences, words[1:] + words[:1]):
+            window_fail += _window_failures(sequences, words, period)
+    per_ideal, per_word = f"{n_ideals} ideals", f"{n_ideals} words"
+    checks += [_result(*check) for check in (
+        ("codec round-trips", rt_fail, per_ideal),
+        ("codec transports the dynamics", eq_fail, per_ideal),
+        ("descent count equals antichain size", size_fail, per_ideal),
+        ("profile formula matches iterated sizes", formula_fail,
+         f"{per_word}, {period} steps each"),
+        ("size total over one period is mn", period_fail, per_word),
+        ("windows rebuild every iterate", window_fail,
+         f"{per_word}, {period} windows each"),
+    )]
     return poset, reports, checks
 
 
@@ -307,7 +304,8 @@ def verify_k_product(
     seen_words: set[str] = set()
     failing = dict(average.failures)
     for k, r in enumerate(reports):
-        words = list(map(codec.encode, r.masks))
+        masks, sizes, length = r.masks, r.antichain_sizes, r.length
+        words = list(map(codec.encode, masks))
         full = ["*" not in w for w in words]
         if len(set(full)) != 1:
             class_fail.append(f"orbit {k} mixes classes")
@@ -316,18 +314,20 @@ def verify_k_product(
             if k in failing:
                 average_fail[full[0]].append(
                     f"orbit {k} averages {_fraction_str(failing[k])}")
-        for i, (mask, w) in enumerate(zip(r.masks, words)):
-            image = (i + 1) % r.length
+        # the j-th iterate of word i is word (i + j) % length, and ahead[j]
+        # is the size of the j-th iterate of the orbit's first word
+        ahead = [sizes[j % length] for j in range(length + period)]
+        for i, (mask, w) in enumerate(zip(masks, words)):
+            image = (i + 1) % length
             if full[i]:
                 n_full += 1
                 if codec.decode(w) != mask:
                     full_rt.append(f"word {w}")
                 if words[image] != psi(w):
                     full_eq.append(f"word {w}")
-                gamma = r.antichain_sizes[i]
-                if count_10(w) + epsilon_n(w) != gamma:
-                    full_size.append(
-                        f"word {w}: {count_10(w)}+{epsilon_n(w)} vs {gamma}")
+                if count_10(w) + epsilon_n(w) != sizes[i]:
+                    full_size.append(f"word {w}: {count_10(w)}+"
+                                     f"{epsilon_n(w)} vs {sizes[i]}")
                 continue
             n_star += 1
             mate = codec.dual(mask)
@@ -338,16 +338,15 @@ def verify_k_product(
             if words[image] != psi_bar(w):
                 star_eq.append(f"word {w}")
             # a mate missing from the listing has no image: the check fails
-            if image_of.get(mate) != codec.dual(r.masks[image]):
+            if image_of.get(mate) != codec.dual(masks[image]):
                 dual_comm.append(f"ideal {IdealSet(poset, mask).bit_string()}")
             if w not in seen_words:
                 seen_words.add(w)
-                ahead = [(i + j) % r.length for j in range(1, period + 1)]
-                if window_sizes_K(w) != [r.antichain_sizes[k] for k in ahead]:
+                if window_sizes_K(w) != ahead[i + 1 : i + 1 + period]:
                     window_fail.append(f"word {w}")
                 # restates "operator order is m+2n-1" word by word, so
                 # that a failure names the words that do not return
-                if words[ahead[-1]] != w:
+                if words[(i + period) % length] != w:
                     word_period_fail.append(f"word {w}")
     checks.append(
         _result("orbits never mix the two fiber classes", class_fail,
@@ -367,41 +366,23 @@ def verify_k_product(
             f"order {order}, expected {period}",
         )
     )
-    checks.append(
-        _result("full-rank codec round-trips", full_rt, f"{n_full} ideals")
-    )
-    checks.append(
-        _result("full-rank codec transports the dynamics", full_eq,
-                f"{n_full} ideals")
-    )
-    checks.append(
-        _result("full-rank size rule (descents plus middle bonus)", full_size,
-                f"{n_full} ideals")
-    )
-    checks.append(
-        _result("starred encoding ignores the middle swap", star_dual_inv,
-                f"{n_star} ideals")
-    )
-    checks.append(
-        _result("starred codec round-trips to the class", star_rt,
-                f"{n_star} ideals")
-    )
-    checks.append(
-        _result("starred codec transports the dynamics", star_eq,
-                f"{n_star} ideals")
-    )
-    checks.append(
-        _result("middle swap commutes with the dynamics", dual_comm,
-                f"{n_star} ideals")
-    )
-    checks.append(
-        _result("marked-sequence windows give iterate sizes", window_fail,
-                f"{len(seen_words)} class words, {period} steps each")
-    )
-    checks.append(
-        _result("starred word returns after m+2n-1 steps", word_period_fail,
-                f"{len(seen_words)} class words")
-    )
+    full_ideals, star_ideals = f"{n_full} ideals", f"{n_star} ideals"
+    class_words = f"{len(seen_words)} class words"
+    checks += [_result(*check) for check in (
+        ("full-rank codec round-trips", full_rt, full_ideals),
+        ("full-rank codec transports the dynamics", full_eq, full_ideals),
+        ("full-rank size rule (descents plus middle bonus)", full_size,
+         full_ideals),
+        ("starred encoding ignores the middle swap", star_dual_inv,
+         star_ideals),
+        ("starred codec round-trips to the class", star_rt, star_ideals),
+        ("starred codec transports the dynamics", star_eq, star_ideals),
+        ("middle swap commutes with the dynamics", dual_comm, star_ideals),
+        ("marked-sequence windows give iterate sizes", window_fail,
+         f"{class_words}, {period} steps each"),
+        ("starred word returns after m+2n-1 steps", word_period_fail,
+         class_words),
+    )]
     return poset, reports, checks
 
 

@@ -18,23 +18,21 @@ grid_codec or k_codec, keeps the masks of these prefixes for every fiber
 and works on ideal masks; the public encode/decode functions wrap it for
 IdealSets.
 
-Every word step and marked sequence reads one decomposition, the block
-form: the pairs (symbol run, zero run after it), a symbol being a one or
-the star.  psi is one run shift on it, psi_bar is that shift followed by
-one star push.  long_sequences builds both marked sequences of a word from
-one split at its zero runs, and the marked zero sequence of a starred word
-comes from the same split; no regex substitutes.  The P/Q profile is read
-from the marked ones sequence (ones_profile), so a caller that holds the
-sequences, as verify_grid does, splits each word once for both sequences
-and the profile.  The profile and the K window sizes read which symbols of
-a marked sequence a dash flanks, with string replaces over the whole
-sequence instead of a scan symbol by symbol.  Each MarkedSequence finds
-its own-symbol positions once, in its constructor, and keeps them in a
-plain attribute.  The K codec has the grid codec's one encode/decode
-pair: encode picks the word form from one read of the fiber sizes and
-writes a starred word straight from them (the star is the last one of the
-first fiber of size n, counted from the last fiber), and decode picks the
-form by the star.
+Each word is read once, in run-length form: _runs cuts it at its zero
+runs into symbol runs and zero runs, kept as strings, a symbol being a one
+or the star.  The cut and the binary check keep the last word they read,
+as the suites decode, step and sequence each word one after the other.
+psi is one run shift on the block form, the pairs (symbol run, zero run
+after it), and psi_bar that shift and one star push.  long_sequences builds
+both marked sequences of a word from its runs and its reversal, and the
+marked zero sequence of a starred word comes from the same builder.
+zigzag interleaves the own runs of two windows, and the decoders read the
+ones before each zero in one loop.  The P/Q profile (ones_profile) and the
+K window sizes read which symbols of a marked sequence a dash flanks, with
+string replaces over the whole sequence.  Each MarkedSequence finds its
+own-symbol positions once, in its constructor.  The K codec's encode
+writes the word of the fiber sizes over 2n columns and stars its n-th one,
+or drops it when no fiber has size n; decode picks the form by the star.
 
 Words are plain strings; positions are 1-based in all public descriptions
 (storage is 0-based).
@@ -43,10 +41,11 @@ Words are plain strings; positions are 1-based in all public descriptions
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from functools import cached_property, lru_cache
-from itertools import accumulate, compress, zip_longest
-from operator import add, neg, or_, sub
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import accumulate, compress
+from operator import add, itemgetter, neg, or_, sub
+from typing import Callable, Sequence
 
 from ._record import Record
 from .constructions import grid_poset, k_product_poset
@@ -64,31 +63,32 @@ def _split(word: str) -> list[str]:
     return _ZERO_RUNS.split(word)
 
 
-def _blocks(word: str) -> tuple[list[str], list[int]]:
-    """The block form: pairs (symbol run j, length of the zero run after
-    it), as two parallel lists.  A symbol is a one or the star; the first
-    symbol run may be empty and the last zero run may have length 0."""
-    parts = _split(word)
-    runs = parts[0::2]
-    zeros = [len(z) for z in parts[1::2]]
-    if runs[-1] or not zeros:
-        zeros.append(0)
+@lru_cache(maxsize=1)
+def _runs(word: str) -> tuple[str, ...]:
+    """_split of a word, kept for the last word cut."""
+    return tuple(_split(word))
+
+
+def _blocks(word: str) -> list[str]:
+    """The block form, flat: symbol run, zero run after it, symbol run, and
+    so on, as a new list.  A symbol is a one or the star; the first symbol
+    run may be empty and the last zero run may be empty."""
+    blocks = list(_runs(word))
+    if blocks[-1] or len(blocks) == 1:
+        blocks.append("")
     else:
-        runs.pop()
-    return runs, zeros
+        blocks.pop()
+    return blocks
 
 
+@lru_cache(maxsize=1)
 def _binary_counts(word: str) -> tuple[int, int]:
-    """(zeros, ones) of a binary word; ValueError for any other letter."""
+    """(zeros, ones) of a binary word, kept for the last word counted;
+    ValueError for any other letter."""
     m, n = word.count("0"), word.count("1")
     if m + n != len(word):
         raise ValueError(f"not a binary word: {word!r}")
     return m, n
-
-
-def _binary_blocks(word: str) -> tuple[list[str], list[int]]:
-    _binary_counts(word)
-    return _blocks(word)
 
 
 def parse_blocks(word: str) -> list[tuple[int, int]]:
@@ -97,8 +97,9 @@ def parse_blocks(word: str) -> list[tuple[int, int]]:
     The first ones-count and the last zeros-count may be 0; all other entries
     are positive.  parse_blocks("0110") == [(0, 1), (2, 1)].
     """
-    runs, zeros = _binary_blocks(word)
-    return [(len(r), z) for r, z in zip(runs, zeros)]
+    _binary_counts(word)
+    blocks = _blocks(word)
+    return list(zip(map(len, blocks[0::2]), map(len, blocks[1::2])))
 
 
 def unparse_blocks(blocks: list[tuple[int, int]]) -> str:
@@ -110,19 +111,21 @@ def count_10(word: str) -> int:
     return word.count("10")
 
 
-def _shift(runs: list[str], zeros: list[int], starred: bool = False) -> str:
-    """The run shift of a block form: one zero leaves the first run and
-    joins the last, a one is fed in at the front and one retired at the
-    back, and every zero run slides in front of the symbol run it used to
-    follow.  On a single pair this swaps the two runs.  A starred word then
-    pushes its star through the shifted symbol runs."""
-    zeros[0] -= 1
-    zeros[-1] += 1
+def _shift(blocks: list[str], starred: bool = False) -> str:
+    """The run shift of a block form: one zero leaves the first zero run
+    and joins the last, a one is fed in at the front and one retired at
+    the back, and every zero run slides in front of the symbol run it used
+    to follow.  On a single pair this swaps the two runs.  A starred word
+    then pushes its star through the shifted symbol runs."""
+    runs, zeros = blocks[0::2], blocks[1::2]
+    zeros[-1] += "0"
+    zeros[0] = zeros[0][1:]
     runs[0] = "1" + runs[0]
     runs[-1] = runs[-1][:-1]
     if starred:
         _push(runs)
-    return "".join("0" * z + r for z, r in zip(zeros, runs))
+    blocks[0::2], blocks[1::2] = zeros, runs
+    return "".join(blocks)
 
 
 def psi(word: str) -> str:
@@ -133,7 +136,8 @@ def psi(word: str) -> str:
     0^{b_1-1}1^{a_1+1}...0^{b_i}1^{a_i}...0^{b_s+1}1^{a_s-1}; a word of a
     single block pair 1^a 0^b just swaps to 0^b 1^a.
     """
-    return _shift(*_binary_blocks(word))
+    _binary_counts(word)
+    return _shift(_blocks(word))
 
 
 def _iterates(step: Callable[[str], str], word: str, steps: int) -> list[str]:
@@ -161,15 +165,6 @@ def _fiber_word(values: list[int], n_cols: int) -> str:
     return "0".join(["1" * gap for gap in map(sub, up + [n_cols], [0] + up)])
 
 
-def _fiber_values_from_word(word: str, m: int, n_cols: int) -> list[int]:
-    if _binary_counts(word) != (m, n_cols):
-        raise ValueError(
-            f"expected {m} zeros and {n_cols} ones, got {word!r}"
-        )
-    # the ones before each zero: the runs between zeros, summed up
-    return list(accumulate(map(len, word.split("0")[:-1])))[::-1]
-
-
 class FiberCodec:
     """Ideals of [m]xQ as words of their fiber sizes over the columns of Q:
     the ones before the i-th zero from the left count the cells of fiber
@@ -185,23 +180,33 @@ class FiberCodec:
             ))
             for c in range(1, m + 1)
         )
+        self.fibers = tuple(p[-1] for p in self.prefixes)
+        # fiber m first, as a word lists the fibers
+        self.tables = self.prefixes[::-1]
 
     def sizes(self, mask: int) -> list[int]:
         """Fiber sizes of an ideal, fiber 1 first."""
-        return [(mask & p[-1]).bit_count() for p in self.prefixes]
-
-    def mask_of(self, sizes: Iterable[int]) -> int:
-        """The ideal whose c-th fiber holds the first sizes[c-1] columns."""
-        out = 0
-        for p, size in zip(self.prefixes, sizes):
-            out |= p[size]
-        return out
+        return [(mask & fiber).bit_count() for fiber in self.fibers]
 
     def encode(self, mask: int) -> str:
         return _fiber_word(self.sizes(mask), self.n_cols)
 
+    def _read(self, word: str, n_cols: int, tables: Sequence) -> int:
+        """The ideal of a word over n_cols columns: the ones before each
+        zero index the zero's table, fiber m first, for the mask of that
+        fiber."""
+        if _binary_counts(word) != (self.m, n_cols):
+            raise ValueError(
+                f"expected {self.m} zeros and {n_cols} ones, got {word!r}"
+            )
+        mask = level = 0
+        for table, run in zip(tables, word.split("0")):
+            level += len(run)
+            mask |= table[level]
+        return mask
+
     def decode(self, word: str) -> int:
-        return self.mask_of(_fiber_values_from_word(word, self.m, self.n_cols))
+        return self._read(word, self.n_cols, self.tables)
 
 
 # bounded, since the cache holds every poset it was asked about
@@ -235,17 +240,23 @@ def decode_grid(word: str, m: int, n: int) -> IdealSet:
 # -- size profile -------------------------------------------------------------
 
 
-class SizeProfile(NamedTuple):
-    """Per-step antichain-size increments along a word's orbit.
+class SizeProfile(tuple):
+    """Per-step antichain-size increments along a word's orbit, the tuple
+    (m, n, p_values, q_values); a tuple subclass, as poset.Listing is.
 
     p_values[i-1] is the gain at step i (0 or 1), q_values[i-1] the loss
     (0 or -1), for i in 1..m+n.
     """
 
-    m: int
-    n: int
-    p_values: tuple[int, ...]
-    q_values: tuple[int, ...]
+    __slots__ = ()
+    m = property(itemgetter(0))
+    n = property(itemgetter(1))
+    p_values = property(itemgetter(2))
+    q_values = property(itemgetter(3))
+
+    def __new__(cls, m: int, n: int, p_values: tuple[int, ...],
+                q_values: tuple[int, ...]):
+        return tuple.__new__(cls, (m, n, p_values, q_values))
 
 
 def ones_profile(ones: MarkedSequence) -> SizeProfile:
@@ -272,8 +283,8 @@ def formula_sizes(word: str,
     it passes as ones."""
     if ones is None:
         ones = long_sequences(word)[1]
-    profile = ones_profile(ones)
-    steps = map(add, profile.p_values, profile.q_values)
+    _, _, gains, losses = ones_profile(ones)
+    steps = map(add, gains, losses)
     return list(accumulate(steps, initial=count_10(word)))[1:]
 
 
@@ -346,19 +357,19 @@ _FLAGGED = bytes(b == 1 for b in range(256))
 # run of other symbols dashed out, then every such run in reverse order
 # contributing own symbols joined by dashes, one per symbol of the run and
 # one fewer for the run that holds the star, then the dashed word again.
-# Both builders read the word's split at its zero runs (parts) and the
-# reversed word (back).  A dashed word is a join of the own runs over
-# single dashes, with a dash at an end where the word ends in other
-# symbols.  The middle is the reversed word with a dash put between
-# any two neighbouring other symbols (two passes of a non-overlapping
-# replace reach every pair), the own symbols dropped and the other ones
-# renamed: the runs come out in reverse order, each dashed within and
-# joined to the next with no dash.  The star ends its run, so it comes
-# first in the reversed run; it is dropped, with the dash that would join
-# it to the next symbol of the run kept as the run's first character.
+# Both builders read the word's runs (parts) and the reversed word (back).
+# A dashed word is a join of the own runs over single dashes, with a dash
+# at an end where the word ends in other symbols.  The middle is the
+# reversed word with a dash put between any two neighbouring other symbols
+# (two passes of a non-overlapping replace reach every pair), the own
+# symbols dropped and the other ones renamed: the runs come out in reverse
+# order, each dashed within and joined to the next with no dash.  The star
+# ends its run, so it comes first in the reversed run; it is dropped, with
+# the dash that would join it to the next symbol of the run kept as the
+# run's first character.
 
 
-def _zero_form(parts: list[str], back: str) -> str:
+def _zero_form(parts: Sequence[str], back: str) -> str:
     """The marked zero sequence of a plain or starred word."""
     runs, zeros = parts[0::2], parts[1::2]
     dashed = ("-" * bool(runs[0]) + "-".join(zeros)
@@ -369,7 +380,7 @@ def _zero_form(parts: list[str], back: str) -> str:
     return dashed + middle + dashed
 
 
-def _ones_form(parts: list[str], back: str) -> str:
+def _ones_form(parts: Sequence[str], back: str) -> str:
     """The marked ones sequence of a plain word."""
     dashed = "-".join(parts[0::2])
     middle = (back.replace("00", "0-0").replace("00", "0-0")
@@ -394,23 +405,21 @@ def long_sequences(word: str) -> tuple[MarkedSequence, MarkedSequence]:
     reverse order contributing "0-0-...-0" with as many zeros as the run had
     ones, then the dashed word again; 2m+n zeros in total.  The ones form is
     built the same way with the roles swapped; m+2n ones, read right to left.
-    Both are built from one split of the word.
+    Both are built from the word's runs.
     """
     m, n = _binary_counts(word)
-    parts, back = _split(word), word[::-1]
+    parts, back = _runs(word), word[::-1]
     return (
         MarkedSequence(_zero_form(parts, back), "0", m),
         MarkedSequence(_ones_form(parts, back), "1", n),
     )
 
 
-def _window_tokens(window: str) -> tuple[bool, list[int], bool]:
-    if window.count("--") or not window:
+def _window_runs(window: str) -> list[str]:
+    runs = window.strip("-").split("-")  # the own runs, between dashes
+    if "--" in window or "" in runs:
         raise ValueError(f"malformed window {window!r}")
-    runs = list(map(len, window.strip("-").split("-")))
-    if 0 in runs:
-        raise ValueError(f"malformed window {window!r}")
-    return window[0] == "-", runs, window[-1] == "-"
+    return runs
 
 
 def zigzag(window0: str, window1: str) -> str:
@@ -418,19 +427,20 @@ def zigzag(window0: str, window1: str) -> str:
 
     Every '-' in one window stands for exactly one run of the other symbol,
     in order; the window starting with its own symbol dictates which run goes
-    first.
+    first.  The word interleaves the two windows' runs as they stand.
     """
-    lead0, zero_runs, trail0 = _window_tokens(window0)
-    lead1, one_runs, trail1 = _window_tokens(window1)
-    if lead0 == lead1 or trail0 == trail1:
+    zero_runs, one_runs = _window_runs(window0), _window_runs(window1)
+    lead0 = window0[0] == "-"
+    if lead0 == (window1[0] == "-") or (
+            (window0[-1] == "-") == (window1[-1] == "-")):
         raise ValueError("windows do not interlock")
     if window0.count("-") != len(one_runs) or window1.count("-") != len(zero_runs):
         raise ValueError("windows do not interlock")
-    first, second = (zero_runs, one_runs) if not lead0 else (one_runs, zero_runs)
-    ch_first, ch_second = ("0", "1") if not lead0 else ("1", "0")
+    first, second = (one_runs, zero_runs) if lead0 else (zero_runs, one_runs)
     # interlocking windows leave the first symbol at most one run ahead
-    return "".join(ch_first * a + ch_second * b
-                   for a, b in zip_longest(first, second, fillvalue=0))
+    word = first + second
+    word[0::2], word[1::2] = first, second
+    return "".join(word)
 
 
 # -- the two-strand product codecs ---------------------------------------------
@@ -443,19 +453,25 @@ class KCodec(FiberCodec):
     Any other ideal gets the starred word of its fiber sizes over 2n columns,
     which is blind to which middle each fiber holds."""
 
+    def __init__(self, poset: Poset, m: int, n: int, columns: Sequence):
+        super().__init__(poset, m, n, columns)
+        # a full-rank word's fiber level v reads the prefix of v cells,
+        # and of v+1 from the middles on; a middle swap flips both middles
+        self.levels = tuple(p[:n] + p[n + 1:] for p in self.tables)
+        self.swaps = tuple((p[-1], p[n + 1] ^ p[n - 1])
+                           for p in self.prefixes)
+
     def encode(self, mask: int) -> str:
         """The starred word of an ideal with a fiber of size n, else its
         full-rank word, from one read of its fiber sizes."""
         n = self.n
         sizes = self.sizes(mask)
-        if n in sizes:
-            # the star is the n-th one, the last one of the first fiber of
-            # size n counted from the last fiber, so a zero follows it; the
-            # fibers before that one are those of size below n
-            word = _fiber_word(sizes, 2 * n)
-            star = n - 1 + sizes[::-1].index(n)
-            return word[:star] + "*" + word[star + 1:]
-        return _fiber_word([s - (s > n) for s in sizes], 2 * n - 1)
+        word = _fiber_word(sizes, 2 * n)
+        # the zeros before the n-th one are the fibers of size below n; a
+        # fiber of size n puts a zero after it, and it is starred, else it
+        # is dropped, which lowers the fibers above n to their levels
+        at = n - 1 + bisect_left(sizes[::-1], n)
+        return word[:at] + "*" * (n in sizes) + word[at + 1:]
 
     def decode(self, word: str) -> int:
         """The ideal of a word this codec made: for a starred word, the
@@ -463,16 +479,14 @@ class KCodec(FiberCodec):
         for a full-rank word, the ideal of its fiber levels."""
         if "*" in word:
             return super().decode(word.replace("*", "1"))
-        n = self.n
-        levels = _fiber_values_from_word(word, self.m, 2 * n - 1)
-        return self.mask_of(v + (v >= n) for v in levels)
+        return self._read(word, 2 * self.n - 1, self.levels)
 
     def dual(self, mask: int) -> int:
         """Swap the two middles in every fiber that holds one of them."""
         n = self.n
-        for p in self.prefixes:
-            if (mask & p[-1]).bit_count() == n:
-                mask ^= p[n + 1] ^ p[n - 1]
+        for fiber, swap in self.swaps:
+            if (mask & fiber).bit_count() == n:
+                mask ^= swap
         return mask
 
 
@@ -524,10 +538,7 @@ def epsilon_n(word: str) -> int:
 
 def _nth_one(word: str, n: int) -> int:
     """Position of the n-th one of a word that has at least n ones."""
-    pos = -1
-    for _ in range(n):
-        pos = word.index("1", pos + 1)
-    return pos
+    return len(word) - len(word.split("1", n)[-1]) - 1
 
 
 # -- starred codec --------------------------------------------------------------
@@ -535,19 +546,18 @@ def _nth_one(word: str, n: int) -> int:
 
 def validate_starred(sword: str) -> tuple[int, int]:
     """Check the starred-word shape and return (m, n)."""
-    if set(sword) - {"0", "1", "*"}:
+    m, ones = sword.count("0"), sword.count("1")
+    if m + ones + sword.count("*") != len(sword):
         raise ValueError(f"not a starred word: {sword!r}")
-    if sword.count("*") != 1:
+    if m + ones + 1 != len(sword):
         raise ValueError("expected exactly one star")
-    ones = sword.count("1")
     if ones % 2 == 0:
         raise ValueError("expected an odd number of ones")
     n = (ones + 1) // 2
-    m = sword.count("0")
     star = sword.index("*")
-    if sword[:star].count("1") != n - 1:
+    if sword.count("1", 0, star) != n - 1:
         raise ValueError(f"expected {n - 1} ones before the star")
-    if star + 1 >= len(sword) or sword[star + 1] != "0":
+    if sword[star + 1 : star + 2] != "0":
         raise ValueError("star must be immediately followed by 0")
     return m, n
 
@@ -606,7 +616,9 @@ def _push(runs: list[str]) -> None:
     """The star push on symbol runs: the star swaps with the one right
     before it; when that one shares the star's run, the one now right after
     the star moves to the front of the next run."""
-    q = next(j for j, r in enumerate(runs) if "*" in r)
+    for q, run in enumerate(runs):
+        if "*" in run:
+            break
     if runs[q] == "*":
         runs[q - 1] = runs[q - 1][:-1] + "*"
         runs[q] = "1"
@@ -621,7 +633,7 @@ def psi_bar(sword: str) -> str:
     """One rowmotion step on starred words: the run shift of psi, then the
     star push."""
     _starred_shape(sword)
-    return _shift(*_blocks(sword), starred=True)
+    return _shift(_blocks(sword), starred=True)
 
 
 def psi_bar_iterates(sword: str, steps: int) -> list[str]:
@@ -658,7 +670,7 @@ def long_zero_sequence_K(sword: str) -> MarkedSequence:
     "-0" occurrences to give antichain sizes along the orbit.
     """
     m, _ = validate_starred(sword)
-    return MarkedSequence(_zero_form(_split(sword), sword[::-1]), "0", m)
+    return MarkedSequence(_zero_form(_runs(sword), sword[::-1]), "0", m)
 
 
 def window_sizes_K(sword: str) -> list[int]:
@@ -667,6 +679,6 @@ def window_sizes_K(sword: str) -> list[int]:
     start a zero run behind a dash, so one prefix sum over those zeros
     gives every window."""
     m, _ = _starred_shape(sword)
-    zeros = _zero_form(_split(sword), sword[::-1])
+    zeros = _zero_form(_runs(sword), sword[::-1])
     counts = list(accumulate(_flanks(zeros, "-0"), initial=0))
     return list(map(sub, counts[m + 1:], counts[1:]))

@@ -11,7 +11,7 @@ import rowmotion
 from rowmotion.constructions import H, K, Chain, OSum, Prod, build
 from rowmotion.poset import IdealSet, InvalidSubset, OrbitReport
 from rowmotion.verify import CheckResult
-from rowmotion.words import long_sequences
+from rowmotion.words import SizeProfile, long_sequences
 
 
 def test_nodes_of_different_types_are_never_equal():
@@ -38,6 +38,18 @@ def test_a_node_prints_its_fields():
 def test_a_frozen_record_refuses_assignment(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, 4)
+
+
+def test_tuple_records_build_by_position_and_by_keyword():
+    check = CheckResult(name="name", passed=True, details="ok")
+    assert check == CheckResult("name", True, "ok") == ("name", True, "ok")
+    assert (check.name, check.passed, check.details) == ("name", True, "ok")
+    assert check.as_dict() == {"name": "name", "passed": True, "details": "ok"}
+    profile = SizeProfile(m=1, n=2, p_values=(0, 1, 1), q_values=(0, 0, -1))
+    assert profile == SizeProfile(1, 2, (0, 1, 1), (0, 0, -1))
+    assert (profile.m, profile.n, profile.p_values, profile.q_values) == (
+        1, 2, (0, 1, 1), (0, 0, -1))
+    assert hash(profile) == hash((1, 2, (0, 1, 1), (0, 0, -1)))
 
 
 def test_an_ideal_set_still_validates():

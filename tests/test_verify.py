@@ -113,6 +113,86 @@ def test_a_wrong_word_map_fails_its_checks(monkeypatch, capsys, name, wrong,
     assert out.count("[FAIL]") == len(names)
 
 
+def _wrong_k_decode(starred):
+    # a decode one bit off on the words of one class
+    real = rowmotion.words.KCodec.decode
+
+    def wrong(self, word):
+        mask = real(self, word)
+        return mask ^ 1 if ("*" in word) == starred else mask
+    return wrong
+
+
+def _dual_one_step_ahead(self, mask, real=rowmotion.words.KCodec.dual):
+    return self.poset.rowmotion_ideal_mask(real(self, mask))
+
+
+_FIRST_STARRED = ("word 001*011; word 010*011; word 10*0101; word 1*01010; "
+                  "word 1*01100")
+
+
+# the full details of every failing check under each fault, byte for byte
+@pytest.mark.parametrize("owner,name,wrong,suite,args,details", [
+    (verify, "psi", _sorted_word, "verify_grid", (3, 4), {
+        "codec transports the dynamics":
+            "word 0001111; word 0010111; word 0101011; word 1010101; "
+            "word 1101010; and 29 more",
+    }),
+    (verify, "psi", _sorted_word, "verify_k_product", (3, 2), {
+        "full-rank codec transports the dynamics":
+            "word 000111; word 001011; word 010101; word 101010; "
+            "word 110100; and 14 more",
+    }),
+    (verify, "psi_bar", _sorted_word, "verify_k_product", (3, 2), {
+        "starred codec transports the dynamics":
+            _FIRST_STARRED + "; and 25 more",
+    }),
+    (verify, "window_sizes_K", lambda sword: [0], "verify_k_product", (3, 2), {
+        "marked-sequence windows give iterate sizes":
+            _FIRST_STARRED + "; and 10 more",
+    }),
+    (rowmotion.words, "ones_profile", _flat_profile, "verify_grid", (3, 4), {
+        "profile formula matches iterated sizes":
+            "word 0001111 step 1; word 0010111 step 1; word 0101011 step 1; "
+            "word 1010101 step 2; word 1101010 step 1; and 30 more",
+        "size total over one period is mn":
+            "word 0001111: climb total 0; word 0010111: climb total 7; "
+            "word 0101011: climb total 14; word 1010101: climb total 21; "
+            "word 1101010: climb total 21; and 30 more",
+    }),
+    (verify, "zigzag", lambda window0, window1: "", "verify_grid", (3, 4), {
+        "windows rebuild every iterate":
+            "word 0001111 window 1; word 0010111 window 1; "
+            "word 0101011 window 1; word 1010101 window 1; "
+            "word 1101010 window 1; and 30 more",
+    }),
+    (rowmotion.words.KCodec, "decode", _wrong_k_decode(False),
+     "verify_k_product", (3, 2), {
+        "full-rank codec round-trips":
+            "word 000111; word 001011; word 010101; word 101010; "
+            "word 110100; and 15 more",
+    }),
+    (rowmotion.words.KCodec, "decode", _wrong_k_decode(True),
+     "verify_k_product", (3, 2), {
+        "starred codec round-trips to the class":
+            _FIRST_STARRED + "; and 25 more",
+    }),
+    (rowmotion.words.KCodec, "dual", _dual_one_step_ahead,
+     "verify_k_product", (3, 2), {
+        "starred encoding ignores the middle swap":
+            _FIRST_STARRED + "; and 25 more",
+        "starred codec round-trips to the class":
+            "word 001*011; word 1*01100; word 010*011; word 10*0101; "
+            "word 1*01010; and 10 more",
+    }),
+])
+def test_a_wrong_map_fails_with_these_details(monkeypatch, owner, name, wrong,
+                                              suite, args, details):
+    monkeypatch.setattr(owner, name, wrong)
+    _, _, checks = getattr(verify, suite)(*args)
+    assert {c.name: c.details for c in checks if not c.passed} == details
+
+
 def test_a_profile_wrong_at_the_last_step_names_that_step(monkeypatch):
     # the formula check compares every step of the period, the last too
     real = rowmotion.words.ones_profile
@@ -304,9 +384,10 @@ def test_k_suite_validates_each_starred_word_once_per_use(monkeypatch):
 
 
 def test_grid_builds_each_words_marked_sequences_once(monkeypatch):
-    # one split of each word gives both its marked sequences, and the
-    # profile formula reads the ones sequence the windows check reads;
-    # psi's transport step splits each word once more
+    # one split of each word gives both its marked sequences and psi's
+    # transport step, and the profile formula reads the ones sequence the
+    # windows check reads
+    rowmotion.words._runs.cache_clear()
     built, split = [], []
     init = MarkedSequence.__init__
     real_split = rowmotion.words._split
@@ -326,7 +407,7 @@ def test_grid_builds_each_words_marked_sequences_once(monkeypatch):
     assert sorted(built) == ["0"] * comb(8, 4) + ["1"] * comb(8, 4)
     codec = rowmotion.words.grid_codec(reports[0].poset)
     words = [codec.encode(mask) for r in reports for mask in r.masks]
-    assert sorted(split) == sorted(words * 2)
+    assert sorted(split) == sorted(words)
     assert len(set(words)) == comb(8, 4)
 
 

@@ -251,6 +251,33 @@ def test_zigzag_rejects_mismatched_windows():
         zigzag("-0-0-", "-111-")  # both claim a leading run of the other
 
 
+# each pair reaches one refusal alone: with the other window and the other
+# tests of the pair left as they pass
+@pytest.mark.parametrize("window0,window1,message", [
+    ("", "11-1-111-1", "malformed window ''"),
+    ("-0-0-0-", "", "malformed window ''"),
+    ("-0-0-0--", "11-1-111-1", "malformed window '-0-0-0--'"),
+    ("-0-0-0-", "--11-1-111-1", "malformed window '--11-1-111-1'"),
+    ("-", "1", "malformed window '-'"),
+    ("0", "-", "malformed window '-'"),
+    # the same lead, and the same trail: the dash counts agree
+    ("-0-0", "-1-1", "windows do not interlock"),
+    ("0-0-", "1-1-", "windows do not interlock"),
+    # the leads and trails interlock, and a ones run has no dash
+    ("-0-", "1-1-1", "windows do not interlock"),
+])
+def test_zigzag_refuses_each_malformed_pair(window0, window1, message):
+    with pytest.raises(ValueError) as refused:
+        zigzag(window0, window1)
+    assert str(refused.value) == message
+
+
+def test_zigzag_interlocks_the_pairs_next_to_the_refused_ones():
+    assert zigzag("-0-", "1-1") == "101"
+    assert zigzag("-0-0", "1-1-") == "1010"
+    assert zigzag("0-0-", "-1-1") == "0101"
+
+
 @pytest.mark.parametrize("kind,none", [(0, "111"), (1, "000")])
 def test_windows_out_of_range_raise(kind, none):
     seq = long_sequences(W)[kind]

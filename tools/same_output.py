@@ -13,7 +13,10 @@ The command set is every argv of perfbench/expected.json (read, never
 written), verify-grid m n for m+n <= 10, verify-k m n for m <= 6 and n <= 4
 and on the wider shapes 1 5, 2 5 and 1 6, encode of one starred ideal of
 prod(chain(3),K(4)) (fiber sizes 8, 5 and 3) and step-word on its word
-11101*0111011 for 12 steps, one period,
+11101*0111011 for 12 steps, one period, step-word for one period on the
+plain edge words 0, 1, 000, 111, 1100 and 0011 and on the starred words
+*01 and 0*01, whose star push takes the branch of a star that shares its
+run and that of a bare star,
 verify-delta1 and conjectures with and without --cap 100, the cap
 boundaries of chain(6) and of the 4x4 grid, and listings whose ideal counts
 straddle a byte (chain(1), chain(7) and chain(8), with 2, 8 and 9 ideals),
@@ -118,6 +121,9 @@ def base_commands() -> list[tuple[str, ...]]:
     commands += [("encode", "prod(chain(3),K(4))", "--seed-ideal",
                   "111111111111110101000000000000"),
                  ("step-word", "11101*0111011", "--steps", "12")]
+    commands += [("step-word", word, "--steps", str(steps)) for word, steps in (
+        ("0", 1), ("1", 1), ("000", 3), ("111", 3), ("1100", 4), ("0011", 4),
+        ("*01", 2), ("0*01", 3))]
     for name in ("verify-delta1", "conjectures"):
         commands += [(name,), (name, "--cap", "100")]
     for expr, caps in (("chain(6)", (6, 7)),
