@@ -7,6 +7,7 @@ Everything is exact; averages are fractions and comparisons are equalities.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .poset import (
@@ -61,14 +62,21 @@ def verify_constant_average(
     )
 
 
-class OccurrenceTable(NamedTuple):
-    """Per-element counts over one orbit: ideal_counts[p] is the number of
-    ideals containing p, antichain_counts[p] the number whose antichain
-    contains p."""
+class OccurrenceTable(tuple):
+    """Per-element counts over one orbit, the tuple (orbit_length,
+    ideal_counts, antichain_counts); a tuple subclass, as poset.Listing is.
+    ideal_counts[p] is the number of ideals containing p, antichain_counts[p]
+    the number whose antichain contains p."""
 
-    orbit_length: int
-    ideal_counts: tuple[int, ...]
-    antichain_counts: tuple[int, ...]
+    __slots__ = ()
+    orbit_length = property(itemgetter(0))
+    ideal_counts = property(itemgetter(1))
+    antichain_counts = property(itemgetter(2))
+
+    def __new__(cls, orbit_length: int, ideal_counts: tuple[int, ...],
+                antichain_counts: tuple[int, ...]):
+        return tuple.__new__(cls, (orbit_length, ideal_counts,
+                                   antichain_counts))
 
 
 def occurrence_counts(poset: Poset, orbit: OrbitReport) -> OccurrenceTable:
@@ -101,16 +109,24 @@ def _listed_occurrences(listing: Listing, r: int) -> OccurrenceTable:
     )
 
 
-class Witness(NamedTuple):
-    """A concrete failure of one of the paired-count identities."""
+class Witness(tuple):
+    """A concrete failure of one of the paired-count identities, the tuple
+    (orbit_index, seed_bits, element_label, partner_label, lhs, rhs,
+    identity); a tuple subclass, as poset.Listing is."""
 
-    orbit_index: int
-    seed_bits: str
-    element_label: str
-    partner_label: str
-    lhs: int
-    rhs: int
-    identity: str
+    __slots__ = ()
+    orbit_index = property(itemgetter(0))
+    seed_bits = property(itemgetter(1))
+    element_label = property(itemgetter(2))
+    partner_label = property(itemgetter(3))
+    lhs = property(itemgetter(4))
+    rhs = property(itemgetter(5))
+    identity = property(itemgetter(6))
+
+    def __new__(cls, orbit_index: int, seed_bits: str, element_label: str,
+                partner_label: str, lhs: int, rhs: int, identity: str):
+        return tuple.__new__(cls, (orbit_index, seed_bits, element_label,
+                                   partner_label, lhs, rhs, identity))
 
     def as_dict(self) -> dict:
         return {
@@ -143,27 +159,25 @@ def check_conjectures(
     """Both paired-count checks from one listing of the layer: the ideal
     form, then the antichain form (see the two functions below).
 
-    With L an orbit's length and S the bit set of its positions, S above S
-    counts I(p) + I(q) in the column of p stacked above that of its partner
-    q, and A(p) + L - A(q) in the minima of p stacked above the complement
-    of those of q: both forms hold where every such count is L.  A failing
-    orbit is counted element by element to name its witnesses."""
+    Listing.lane_counts gives every orbit's counts at once, one bit lane
+    per orbit.  With L an orbit's length, the ideal form holds where
+    I(p) + I(q) is L for every element p and its partner q, and the
+    antichain form where A(p) is A(q): summed or compared lane by lane,
+    each pair is one integer compare for every orbit.  The lanes where a
+    pair differs name the failing orbits, and only those are counted
+    element by element to name their witnesses."""
     poset = root_layer.poset
     star = root_layer.star
-    masks, columns, minima, cycles = listing = list_orbits(poset, cap)
-    full = (1 << len(masks)) - 1
-    pairs = sorted({(min(p, q), max(p, q)) for p, q in enumerate(star)})
-    stacked = [columns[p] << len(masks) | columns[q] for p, q in pairs]
-    stacked += [minima[p] << len(masks) | full ^ minima[q] for p, q in pairs]
+    masks, _, _, cycles = listing = list_orbits(poset, cap)
+    lanes = listing.lane_counts(poset)
+    ideal, antichain, lengths, _ = lanes
+    differ = 0
+    for p, q in {(min(p, q), max(p, q)) for p, q in enumerate(star)}:
+        differ |= (ideal[p] + ideal[q]) ^ lengths | antichain[p] ^ antichain[q]
     witnesses = ([], [])
-    for k, cycle in enumerate(cycles):
-        orbit = listing.orbit_bits(k)
-        orbit |= orbit << len(masks)
-        if (list(map(int.bit_count, map(orbit.__and__, stacked)))
-                == [len(cycle)] * len(stacked)):
-            continue
+    for k in lanes.orbits_in(differ):
         t = _listed_occurrences(listing, k)
-        seed_bits = IdealSet(poset, masks[cycle[0]]).bit_string()
+        seed_bits = IdealSet(poset, masks[cycles[k][0]]).bit_string()
         for p, q in enumerate(star):
             for found, identity, lhs, rhs in (
                 (witnesses[0], IDEAL_IDENTITY,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -440,6 +441,33 @@ def enumerate_ideals(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[IdealSet]
         yield IdealSet(poset, mask)
 
 
+class LaneCounts(tuple):
+    """The occurrence table of a listing, one bit lane per orbit: the tuple
+    (ideal_counts, antichain_counts, lengths, starts).
+
+    Orbit r owns the bits from starts[r] of each int, a lane as wide as the
+    least power of two that is at least 8 and at least the orbit's length.
+    Lane r of ideal_counts[x] holds how many ideals of orbit r hold x, lane
+    r of antichain_counts[x] how many of their antichains hold x, and lane
+    r of lengths the length of orbit r.  No count exceeds its orbit's
+    length, so the sum of two counts stays inside its lane.
+    """
+
+    __slots__ = ()
+    ideal_counts = property(itemgetter(0))
+    antichain_counts = property(itemgetter(1))
+    lengths = property(itemgetter(2))
+    starts = property(itemgetter(3))
+
+    def orbits_in(self, bits: int) -> list[int]:
+        """The orbits whose lanes hold a set bit of bits, in increasing
+        order."""
+        lanes = sorted(zip(self.starts, range(len(self.starts))))
+        firsts = [start for start, _ in lanes]
+        return sorted({lanes[bisect_right(firsts, b) - 1][1]
+                       for b in bits_of(bits)})
+
+
 class Listing(tuple):
     """The tuple (masks, columns, minima, cycles) of every rowmotion orbit;
     a tuple subclass, as a typing.NamedTuple takes 0.3 ms to create.
@@ -448,7 +476,9 @@ class Listing(tuple):
     stands for masks[k]: columns[x] says whether the ideal holds x, and
     minima[x] whether the antichain of its image does.  cycles lists each
     orbit as positions in masks, by its first seed in enumeration order and
-    starting at that seed.  sizes and orbit_bits are derived on each read.
+    starting at that seed.  sizes and orbit_bits are derived on each read,
+    and lane_counts gives the per-orbit occurrence counts of every element
+    at once.
     """
 
     __slots__ = ()
@@ -468,6 +498,59 @@ class Listing(tuple):
         for k in self.cycles[r]:
             bits |= 1 << k
         return bits
+
+    def lane_counts(self, poset: Poset) -> LaneCounts:
+        """The LaneCounts of every orbit at once; poset is the poset listed.
+
+        Each orbit's masks are gathered into its lane, widest lanes first,
+        the rest of the lane zero, and transposed once with _columns.  An
+        ideal's antichain holds x when the ideal holds x and no upper cover
+        of x, so the antichain column of x is the ideal column of x less
+        the union of those of its upper covers, which it contains.  Every
+        lane of a column is then popcounted at once by SWAR folds,
+        x = (x & m_f) + (x >> f & m_f) for f = 1, 2, 4, ..., where m_f
+        keeps the low half of every 2f-bit field of the lanes at least 2f
+        wide, and the narrower lanes, already counted, are kept as they
+        are.  Each lane starts at a multiple of its width, as the lanes
+        before it are at least as wide, so no field straddles two lanes.  A
+        lane is 8 bits wide or less than twice its orbit's length, so each
+        int is at most 2N + 8R bits wide for N ideals in R orbits.
+        """
+        masks, cycles = self.masks, self.cycles
+        widths = [max(8, 1 << (len(c) - 1).bit_length()) for c in cycles]
+        starts = [0] * len(cycles)
+        rows = []
+        lengths = []
+        for r in sorted(range(len(cycles)), key=widths.__getitem__,
+                        reverse=True):
+            cycle = cycles[r]
+            starts[r] = len(rows)
+            lengths.append(len(cycle).to_bytes(widths[r] // 8, "little"))
+            rows += map(masks.__getitem__, cycle)
+            rows += [0] * (widths[r] - len(cycle))
+        ideal = _columns(rows, poset.n_elements)
+        antichain = []
+        for x, above in enumerate(poset.upper):
+            covered = 0
+            for z in above:
+                covered |= ideal[z]
+            antichain.append(ideal[x] ^ covered)
+        columns = ideal + antichain
+        nbytes = len(rows) // 8
+        f = 1
+        while f < max(widths):
+            # the lanes at least 2f wide fill the low wide bytes of a column
+            wide = sum(w for w in widths if w >= 2 * f) // 8
+            unit = _LOW_HALVES.get(f) or b"\xff" * (f // 8) + bytes(f // 8)
+            low = unit * (wide // len(unit))
+            m = int.from_bytes(low + bytes(nbytes - wide), "little")
+            kept = int.from_bytes(low + b"\xff" * (nbytes - wide), "little")
+            columns = [(c & kept) + (c >> f & m) for c in columns]
+            f *= 2
+        n = poset.n_elements
+        return LaneCounts((columns[:n], columns[n:],
+                           int.from_bytes(b"".join(lengths), "little"),
+                           starts))
 
 
 def list_orbits(poset: Poset, cap: int = DEFAULT_CAP) -> Listing:
@@ -619,6 +702,10 @@ def _rows(columns: Sequence[int], k: int) -> list[int]:
     return [int.from_bytes(view[i:i + width], "little")
             for i in range(0, k * width, width)]
 
+
+# the low half of every 2f-bit field of a byte, for the lane folds with
+# f below 8
+_LOW_HALVES = {1: b"\x55", 2: b"\x33", 4: b"\x0f"}
 
 # the digits of format(x, "b") as the bytes 0 and 1
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")

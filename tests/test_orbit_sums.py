@@ -3,8 +3,9 @@
 list_orbits returns a Listing from one bit-sliced step, and all_orbits,
 verify_constant_average (through all_orbits), check_conjectures and
 operator_order read that Listing: the averages from its antichain sizes,
-the per-orbit counts by popcounts over its columns and orbit bit sets, the
-order from its cycle lengths.  tests/orbit_oracles.py computes the same
+the per-orbit counts from its lane table (Listing.lane_counts), and a
+failing orbit's by popcounts over its columns and orbit bit set, the order
+from its cycle lengths.  tests/orbit_oracles.py computes the same
 Listing, counts and reports by walking every orbit.  The shapes are those
 of the acceptance suite, plus inputs that fail.  ideal_masks is held to the
 level-by-level enumeration of the same module, and on posets of at most 14
@@ -55,6 +56,7 @@ from rowmotion.homomesy import (
 from rowmotion.poset import (
     DEFAULT_CAP,
     CapExceeded,
+    LaneCounts,
     NotGraded,
     OrbitReport,
     Poset,
@@ -309,6 +311,86 @@ def test_counters_on_a_chain():
     assert table.orbit_length == 3
     assert table.ideal_counts == (2, 1)
     assert table.antichain_counts == (1, 1)
+
+
+def lane_width(length):
+    """The least power of two that is at least 8 and at least length."""
+    return max(8, 1 << (length - 1).bit_length())
+
+
+def lane_tables(lanes, cycles):
+    """The OccurrenceTable of each orbit, read from its lane of lanes, the
+    lane_width bits from bit starts[r] of each int."""
+    tables = []
+    for r, cycle in enumerate(cycles):
+        start = lanes.starts[r]
+        lane = (1 << lane_width(len(cycle))) - 1
+
+        def read(x):
+            return x >> start & lane
+
+        tables.append(homomesy.OccurrenceTable(
+            read(lanes.lengths),
+            tuple(map(read, lanes.ideal_counts)),
+            tuple(map(read, lanes.antichain_counts))))
+    return tables
+
+
+def lane_shapes():
+    """The empty and one-element posets, every catalog entry, then layers
+    whose lanes are 16 and 8 bits (orbit lengths 12, 6, 4 and 2), 16 and 8
+    bits (10 and 2), and one of 512 bits (one orbit of 301 ideals)."""
+    yield from (Poset.empty(), build(Chain(1)))
+    yield from (entry.realize_poset() for entry in SPORADIC)
+    yield layer("A", 11, 6).poset
+    yield layer("D", 6, 1).poset
+    yield layer("A", 300, 1).poset
+
+
+def test_lane_counts_match_the_walker_orbit_by_orbit():
+    shapes = list(lane_shapes())
+    assert [sorted({len(c) for c in list_orbits(poset).cycles})
+            for poset in shapes[-3:]] == [[2, 4, 6, 12], [2, 10], [301]]
+    for poset in shapes:
+        listing = list_orbits(poset)
+        lanes = listing.lane_counts(poset)
+        walked = [occurrence_counts(poset, orbit)
+                  for orbit in walked_orbits(poset)]
+        assert lane_tables(lanes, listing.cycles) == walked, poset
+        # the lanes lie widest first, each at a multiple of its width,
+        # and hold every set bit of the table
+        widths = [lane_width(len(c)) for c in listing.cycles]
+        order = sorted(range(len(widths)), key=lanes.starts.__getitem__)
+        assert [widths[r] for r in order] == sorted(widths, reverse=True)
+        end = 0
+        for r in order:
+            assert lanes.starts[r] == end and end % widths[r] == 0
+            end += widths[r]
+        ideal, antichain, lengths, starts = lanes
+        assert all(x >> end == 0 for x in (lengths, *ideal, *antichain))
+        # a layout one position off, either way, reads other counts
+        for off in (
+                LaneCounts((ideal, antichain, lengths,
+                            [s + 1 for s in starts])),
+                LaneCounts(([x << 1 for x in ideal],
+                            [x << 1 for x in antichain], lengths << 1,
+                            starts))):
+            assert lane_tables(off, listing.cycles) != walked, poset
+
+
+def test_lanes_name_their_orbits():
+    poset = layer("A", 11, 6).poset
+    listing = list_orbits(poset)
+    lanes = listing.lane_counts(poset)
+    n_orbits = len(listing.cycles)
+    assert lanes.orbits_in(0) == []
+    assert lanes.orbits_in(lanes.lengths) == list(range(n_orbits))
+    for r, start in enumerate(lanes.starts):
+        end = start + lane_width(len(listing.cycles[r]))
+        assert lanes.orbits_in(1 << start) == [r]
+        assert lanes.orbits_in(1 << end - 1) == [r]
+    assert lanes.orbits_in(1 << lanes.starts[-1] | 1 << lanes.starts[0]) \
+        == [0, n_orbits - 1]
 
 
 def count_listings(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 
 import rowmotion
 from rowmotion.constructions import H, K, Chain, OSum, Prod, build
+from rowmotion.homomesy import OccurrenceTable, Witness
 from rowmotion.poset import IdealSet, InvalidSubset, OrbitReport
 from rowmotion.verify import CheckResult
 from rowmotion.words import SizeProfile, long_sequences
@@ -50,6 +51,23 @@ def test_tuple_records_build_by_position_and_by_keyword():
     assert (profile.m, profile.n, profile.p_values, profile.q_values) == (
         1, 2, (0, 1, 1), (0, 0, -1))
     assert hash(profile) == hash((1, 2, (0, 1, 1), (0, 0, -1)))
+    table = OccurrenceTable(orbit_length=3, ideal_counts=(2, 1),
+                            antichain_counts=(1, 1))
+    assert table == OccurrenceTable(3, (2, 1), (1, 1)) == (3, (2, 1), (1, 1))
+    assert (table.orbit_length, table.ideal_counts,
+            table.antichain_counts) == (3, (2, 1), (1, 1))
+    fields = (0, "0101", "a", "b", 3, 2, "ideal counts")
+    witness = Witness(orbit_index=0, seed_bits="0101", element_label="a",
+                      partner_label="b", lhs=3, rhs=2,
+                      identity="ideal counts")
+    assert witness == Witness(*fields) == fields
+    assert (witness.orbit_index, witness.seed_bits, witness.element_label,
+            witness.partner_label, witness.lhs, witness.rhs,
+            witness.identity) == fields
+    assert hash(witness) == hash(fields)
+    assert witness.as_dict() == {
+        "orbit_index": 0, "seed_bits": "0101", "element": "a",
+        "partner": "b", "lhs": 3, "rhs": 2, "identity": "ideal counts"}
 
 
 def test_an_ideal_set_still_validates():

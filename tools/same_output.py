@@ -33,7 +33,11 @@ one layer per kind of opposition involution of the Levi diagram that the
 others leave out: layer(D9,2), whose Levi has a D7 component (the fork
 swap), and layer(B6,3), layer(C5,5), layer(G2,1) and layer(F4,1) (the
 identity); and on layer(A120,60) under --cap 100, a 3660-element layer
-that is refused while it is built.  orbits also runs on layer(A80,1), an
+that is refused while it is built.  conjectures also runs on layers whose
+orbit lanes span the widths from 8 to 512 bits: layer(A11,6) (orbit
+lengths 12, 6, 4 and 2), layer(D6,1) (10 and 2), layer(A300,1) (one orbit
+of 301) and layer(A15,8) (12870 ideals in 810 orbits of lengths 16, 8, 4
+and 2).  orbits also runs on layer(A80,1), an
 80-element chain.
 orbits also runs on the fan-in poset FAN_IN, the osum of two dunions of
 six chain(1): each of six maximal elements covers each of six minimal ones,
@@ -142,6 +146,8 @@ def base_commands() -> list[tuple[str, ...]]:
         "layer(D5,2)", "layer(A7,4)", "layer(E7,7)", "layer(D9,2)",
         "layer(B6,3)", "layer(C5,5)", "layer(G2,1)", "layer(F4,1)")]
     commands += [("conjectures", "layer(A120,60)", "--cap", "100")]
+    commands += [("conjectures", expr) for expr in (
+        "layer(A11,6)", "layer(D6,1)", "layer(A300,1)", "layer(A15,8)")]
     commands += [("orbits", "layer(A80,1)")]
     commands += [("orbits", FAN_IN), ("orbits", FAN_IN, "--cap", "10"),
                  ("orbits", FAN_IN, "--cap", "100")]
