@@ -9,14 +9,14 @@ against each other.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
+from ._record import TupleRecord
 from .constructions import Chain, H, J, K, Layer, PosetExpr, Prod, build
 from .poset import Poset
 from .roots import RootLayer, layer
 
 
-class CatalogEntry(NamedTuple):
+class CatalogEntry(TupleRecord):
+    __slots__ = ()
     name: str
     expr: PosetExpr | None
     layer_family: str
@@ -70,7 +70,8 @@ SPORADIC: tuple[CatalogEntry, ...] = (
 )
 
 
-class FamilyEntry(NamedTuple):
+class FamilyEntry(TupleRecord):
+    __slots__ = ()
     name: str
     description: str
 

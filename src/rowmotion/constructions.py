@@ -2,9 +2,10 @@
 
 An expression tree of the frozen nodes below describes how a poset is
 assembled; build() turns it into a concrete Poset.  Element keys record the
-assembly (tuples for products, tagged pairs for sums, ideal masks for J), so
-structural encoders can find their way around the result.  GRAMMAR gives
-each node's text form, which to_text prints and parse_poset_expr reads.
+assembly (pairs of operand keys for products, (side, index in the operand)
+for sums, ideal masks for J), so structural encoders can find their way
+around the result.  GRAMMAR gives each node's text form, which to_text
+prints and parse_poset_expr reads.
 """
 
 from __future__ import annotations
@@ -266,9 +267,9 @@ def build(expr: PosetExpr, cap: int = DEFAULT_CAP) -> Poset:
             big = pa.n_elements * pb.n_elements > cap
             result = None if big else _product(pa, pb)
         case OSum(a, b):
-            result = _ordinal_sum(build(a, cap), build(b, cap))
+            result = _side_by_side(build(a, cap), build(b, cap), True)
         case DUnion(a, b):
-            result = _disjoint_union(build(a, cap), build(b, cap))
+            result = _side_by_side(build(a, cap), build(b, cap), False)
         case J(inner):
             result = _ideal_lattice(build(inner, cap), cap)
         case Layer(family, rank, pivot):
@@ -339,34 +340,27 @@ def _product(pa: Poset, pb: Poset) -> Poset:
     return Poset.from_cover_data(elements, covers)
 
 
-def _ordinal_sum(pa: Poset, pb: Poset) -> Poset:
-    shift = pa.max_rank
-    elements = [((0, pa.keys[i]), pa.rank[i], pa.labels[i])
-                for i in range(pa.n_elements)]
-    elements += [((1, pb.keys[j]), pb.rank[j] + shift, pb.labels[j])
-                 for j in range(pb.n_elements)]
-    covers = [((0, pa.keys[i]), (0, pa.keys[j])) for i, j in pa.covers]
-    covers += [((1, pb.keys[i]), (1, pb.keys[j])) for i, j in pb.covers]
-    tops = [i for i in range(pa.n_elements) if pa.rank[i] == pa.max_rank]
-    bottoms = [j for j in range(pb.n_elements) if pb.rank[j] == 1]
-    for i in tops:
-        for j in bottoms:
-            covers.append(((0, pa.keys[i]), (1, pb.keys[j])))
-    return Poset.from_cover_data(elements, covers)
-
-
-def _disjoint_union(pa: Poset, pb: Poset) -> Poset:
-    if pa.max_rank != pb.max_rank:
+def _side_by_side(pa: Poset, pb: Poset, ordinal: bool) -> Poset:
+    """pa and pb side by side, element i of side s keyed (s, i).  The
+    ordinal sum raises pb's ranks by pa's height and puts every bottom of pb
+    over every top of pa; the disjoint union adds no cover, and is graded
+    only when pa and pb are equally high."""
+    if not ordinal and pa.max_rank != pb.max_rank:
         raise NotGraded(
             f"disjoint union of heights {pa.max_rank} and {pb.max_rank} "
             "is not graded"
         )
-    elements = [((0, pa.keys[i]), pa.rank[i], pa.labels[i])
+    shift = pa.max_rank if ordinal else 0
+    elements = [((0, i), pa.rank[i], pa.labels[i])
                 for i in range(pa.n_elements)]
-    elements += [((1, pb.keys[j]), pb.rank[j], pb.labels[j])
+    elements += [((1, j), pb.rank[j] + shift, pb.labels[j])
                  for j in range(pb.n_elements)]
-    covers = [((0, pa.keys[i]), (0, pa.keys[j])) for i, j in pa.covers]
-    covers += [((1, pb.keys[i]), (1, pb.keys[j])) for i, j in pb.covers]
+    covers = [((0, i), (0, j)) for i, j in pa.covers]
+    covers += [((1, i), (1, j)) for i, j in pb.covers]
+    if ordinal:
+        tops = [i for i in range(pa.n_elements) if pa.rank[i] == pa.max_rank]
+        bottoms = [j for j in range(pb.n_elements) if pb.rank[j] == 1]
+        covers += [((0, i), (1, j)) for i in tops for j in bottoms]
     return Poset.from_cover_data(elements, covers)
 
 

@@ -7,13 +7,12 @@ Everything is exact; averages are fractions and comparisons are equalities.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter
-from typing import NamedTuple
 
+from ._record import TupleRecord
 from .poset import (
     DEFAULT_CAP,
     IdealSet,
-    Listing,
+    LaneCounts,
     OrbitReport,
     Poset,
     all_orbits,
@@ -26,12 +25,13 @@ from .roots import RootLayer
 orbit_reports = all_orbits
 
 
-class AverageReport(NamedTuple):
+class AverageReport(TupleRecord):
     """Outcome of checking that every orbit has the same average antichain
     size; failures pairs orbit indices with their averages, and
     failure_lengths holds the lengths of those orbits in the same order.
     orbits is the listing the check read."""
 
+    __slots__ = ()
     expected: Fraction
     n_orbits: int
     passed: bool
@@ -62,21 +62,15 @@ def verify_constant_average(
     )
 
 
-class OccurrenceTable(tuple):
-    """Per-element counts over one orbit, the tuple (orbit_length,
-    ideal_counts, antichain_counts); a tuple subclass, as poset.Listing is.
-    ideal_counts[p] is the number of ideals containing p, antichain_counts[p]
-    the number whose antichain contains p."""
+class OccurrenceTable(TupleRecord):
+    """Per-element counts over one orbit.  ideal_counts[p] is the number of
+    ideals containing p, antichain_counts[p] the number whose antichain
+    contains p."""
 
     __slots__ = ()
-    orbit_length = property(itemgetter(0))
-    ideal_counts = property(itemgetter(1))
-    antichain_counts = property(itemgetter(2))
-
-    def __new__(cls, orbit_length: int, ideal_counts: tuple[int, ...],
-                antichain_counts: tuple[int, ...]):
-        return tuple.__new__(cls, (orbit_length, ideal_counts,
-                                   antichain_counts))
+    orbit_length: int
+    ideal_counts: tuple[int, ...]
+    antichain_counts: tuple[int, ...]
 
 
 def occurrence_counts(poset: Poset, orbit: OrbitReport) -> OccurrenceTable:
@@ -95,52 +89,37 @@ def occurrence_counts(poset: Poset, orbit: OrbitReport) -> OccurrenceTable:
     )
 
 
-def _listed_occurrences(listing: Listing, r: int) -> OccurrenceTable:
-    """occurrence_counts of orbit r of a listing, by popcount.  With S the
-    bit set of its positions, element x lies in (columns[x] & S).bit_count()
-    of its ideals and in (minima[x] & S).bit_count() of their antichains:
-    the minima are the antichains of the images, and an orbit's images are
-    the orbit itself."""
-    orbit = listing.orbit_bits(r)
+def _lane_occurrences(lanes: LaneCounts, r: int) -> OccurrenceTable:
+    """occurrence_counts of orbit r of a listing, read from lane r of its
+    LaneCounts."""
+    start, lane = lanes.starts[r], (1 << lanes.widths[r]) - 1
     return OccurrenceTable(
-        len(listing.cycles[r]),
-        tuple([(c & orbit).bit_count() for c in listing.columns]),
-        tuple([(c & orbit).bit_count() for c in listing.minima]),
+        lanes.lengths >> start & lane,
+        tuple([x >> start & lane for x in lanes.ideal_counts]),
+        tuple([x >> start & lane for x in lanes.antichain_counts]),
     )
 
 
-class Witness(tuple):
-    """A concrete failure of one of the paired-count identities, the tuple
-    (orbit_index, seed_bits, element_label, partner_label, lhs, rhs,
-    identity); a tuple subclass, as poset.Listing is."""
+class Witness(TupleRecord):
+    """A concrete failure of one of the paired-count identities."""
 
     __slots__ = ()
-    orbit_index = property(itemgetter(0))
-    seed_bits = property(itemgetter(1))
-    element_label = property(itemgetter(2))
-    partner_label = property(itemgetter(3))
-    lhs = property(itemgetter(4))
-    rhs = property(itemgetter(5))
-    identity = property(itemgetter(6))
-
-    def __new__(cls, orbit_index: int, seed_bits: str, element_label: str,
-                partner_label: str, lhs: int, rhs: int, identity: str):
-        return tuple.__new__(cls, (orbit_index, seed_bits, element_label,
-                                   partner_label, lhs, rhs, identity))
+    orbit_index: int
+    seed_bits: str
+    element_label: str
+    partner_label: str
+    lhs: int
+    rhs: int
+    identity: str
 
     def as_dict(self) -> dict:
-        return {
-            "orbit_index": self.orbit_index,
-            "seed_bits": self.seed_bits,
-            "element": self.element_label,
-            "partner": self.partner_label,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "identity": self.identity,
-        }
+        """The fields by name, the labels named element and partner."""
+        return dict(zip(("orbit_index", "seed_bits", "element", "partner",
+                         "lhs", "rhs", "identity"), self))
 
 
-class ConjectureReport(NamedTuple):
+class ConjectureReport(TupleRecord):
+    __slots__ = ()
     entry_name: str
     n_orbits: int
     passed: bool
@@ -164,19 +143,19 @@ def check_conjectures(
     I(p) + I(q) is L for every element p and its partner q, and the
     antichain form where A(p) is A(q): summed or compared lane by lane,
     each pair is one integer compare for every orbit.  The lanes where a
-    pair differs name the failing orbits, and only those are counted
+    pair differs name the failing orbits, and only their lanes are read
     element by element to name their witnesses."""
     poset = root_layer.poset
     star = root_layer.star
     masks, _, _, cycles = listing = list_orbits(poset, cap)
     lanes = listing.lane_counts(poset)
-    ideal, antichain, lengths, _ = lanes
+    ideal, antichain, lengths, _, _ = lanes
     differ = 0
     for p, q in {(min(p, q), max(p, q)) for p, q in enumerate(star)}:
         differ |= (ideal[p] + ideal[q]) ^ lengths | antichain[p] ^ antichain[q]
     witnesses = ([], [])
     for k in lanes.orbits_in(differ):
-        t = _listed_occurrences(listing, k)
+        t = _lane_occurrences(lanes, k)
         seed_bits = IdealSet(poset, masks[cycles[k][0]]).bit_string()
         for p, q in enumerate(star):
             for found, identity, lhs, rhs in (

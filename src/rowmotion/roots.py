@@ -14,8 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress
 from operator import add, gt, sub
-from typing import NamedTuple
 
+from ._record import TupleRecord
 from .poset import CapExceeded, Poset
 
 FAMILY_RANK_RANGE = {
@@ -82,7 +82,8 @@ def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
-class RootSystem(NamedTuple):
+class RootSystem(TupleRecord):
+    __slots__ = ()
     family: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
@@ -186,13 +187,14 @@ def _opposition(cartan: tuple[tuple[int, ...], ...], pivot: int) -> list[int]:
     return sigma
 
 
-class RootLayer(NamedTuple):
+class RootLayer(TupleRecord):
     """The coefficient-one layer of one simple root, as a graded poset.
 
     Element keys are the root coordinate tuples.  star is the induced
     order-reversing involution, as an index permutation on the poset.
     """
 
+    __slots__ = ()
     family: str
     rank: int
     pivot: int

@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from operator import itemgetter
 
+from ._record import TupleRecord
 from .catalog import CatalogEntry, classical_layer_expr, entry_expr_poset
 from .constructions import build, grid_poset, k_product_poset
 from .homomesy import AverageReport, verify_constant_average
@@ -36,17 +36,13 @@ from .words import (
 MAX_DETAILS = 5
 
 
-class CheckResult(tuple):
-    """A named pass/fail result, the tuple (name, passed, details); a tuple
-    subclass, as poset.Listing is."""
+class CheckResult(TupleRecord):
+    """A named pass/fail result."""
 
     __slots__ = ()
-    name = property(itemgetter(0))
-    passed = property(itemgetter(1))
-    details = property(itemgetter(2))
-
-    def __new__(cls, name: str, passed: bool, details: str):
-        return tuple.__new__(cls, (name, passed, details))
+    name: str
+    passed: bool
+    details: str
 
     def as_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "details": self.details}

@@ -44,10 +44,10 @@ import re
 from bisect import bisect_left
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress
-from operator import add, itemgetter, neg, or_, sub
+from operator import add, neg, or_, sub
 from typing import Callable, Sequence
 
-from ._record import Record
+from ._record import Record, TupleRecord
 from .constructions import grid_poset, k_product_poset
 from .poset import IdealSet, InvalidSubset, Poset
 
@@ -240,23 +240,18 @@ def decode_grid(word: str, m: int, n: int) -> IdealSet:
 # -- size profile -------------------------------------------------------------
 
 
-class SizeProfile(tuple):
-    """Per-step antichain-size increments along a word's orbit, the tuple
-    (m, n, p_values, q_values); a tuple subclass, as poset.Listing is.
+class SizeProfile(TupleRecord):
+    """Per-step antichain-size increments along a word's orbit.
 
     p_values[i-1] is the gain at step i (0 or 1), q_values[i-1] the loss
     (0 or -1), for i in 1..m+n.
     """
 
     __slots__ = ()
-    m = property(itemgetter(0))
-    n = property(itemgetter(1))
-    p_values = property(itemgetter(2))
-    q_values = property(itemgetter(3))
-
-    def __new__(cls, m: int, n: int, p_values: tuple[int, ...],
-                q_values: tuple[int, ...]):
-        return tuple.__new__(cls, (m, n, p_values, q_values))
+    m: int
+    n: int
+    p_values: tuple[int, ...]
+    q_values: tuple[int, ...]
 
 
 def ones_profile(ones: MarkedSequence) -> SizeProfile:

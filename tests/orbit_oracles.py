@@ -98,7 +98,7 @@ def walked_listing(poset) -> Listing:
         digits = [format(r | 1 << n, "b")[1:] for r in reversed(rows)]
         return [int("".join(place), 2) for place in zip(*digits)][::-1]
 
-    return Listing((masks, columns(masks), columns(images), cycles))
+    return Listing(masks, columns(masks), columns(images), cycles)
 
 
 def walked_average(poset, expected=None) -> AverageReport:

@@ -6,6 +6,7 @@ knows nothing about fibers, so they validate each other.
 """
 
 import itertools
+import time
 
 import pytest
 
@@ -13,7 +14,9 @@ from rowmotion.constructions import (
     H,
     J,
     K,
+    MAX_DEPTH,
     Chain,
+    DUnion,
     OSum,
     Prod,
     build,
@@ -75,10 +78,30 @@ def test_ordinal_sum_stacks():
     assert are_isomorphic(p, build(Chain(5)))
 
 
+def test_sums_key_each_element_by_side_and_index():
+    p = build(OSum(Chain(2), DUnion(Chain(1), Chain(1))))
+    assert p.keys == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert p.labels == ("1", "2", "1", "1")
+    assert p.rank == (1, 2, 3, 3)
+    # a product pairs the flat keys of its operands
+    q = build(Prod(Chain(1), OSum(Chain(1), Chain(1))))
+    assert q.keys == ((1, (0, 0)), (1, (1, 0)))
+
+
+def test_an_ordinal_sum_chain_at_the_parser_bound_builds_in_a_second():
+    # keys nested once per osum made this build cubic in the depth
+    depth = MAX_DEPTH
+    text = "osum(chain(1)," * (depth - 1) + "chain(1)" + ")" * (depth - 1)
+    start = time.perf_counter()
+    poset = build(parse_poset_expr(text))
+    elapsed = time.perf_counter() - start
+    assert poset.n_elements == poset.max_rank == depth
+    assert all(len(key) == 2 and type(key[1]) is int for key in poset.keys)
+    assert elapsed < 1.0
+
+
 def test_ideal_lattice_of_antichain_is_a_grid():
     # ideals of the 2-element antichain form a diamond, the 2x2 grid
-    from rowmotion.constructions import DUnion
-
     p = build(J(DUnion(Chain(1), Chain(1))))
     assert are_isomorphic(p, grid_poset(2, 2))
 

@@ -3,10 +3,10 @@
 list_orbits returns a Listing from one bit-sliced step, and all_orbits,
 verify_constant_average (through all_orbits), check_conjectures and
 operator_order read that Listing: the averages from its antichain sizes,
-the per-orbit counts from its lane table (Listing.lane_counts), and a
-failing orbit's by popcounts over its columns and orbit bit set, the order
-from its cycle lengths.  tests/orbit_oracles.py computes the same
-Listing, counts and reports by walking every orbit.  The shapes are those
+the per-orbit counts from its lane table (Listing.lane_counts), a failing
+orbit's from its own lane, and the order from its cycle lengths.
+tests/orbit_oracles.py computes the same Listing, counts and reports by
+walking every orbit.  The shapes are those
 of the acceptance suite, plus inputs that fail.  ideal_masks is held to the
 level-by-level enumeration of the same module, and on posets of at most 14
 elements to every down-closed subset, found by brute force; its lookup
@@ -83,10 +83,11 @@ def classical_layers():
 
 
 def listed_counts(poset):
-    """The per-orbit counts check_conjectures reads from the listing."""
-    listing = list_orbits(poset)
-    return [homomesy._listed_occurrences(listing, r)
-            for r in range(len(listing.cycles))]
+    """The per-orbit counts check_conjectures reads from the lanes of the
+    listing."""
+    lanes = list_orbits(poset).lane_counts(poset)
+    return [homomesy._lane_occurrences(lanes, r)
+            for r in range(len(lanes.starts))]
 
 
 def assert_same_average(poset, expected=None):
@@ -195,16 +196,16 @@ def test_swapped_partners_give_the_same_witnesses(family, rank, pivot):
 
 
 def test_only_failing_orbits_are_counted_element_by_element(monkeypatch):
-    # the paired counts decide each orbit; an orbit is counted element by
-    # element only to name its witnesses
+    # the paired counts decide each orbit; an orbit's lane is read element
+    # by element only to name its witnesses
     counted = []
-    real = homomesy._listed_occurrences
+    real = homomesy._lane_occurrences
 
-    def spy(listing, r):
-        counted.append(listing.cycles[r][0])
-        return real(listing, r)
+    def spy(lanes, r):
+        counted.append(r)
+        return real(lanes, r)
 
-    monkeypatch.setattr(homomesy, "_listed_occurrences", spy)
+    monkeypatch.setattr(homomesy, "_lane_occurrences", spy)
     for entry in SPORADIC[:6]:
         assert all(rep.passed for rep in check_conjectures(
             entry.realize_layer()))
@@ -238,8 +239,6 @@ def test_every_part_of_a_listing_matches_the_walker():
         assert listing.cycles == walked.cycles, poset
         assert list(listing.sizes) == [
             row.bit_count() for row in transposed(walked.minima, k)]
-        for r, cycle in enumerate(walked.cycles):
-            assert listing.orbit_bits(r) == sum(1 << i for i in cycle)
 
 
 def test_empty_and_one_element_posets():
@@ -366,15 +365,16 @@ def test_lane_counts_match_the_walker_orbit_by_orbit():
         for r in order:
             assert lanes.starts[r] == end and end % widths[r] == 0
             end += widths[r]
-        ideal, antichain, lengths, starts = lanes
+        ideal, antichain, lengths, starts, _ = lanes
+        assert lanes.widths == widths
         assert all(x >> end == 0 for x in (lengths, *ideal, *antichain))
         # a layout one position off, either way, reads other counts
         for off in (
-                LaneCounts((ideal, antichain, lengths,
-                            [s + 1 for s in starts])),
-                LaneCounts(([x << 1 for x in ideal],
-                            [x << 1 for x in antichain], lengths << 1,
-                            starts))):
+                LaneCounts(ideal, antichain, lengths,
+                           [s + 1 for s in starts], widths),
+                LaneCounts([x << 1 for x in ideal],
+                           [x << 1 for x in antichain], lengths << 1,
+                           starts, widths)):
             assert lane_tables(off, listing.cycles) != walked, poset
 
 

@@ -1,6 +1,8 @@
 """The record classes: value semantics, and a start-up free of the modules
 that generated records would import."""
 
+import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +10,22 @@ from pathlib import Path
 import pytest
 
 import rowmotion
+from rowmotion.catalog import CatalogEntry, FamilyEntry
 from rowmotion.constructions import H, K, Chain, OSum, Prod, build
-from rowmotion.homomesy import OccurrenceTable, Witness
-from rowmotion.poset import IdealSet, InvalidSubset, OrbitReport
+from rowmotion.homomesy import (
+    AverageReport,
+    ConjectureReport,
+    OccurrenceTable,
+    Witness,
+)
+from rowmotion.poset import (
+    IdealSet,
+    InvalidSubset,
+    LaneCounts,
+    Listing,
+    OrbitReport,
+)
+from rowmotion.roots import RootLayer, RootSystem
 from rowmotion.verify import CheckResult
 from rowmotion.words import SizeProfile, long_sequences
 
@@ -41,30 +56,66 @@ def test_a_frozen_record_refuses_assignment(record, field):
         setattr(record, field, 4)
 
 
-def test_tuple_records_build_by_position_and_by_keyword():
-    check = CheckResult(name="name", passed=True, details="ok")
-    assert check == CheckResult("name", True, "ok") == ("name", True, "ok")
-    assert (check.name, check.passed, check.details) == ("name", True, "ok")
+# every result tuple of the package, with its fields in order
+TUPLE_RECORDS = {
+    AverageReport: ("expected", "n_orbits", "passed", "failures",
+                    "failure_lengths", "orbits"),
+    ConjectureReport: ("entry_name", "n_orbits", "passed", "witnesses"),
+    CatalogEntry: ("name", "expr", "layer_family", "layer_rank",
+                   "layer_pivot"),
+    FamilyEntry: ("name", "description"),
+    RootSystem: ("family", "rank", "cartan", "positive_roots"),
+    RootLayer: ("family", "rank", "pivot", "poset", "star"),
+    Listing: ("masks", "columns", "minima", "cycles"),
+    LaneCounts: ("ideal_counts", "antichain_counts", "lengths", "starts",
+                 "widths"),
+    OccurrenceTable: ("orbit_length", "ideal_counts", "antichain_counts"),
+    Witness: ("orbit_index", "seed_bits", "element_label", "partner_label",
+              "lhs", "rhs", "identity"),
+    CheckResult: ("name", "passed", "details"),
+    SizeProfile: ("m", "n", "p_values", "q_values"),
+}
+
+
+@pytest.mark.parametrize("cls", TUPLE_RECORDS, ids=lambda cls: cls.__name__)
+def test_a_tuple_record_is_the_tuple_of_its_fields(cls):
+    fields = TUPLE_RECORDS[cls]
+    values = tuple((name, k) for k, name in enumerate(fields))
+    record = cls(*values)
+    assert cls._fields == fields
+    assert record == cls(**dict(zip(fields, values))) == values
+    assert cls(*values[:2], **dict(zip(fields[2:], values[2:]))) == record
+    assert hash(record) == hash(values)
+    assert type(cls(**dict(zip(fields, values)))) is cls
+    assert tuple(getattr(record, name) for name in fields) == values
+    assert repr(record) == cls.__name__ + "(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(fields, values)) + ")"
+    for args, kwargs in (
+            (values[:-1], {}),  # a missing field
+            ((), dict(zip(fields[1:], values[1:]))),
+            (values + (None,), {}),  # an extra field
+            (values, {"nonsense": 1}),  # an unknown keyword
+            (values, {fields[0]: 1}),  # a field given twice
+            (values[:-1], {fields[0]: 1})):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    changed = record._replace(**{fields[-1]: "new"})
+    assert type(changed) is cls
+    assert changed == values[:-1] + ("new",) and record == values
+    with pytest.raises(TypeError):
+        record._replace(nonsense=1)
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], 1)
+    assert not hasattr(record, "__dict__")
+    for clone in (copy.copy(record), copy.deepcopy(record),
+                  pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and clone == record
+
+
+def test_reports_read_as_dicts_under_their_own_keys():
+    check = CheckResult("name", True, "ok")
     assert check.as_dict() == {"name": "name", "passed": True, "details": "ok"}
-    profile = SizeProfile(m=1, n=2, p_values=(0, 1, 1), q_values=(0, 0, -1))
-    assert profile == SizeProfile(1, 2, (0, 1, 1), (0, 0, -1))
-    assert (profile.m, profile.n, profile.p_values, profile.q_values) == (
-        1, 2, (0, 1, 1), (0, 0, -1))
-    assert hash(profile) == hash((1, 2, (0, 1, 1), (0, 0, -1)))
-    table = OccurrenceTable(orbit_length=3, ideal_counts=(2, 1),
-                            antichain_counts=(1, 1))
-    assert table == OccurrenceTable(3, (2, 1), (1, 1)) == (3, (2, 1), (1, 1))
-    assert (table.orbit_length, table.ideal_counts,
-            table.antichain_counts) == (3, (2, 1), (1, 1))
-    fields = (0, "0101", "a", "b", 3, 2, "ideal counts")
-    witness = Witness(orbit_index=0, seed_bits="0101", element_label="a",
-                      partner_label="b", lhs=3, rhs=2,
-                      identity="ideal counts")
-    assert witness == Witness(*fields) == fields
-    assert (witness.orbit_index, witness.seed_bits, witness.element_label,
-            witness.partner_label, witness.lhs, witness.rhs,
-            witness.identity) == fields
-    assert hash(witness) == hash(fields)
+    witness = Witness(0, "0101", "a", "b", 3, 2, "ideal counts")
     assert witness.as_dict() == {
         "orbit_index": 0, "seed_bits": "0101", "element": "a",
         "partner": "b", "lhs": 3, "rhs": 2, "identity": "ideal counts"}

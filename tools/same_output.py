@@ -43,7 +43,12 @@ orbits also runs on the fan-in poset FAN_IN, the osum of two dunions of
 six chain(1): each of six maximal elements covers each of six minimal ones,
 127 ideals.  It runs as a listing and under --cap 10 and --cap 100, where
 it is refused (exit 3): at 10 by its 12 elements, before the walk, and at
-100 in the walk.
+100 in the walk.  Sums key their elements by (side, index in the operand),
+and three commands read such keys: orbits on DEEP_OSUM, ordinal sums of
+chain(1) nested 200 constructors deep; orbits on
+prod(chain(2),osum(chain(1),dunion(chain(1),chain(1)))), whose product
+keys hold sum keys; and encode on osum(chain(2),chain(2)) with
+--seed-ideal 1100, which no codec applies to (exit 2).
 The word layer's errors run too: step-word on one refused starred word per
 message of validate_starred (a stray letter, two stars, an even number of
 ones, too few ones before the star, no zero after it) and on the
@@ -94,6 +99,8 @@ PARSE_ERRORS = ("(3)", "chain 3", "prod(chain(2)", "chain(3", "foo(3)",
 SIX = "dunion(chain(1),dunion(chain(1),dunion(chain(1),dunion(chain(1)," \
     "dunion(chain(1),chain(1))))))"
 FAN_IN = f"osum({SIX},{SIX})"
+# ordinal sums nested 200 constructors deep, a chain of 200 elements
+DEEP_OSUM = "osum(chain(1)," * 199 + "chain(1)" + ")" * 199
 RUN_MAIN = ("import sys; from rowmotion.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
 
@@ -151,6 +158,11 @@ def base_commands() -> list[tuple[str, ...]]:
     commands += [("orbits", "layer(A80,1)")]
     commands += [("orbits", FAN_IN), ("orbits", FAN_IN, "--cap", "10"),
                  ("orbits", FAN_IN, "--cap", "100")]
+    commands += [("orbits", DEEP_OSUM),
+                 ("orbits", "prod(chain(2),osum(chain(1),"
+                            "dunion(chain(1),chain(1))))"),
+                 ("encode", "osum(chain(2),chain(2))", "--seed-ideal",
+                  "1100")]
     commands += [("step-word", word) for word in (
         "1*0x11", "1**011", "11*011", "0*1011", "01*101", "012")]
     commands += [("verify-grid", "3", "4", "--word", "0101011"),
