@@ -76,55 +76,45 @@ def check_constant_average(
     return _result(label, failures, note)
 
 
-def _windows_shift(
-    sequences: list[tuple[MarkedSequence, MarkedSequence]],
-    later: list[str],
-) -> bool:
-    """Whether the windows of one orbit rebuild every iterate, later[i]
-    being the successor of word i, proved from one window pair and one
-    overlap compare per word.
-
-    Each word's marked sequences are checked to be its successor's shifted
-    by one own symbol: the zero sequence after its first zero is the
-    successor's before its last zero, and the ones sequence before its last
-    one is the successor's after its first one.  With the kinds and widths
-    the same along the orbit, that gives windows(w)[1:] ==
-    windows(successor)[:-1] for both kinds, so window j of a word is window
-    1 of its (j-1)-th successor, and zigzag on window 1 of every word,
-    compared with the listed successor, covers every window.  False when
-    any part fails or a sequence has no own symbol or no window."""
-    head = ("0", sequences[0][0].width, "1", sequences[0][1].width)
+def _shifts(pair: tuple[MarkedSequence, MarkedSequence],
+            later: tuple[MarkedSequence, MarkedSequence],
+            successor: str) -> bool:
+    """Whether one word's marked sequences (pair) are its successor's
+    (later) shifted by one own symbol, and its window 1 rebuilds the
+    successor: the zero sequence after its first zero must be the
+    successor's before its last zero, and the ones sequence before its
+    last one the successor's after its first one.  With the kinds and
+    widths the same along the orbit, that gives windows(w)[1:] ==
+    windows(successor)[:-1] for both kinds, so window j of a word is
+    window 1 of its (j-1)-th successor, and zigzag on window 1 of every
+    word covers every window.  False when any part fails or a sequence has
+    no own symbol or no window."""
+    (zeros, ones), (next_zeros, next_ones) = pair, later
+    if (zeros.kind, zeros.width, ones.kind, ones.width) != (
+            "0", next_zeros.width, "1", next_ones.width):
+        return False
     try:
-        for (zeros, ones), (next_zeros, next_ones) in zip(
-                sequences, sequences[1:] + sequences[:1]):
-            if (zeros.kind, zeros.width, ones.kind, ones.width) != head:
-                return False
-            a, b = zeros.symbols, next_zeros.symbols
-            if a[a.index("0") + 1:] != b[:b.rindex("0")]:
-                return False
-            a, b = ones.symbols, next_ones.symbols
-            if a[:a.rindex("1")] != b[b.index("1") + 1:]:
-                return False
-        pairs = [(zeros.window(1), ones.window(1))
-                 for zeros, ones in sequences]
+        a, b = zeros.symbols, next_zeros.symbols
+        if a[a.index("0") + 1:] != b[:b.rindex("0")]:
+            return False
+        a, b = ones.symbols, next_ones.symbols
+        if a[:a.rindex("1")] != b[b.index("1") + 1:]:
+            return False
+        return zigzag(zeros.window(1), ones.window(1)) == successor
     except ValueError:
         return False
-    return all(zigzag(*pair) == want for pair, want in zip(pairs, later))
 
 
-def _window_failures(
-    sequences: list[tuple[MarkedSequence, MarkedSequence]],
-    words: list[str],
-    period: int,
-) -> list[str]:
+def _window_failures(words: list[str], period: int) -> list[str]:
     """The words of one orbit whose windows fail to rebuild an iterate,
-    window by window: each word names its first failing window, window j
-    of word i rebuilding word (i + j) % length.  Words of one orbit share
-    window pairs, and a pair met again is not rebuilt."""
+    window by window, from their marked sequences built again: each word
+    names its first failing window, window j of word i rebuilding word
+    (i + j) % length.  Words of one orbit share window pairs, and a pair
+    met again is not rebuilt."""
     failures = []
     # window pair -> the word zigzag rebuilds from it
     rebuilt: dict[tuple[str, str], str] = {}
-    for i, (zeros, ones) in enumerate(sequences):
+    for i, (zeros, ones) in enumerate(map(long_sequences, words)):
         pairs = zip(zeros.windows, ones.windows)
         for j, pair in zip(range(1, period + 1), pairs):
             if pair not in rebuilt:
@@ -145,13 +135,13 @@ def verify_grid(
     the k-th iterate of word i being word (i + k) % length; psi runs once
     per word, for the transport check, from the cut of the word that its
     marked sequences are built from.  The profile formula reads the ones
-    sequence, and the windows check reads both, per
-    orbit: one overlap compare per sequence with the next word's and
-    zigzag on window 1 prove that every window rebuilds its iterate
-    (_windows_shift), and an orbit where that fails is checked again
-    window by window, for the names of its failing words and windows
-    (_window_failures).  A grid of cap elements or more has more than cap
-    ideals, so it is refused before it is built."""
+    sequence, and the windows check reads both, word by word: one overlap
+    compare per sequence with the next word's and zigzag on window 1
+    prove that every window rebuilds its iterate (_shifts), so only the
+    orbit's first pair and the last one are kept.  An orbit where that
+    fails is checked again window by window, for the names of its failing
+    words and windows (_window_failures).  A grid of cap elements or more
+    has more than cap ideals, so it is refused before it is built."""
     if m * n >= cap:
         raise CapExceeded(f"more than {cap} ideals")
     poset = grid_poset(m, n)
@@ -198,7 +188,8 @@ def verify_grid(
         # the k-th iterate of word i is word (i + k) % length, and ahead[k]
         # is the size of the k-th iterate of the orbit's first word
         ahead = [sizes[k % length] for k in range(length + period)]
-        sequences = []
+        # the windows check keeps the orbit's first pair and the last one
+        shifted = True
         for i, (mask, w) in enumerate(zip(masks, words)):
             n_ideals += 1
             if codec.decode(w) != mask:
@@ -208,7 +199,11 @@ def verify_grid(
             if count_10(w) != sizes[i]:
                 size_fail.append(f"word {w}: {count_10(w)} vs {sizes[i]}")
             pair = long_sequences(w)
-            sequences.append(pair)
+            if i:
+                shifted = shifted and _shifts(last, pair, w)
+            else:
+                first = pair
+            last = pair
             formula = formula_sizes(w, pair[1])
             iterated = ahead[i + 1 : i + 1 + period]
             if formula != iterated:
@@ -222,8 +217,8 @@ def verify_grid(
             # failure names the words that do not return
             if words[(i + period) % length] != w:
                 period_fail.append(f"word {w} does not return")
-        if not _windows_shift(sequences, words[1:] + words[:1]):
-            window_fail += _window_failures(sequences, words, period)
+        if not (shifted and _shifts(last, first, words[0])):
+            window_fail += _window_failures(words, period)
     per_ideal, per_word = f"{n_ideals} ideals", f"{n_ideals} words"
     checks += [_result(*check) for check in (
         ("codec round-trips", rt_fail, per_ideal),
@@ -263,10 +258,11 @@ def verify_k_product(
     """Every check on [m]xK(n-1), in one pass over the orbit listing: each
     ideal's iterates, antichain sizes and rowmotion image are read from the
     listing, and psi_bar runs once per starred ideal, for the transport
-    check.  Each ideal's word and its class come from one codec.encode,
-    and the per-class average checks read the failures of the one
-    constant-average report.  A product of cap elements or more is refused
-    before it is built, as in verify_grid."""
+    check.  Each listed ideal's word and its class come from one
+    codec.encode, and each starred ideal's mate, which the dual-invariance
+    and commute checks read, from one codec.dual.  The per-class average
+    checks read the one constant-average report.  A product of cap
+    elements or more is refused before it is built, as in verify_grid."""
     if 2 * m * n >= cap:
         raise CapExceeded(f"more than {cap} ideals")
     poset = k_product_poset(m, n)
@@ -280,8 +276,11 @@ def verify_k_product(
     reports = average.orbits
 
     codec = k_codec(poset)
+    # each listed ideal's word and rowmotion image
+    word_of: dict[int, str] = {}
     image_of: dict[int, int] = {}
     for r in reports:
+        word_of.update(zip(r.masks, map(codec.encode, r.masks)))
         image_of.update(zip(r.masks, r.masks[1:] + r.masks[:1]))
     class_fail: list[str] = []
     n_orbits = {True: 0, False: 0}
@@ -301,8 +300,11 @@ def verify_k_product(
     failing = dict(average.failures)
     for k, r in enumerate(reports):
         masks, sizes, length = r.masks, r.antichain_sizes, r.length
-        words = list(map(codec.encode, masks))
+        words = list(map(word_of.__getitem__, masks))
         full = ["*" not in w for w in words]
+        # a mixed orbit swaps its full-rank ideals too, for the commute
+        # check of the starred ideals before them
+        mates = () if all(full) else list(map(codec.dual, masks))
         if len(set(full)) != 1:
             class_fail.append(f"orbit {k} mixes classes")
         else:
@@ -326,15 +328,16 @@ def verify_k_product(
                                      f"{epsilon_n(w)} vs {sizes[i]}")
                 continue
             n_star += 1
-            mate = codec.dual(mask)
-            if codec.encode(mate) != w:
+            mate = mates[i]
+            # only a mate missing from the listing is encoded here
+            if (word_of.get(mate) or codec.encode(mate)) != w:
                 star_dual_inv.append(f"word {w}")
             if codec.decode(w) not in (mask, mate):
                 star_rt.append(f"word {w}")
             if words[image] != psi_bar(w):
                 star_eq.append(f"word {w}")
             # a mate missing from the listing has no image: the check fails
-            if image_of.get(mate) != codec.dual(masks[image]):
+            if image_of.get(mate) != mates[image]:
                 dual_comm.append(f"ideal {IdealSet(poset, mask).bit_string()}")
             if w not in seen_words:
                 seen_words.add(w)

@@ -26,13 +26,15 @@ psi is one run shift on the block form, the pairs (symbol run, zero run
 after it), and psi_bar that shift and one star push.  long_sequences builds
 both marked sequences of a word from its runs and its reversal, and the
 marked zero sequence of a starred word comes from the same builder.
-zigzag interleaves the own runs of two windows, and the decoders read the
-ones before each zero in one loop.  The P/Q profile (ones_profile) and the
-K window sizes read which symbols of a marked sequence a dash flanks, with
-string replaces over the whole sequence.  Each MarkedSequence finds its
-own-symbol positions once, in its constructor.  The K codec's encode
-writes the word of the fiber sizes over 2n columns and stars its n-th one,
-or drops it when no fiber has size n; decode picks the form by the star.
+zigzag interleaves the own runs of two windows, and the decoders add up
+the fiber masks that the running counts of ones before the zeros index.
+The P/Q profile (ones_profile) and the K window sizes read which symbols
+of a marked sequence a dash flanks, with string replaces over the whole
+sequence.  A MarkedSequence cuts window i from one split of its display,
+and finds its own-symbol positions only when they are read.  The K
+codec's encode writes the word of the fiber sizes over 2n columns and
+stars its n-th one, or drops it when no fiber has size n; decode picks
+the form by the star.
 
 Words are plain strings; positions are 1-based in all public descriptions
 (storage is 0-based).
@@ -42,9 +44,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, compress
-from operator import add, neg, or_, sub
+from operator import add, getitem, neg, or_, sub
 from typing import Callable, Sequence
 
 from ._record import Record, TupleRecord
@@ -194,16 +196,13 @@ class FiberCodec:
     def _read(self, word: str, n_cols: int, tables: Sequence) -> int:
         """The ideal of a word over n_cols columns: the ones before each
         zero index the zero's table, fiber m first, for the mask of that
-        fiber."""
+        fiber.  The fibers are disjoint, so their masks add up."""
         if _binary_counts(word) != (self.m, n_cols):
             raise ValueError(
                 f"expected {self.m} zeros and {n_cols} ones, got {word!r}"
             )
-        mask = level = 0
-        for table, run in zip(tables, word.split("0")):
-            level += len(run)
-            mask |= table[level]
-        return mask
+        return sum(map(getitem, tables,
+                       accumulate(map(len, word.split("0")))))
 
     def decode(self, word: str) -> int:
         return self._read(word, self.n_cols, self.tables)
@@ -294,17 +293,28 @@ def size_by_formula(word: str, i: int) -> int:
 # -- long sequences and windows ------------------------------------------------
 
 
+class _found_on_read:
+    """A cached_property with no lock: the first read runs the method and
+    keeps its value in the instance, where later reads find it first."""
+
+    def __init__(self, find: Callable):
+        self.find = find
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.find.__name__] = value = self.find(obj)
+        return value
+
+
 class MarkedSequence(Record):
     """A string over {'0','-'} or {'1','-'} with sliding windows.
 
     kind '0' windows select own-symbol occurrences i+1..i+width numbered from
     the display left; kind '1' numbers them from the display right.  A window
     includes the flanking '-' on either side when present and is returned in
-    display order.
-
-    positions, the own-symbol positions in window order, is a plain
-    attribute set once by the constructor, from one byte translation of
-    the display that marks each own symbol.
+    display order.  positions (the own-symbol positions in window order)
+    and windows are found on their first read and kept as plain attributes.
     """
 
     _fields = ("symbols", "kind", "width")
@@ -313,34 +323,41 @@ class MarkedSequence(Record):
         self.symbols = symbols
         self.kind = kind
         self.width = width
-        own = list(compress(range(len(symbols)),
-                            symbols.encode().translate(_OWN[kind])))
-        self.positions = own[::-1] if kind == "1" else own
 
-    @cached_property
+    @_found_on_read
+    def positions(self) -> list[int]:
+        """From one byte translation that marks each own symbol."""
+        own = list(compress(range(len(self.symbols)),
+                            self.symbols.encode().translate(_OWN[self.kind])))
+        return own[::-1] if self.kind == "1" else own
+
+    @_found_on_read
     def windows(self) -> tuple[str, ...]:
         """Every window, windows[i-1] == window(i).  A sequence of width 0
         has no windows."""
         if not self.width:
             return ()
-        return tuple(map(self.window,
-                         range(1, len(self.positions) - self.width + 1)))
+        return tuple(map(self.window, range(
+            1, self.symbols.count(self.kind) - self.width + 1)))
 
     def window(self, i: int) -> str:
-        """Window i alone, cut out at the positions of its first and last
-        own symbols, which are its display ends: positions run up for kind
-        '0' and down for kind '1'."""
-        symbols, positions, width = self.symbols, self.positions, self.width
-        if not width or not 1 <= i <= len(positions) - width:
+        """Window i alone, from one cut of the display at its first i+width
+        own symbols, counted from the left for kind '0' and from the right
+        for kind '1' (where the first part ends at the window): the parts
+        between the window's own symbols are kept as they stand, and the
+        parts next to its ends give the flanks."""
+        own, width = self.kind, self.width
+        cut = i + width
+        if own == "1":
+            parts, left = self.symbols.rsplit(own, cut), 0
+        else:
+            parts, left = self.symbols.split(own, cut), i
+        if not width or i < 1 or len(parts) <= cut:
             raise ValueError(f"window {i} out of range")
-        lo, hi = positions[i], positions[i + width - 1]
-        if self.kind == "1":
-            lo, hi = hi, lo
-        if lo > 0 and symbols[lo - 1] == "-":
-            lo -= 1
-        if hi + 1 < len(symbols) and symbols[hi + 1] == "-":
-            hi += 1
-        return symbols[lo : hi + 1]
+        right = left + width
+        return ("-" * parts[left].endswith("-")
+                + own.join(["", *parts[left + 1 : right], ""])
+                + "-" * parts[right].startswith("-"))
 
 
 # byte tables that map an own symbol to 1 and every other byte to 0

@@ -245,13 +245,59 @@ def test_suites_step_each_ideal_once_for_the_listing(monkeypatch):
     assert calls == []
 
 
+def test_k_suite_encodes_each_ideal_once_and_swaps_each_starred_ideal_once(
+        monkeypatch):
+    # the dual-invariance check reads the mate's word from the listing's
+    # words, and the commute check reads the next ideal's mate from the
+    # orbit's mates
+    calls = {"encode": [], "dual": []}
+
+    def counted(name):
+        real = getattr(rowmotion.words.KCodec, name)
+
+        def call(self, mask):
+            calls[name].append(mask)
+            return real(self, mask)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(rowmotion.words.KCodec, name, counted(name))
+    poset, reports, checks = verify.verify_k_product(4, 3)
+    assert not _failed(checks)
+    n_star = _counts(checks, "ideals")["starred codec transports the dynamics"]
+    listed = [mask for r in reports for mask in r.masks]
+    assert sorted(calls["encode"]) == sorted(listed)
+    assert len(calls["dual"]) == len(set(calls["dual"])) == n_star
+    codec = rowmotion.words.k_codec(poset)
+    assert all("*" in codec.encode(mask) for mask in calls["dual"])
+
+
+def test_a_long_grid_orbit_passes_without_positions(monkeypatch):
+    # [1]x[1500] is one orbit of 1501 words; the windows check keeps two
+    # pairs of marked sequences, and no sequence finds its positions
+    built = []
+    init = MarkedSequence.__init__
+
+    def counted_init(self, symbols, kind, width):
+        built.append(self)
+        init(self, symbols, kind, width)
+
+    monkeypatch.setattr(MarkedSequence, "__init__", counted_init)
+    _, reports, checks = verify.verify_grid(1, 1500)
+    assert not _failed(checks)
+    assert [r.length for r in reports] == [1501]
+    assert len(built) == 2 * 1501
+    assert not any("positions" in vars(seq) for seq in built)
+
+
 @pytest.mark.parametrize("role", ["image", "mate"])
 def test_a_wrong_middle_swap_fails_the_commute_check_alone(monkeypatch, role):
-    # the suite swaps each starred ideal twice: as the image in the commute
-    # check of the ideal before it, and as itself.  An orbit's first ideal x
-    # comes first as itself, its second ideal first as x's image.  Spoiling
-    # that one swap fails the commute check of x alone: with a wrong image,
-    # or with a mate outside the listing, which has no image there
+    # a swap wrong on every call for one mask, of an orbit's first ideal x
+    # or of its second, x's image.  x fails the commute check alone: with
+    # a wrong image, or with a mate outside the listing, which has no image
+    # there.  The ideal whose swap is wrong also fails the check as itself
+    # (a spoiled mate outside the listing), or as the ideal before x, and
+    # a wrong mate of x's image encodes to another word
     poset, reports, _ = verify.verify_k_product(3, 2)
     codec = rowmotion.words.k_codec(poset)
     # x decodes to itself, so a spoiled mate keeps the round trip
@@ -259,25 +305,31 @@ def test_a_wrong_middle_swap_fails_the_commute_check_alone(monkeypatch, role):
              and "*" in codec.encode(r.masks[0])
              and codec.decode(codec.encode(r.masks[0])) == r.masks[0])
     if role == "image":
-        target, spoil = r.masks[1], 1
+        target, spoil, before = r.masks[1], 1, r.masks[1]
     else:
-        target, spoil = r.masks[0], 1 << poset.n_elements
+        target, spoil, before = r.masks[0], 1 << poset.n_elements, r.masks[-1]
     real = rowmotion.words.KCodec.dual
     spoiled = []
 
     def wrong(self, mask):
         out = real(self, mask)
-        if mask == target and not spoiled:
+        if mask == target:
             spoiled.append(mask)
             return out ^ spoil
         return out
 
     monkeypatch.setattr(rowmotion.words.KCodec, "dual", wrong)
     _, _, checks = verify.verify_k_product(3, 2)
-    assert spoiled == [target]
-    assert _failed(checks) == {"middle swap commutes with the dynamics"}
-    (check,) = [c for c in checks if not c.passed]
-    assert check.details == f"ideal {IdealSet(poset, r.masks[0]).bit_string()}"
+    assert spoiled and set(spoiled) == {target}
+    details = {c.name: c.details for c in checks if not c.passed}
+    x, other = (IdealSet(poset, mask).bit_string()
+                for mask in (r.masks[0], before))
+    expected = {"middle swap commutes with the dynamics":
+                f"ideal {x}; ideal {other}"}
+    if role == "image":
+        expected["starred encoding ignores the middle swap"] = (
+            f"word {codec.encode(target)}")
+    assert details == expected
 
 
 def test_suites_step_each_word_once_for_the_transport(monkeypatch):

@@ -294,14 +294,25 @@ def test_windows_out_of_range_raise(kind, none):
 
 
 def test_positions_are_a_plain_attribute():
-    # set once by the constructor, not a cached_property, whose first read
-    # takes a lock under Python 3.11
+    # kept on the instance once read, not a cached_property, whose first
+    # read takes a lock under Python 3.11
     assert not isinstance(vars(MarkedSequence).get("positions"),
                           functools.cached_property)
     for seq in long_sequences(W) + (long_zero_sequence_K("01*011"),):
-        assert "positions" in vars(seq)
         assert seq.positions is seq.positions
+        assert "positions" in vars(seq)
         assert seq.positions == word_oracles.own_positions(seq)
+
+
+def test_a_sequence_finds_its_positions_on_first_read():
+    # cutting windows does not need them, so a sequence whose positions
+    # were never read holds none
+    for seq in long_sequences(W) + (long_zero_sequence_K("01*011"),):
+        assert "positions" not in vars(seq)
+        assert seq.window(1) and seq.windows
+        assert "positions" not in vars(seq)
+        assert seq.positions == word_oracles.own_positions(seq)
+        assert "positions" in vars(seq)
 
 
 def _sliced_windows(seq):

@@ -11,7 +11,9 @@ and 0 otherwise.
 
 The command set is every argv of perfbench/expected.json (read, never
 written), verify-grid m n for m+n <= 10, verify-k m n for m <= 6 and n <= 4
-and on the wider shapes 1 5, 2 5 and 1 6, encode of one starred ideal of
+and on the wider shapes 1 5, 2 5 and 1 6, the long codec orbits of
+verify-grid 1 300 (one orbit of 301 words), verify-k 2 30 and verify-k 1 60,
+encode of one starred ideal of
 prod(chain(3),K(4)) (fiber sizes 8, 5 and 3) and step-word on its word
 11101*0111011 for 12 steps, one period, step-word for one period on the
 plain edge words 0, 1, 000, 111, 1100 and 0011 and on the starred words
@@ -129,6 +131,8 @@ def base_commands() -> list[tuple[str, ...]]:
                  for m in range(1, 7) for n in range(1, 5)]
     commands += [("verify-k", "1", "5"), ("verify-k", "2", "5"),
                  ("verify-k", "1", "6")]
+    commands += [("verify-grid", "1", "300"), ("verify-k", "2", "30"),
+                 ("verify-k", "1", "60")]
     commands += [("encode", "prod(chain(3),K(4))", "--seed-ideal",
                   "111111111111110101000000000000"),
                  ("step-word", "11101*0111011", "--steps", "12")]
