@@ -15,7 +15,7 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .catalog import SPORADIC, CatalogEntry, find_entry
 from .constructions import (
@@ -25,7 +25,7 @@ from .constructions import (
     parse_poset_expr,
     to_text,
 )
-from .homomesy import check_conjectures, orbit_reports, verify_constant_average
+from .homomesy import check_conjectures, verify_constant_average
 from .poset import (
     DEFAULT_CAP,
     CapExceeded,
@@ -33,6 +33,7 @@ from .poset import (
     NotGraded,
     OrbitReport,
     Poset,
+    list_orbits,
 )
 from .verify import (
     CheckResult,
@@ -52,21 +53,27 @@ from .words import (
 UNBUDGETED_CAP = 20000
 
 
-def _orbit_dicts(reports: Sequence[OrbitReport]) -> list[dict]:
-    """One row per orbit.  avg_size is the size total and the orbit length
-    each divided by their gcd: the digits _fraction_str(r.average_size)
-    prints, without a Fraction per orbit."""
+def _orbit_rows(lengths: Iterable[int], sizes: Sequence[int]) -> list[dict]:
+    """One row per orbit from the orbit lengths and the antichain sizes of
+    the orbits end to end.  avg_size is the size total and the length each
+    divided by their gcd, the digits of _fraction_str, with no Fraction."""
     rows = []
-    for k, r in enumerate(reports):
-        total = sum(r.antichain_sizes)
-        g = math.gcd(total, r.length)
-        rows.append({
-            "orbit_id": k,
-            "length": r.length,
-            "avg_size": f"{total // g}/{r.length // g}",
-            "sizes": list(r.antichain_sizes),
-        })
+    end = 0
+    for k, length in enumerate(lengths):
+        start, end = end, end + length
+        orbit = sizes[start:end]
+        total = sum(orbit)
+        g = math.gcd(total, length)
+        rows.append({"orbit_id": k, "length": length,
+                     "avg_size": f"{total // g}/{length // g}",
+                     "sizes": list(orbit)})
     return rows
+
+
+def _report_rows(reports: Sequence[OrbitReport]) -> list[dict]:
+    """_orbit_rows of orbit reports."""
+    return _orbit_rows([r.length for r in reports],
+                       [s for r in reports for s in r.antichain_sizes])
 
 
 def _to_json(value, indent: str = "\n") -> str:
@@ -78,8 +85,7 @@ def _to_json(value, indent: str = "\n") -> str:
     which gives the same digits for them and which a list comprehension
     calls faster than map calls int.__repr__.  An exact str or int, the
     common leaf, is told apart before the container tests; every other
-    scalar is left to json.dumps.  A list of dicts that give the same keys
-    in the same order, such as the orbit rows, prints from one template."""
+    scalar is left to json.dumps."""
     if type(value) is str:
         return _json_str(value)
     if type(value) is int:
@@ -90,10 +96,6 @@ def _to_json(value, indent: str = "\n") -> str:
         inner = indent + "  "
         if set(map(type, value)) == {int}:
             items = [str(item) for item in value]
-        elif (type(value[0]) is dict and value[0]
-              and all(type(item) is dict for item in value)
-              and len(set(map(tuple, value))) == 1):
-            items = _dict_rows(value, inner)
         else:
             items = [_to_json(item, inner) for item in value]
         return f"[{inner}{(',' + inner).join(items)}{indent}]"
@@ -107,42 +109,51 @@ def _to_json(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _dict_rows(rows: Sequence[dict], indent: str) -> list[str]:
-    """_to_json of each of rows, dicts that give the same keys in the same
-    order, from one template: the keys are sorted and escaped once, and
-    each value still goes through _to_json."""
-    keys = sorted(rows[0])
-    inner = indent + "  "
-    template = "{" + ",".join(
-        inner + _json_str(key).replace("%", "%%") + ": %s" for key in keys
-    ) + indent + "}"
-    return [template % tuple([_to_json(row[key], inner) for key in keys])
-            for row in rows]
+def _orbit_lines(rows: Sequence[dict], head: str, sep: str,
+                 tail: str = "") -> list[str]:
+    """Each row of _orbit_rows as head % row and its sizes, by %d joined by
+    sep, and tail, from one sizes template per orbit length."""
+    templates: dict[int, str] = {}
+    lines = []
+    for row in rows:
+        sizes = row["sizes"]
+        n = len(sizes)
+        if n not in templates:
+            templates[n] = sep.join(["%d"] * n) + tail
+        lines.append(head % row + templates[n] % tuple(sizes))
+    return lines
+
+
+# _orbit_lines of the orbit rows as items of the JSON document
+_JSON_ROW = ('{\n      "avg_size": "%(avg_size)s",\n      "length": '
+             '%(length)d,\n      "orbit_id": %(orbit_id)d,\n      "sizes": '
+             '[\n        ', ",\n        ", "\n      ]\n    }")
 
 
 def _render(result: dict, fmt: str) -> str:
+    orbits = result["orbits"]
     if fmt == "json":
-        return _to_json(result)
+        # _to_json of the document, its orbit rows printed by their schema
+        items = {key: _to_json(value, "\n  ")
+                 for key, value in result.items() if key != "orbits"}
+        items["orbits"] = "[\n    " + ",\n    ".join(_orbit_lines(
+            orbits, *_JSON_ROW)) + "\n  ]" if orbits else "[]"
+        return "{\n  " + ",\n  ".join([f"{_json_str(key)}: {items[key]}"
+                                       for key in sorted(items)]) + "\n}"
     if fmt == "csv":
-        lines = ["orbit_id,length,avg_size,sizes"]
-        for o in result["orbits"]:
-            sizes = " ".join([str(s) for s in o["sizes"]])
-            lines.append(f"{o['orbit_id']},{o['length']},{o['avg_size']},{sizes}")
-        return "\n".join(lines)
+        return "\n".join(["orbit_id,length,avg_size,sizes"] + _orbit_lines(
+            orbits, "%(orbit_id)d,%(length)d,%(avg_size)s,", " "))
     lines = [f"command: {result['command']}"]
     if result["poset"] is not None:
         lines.append(f"poset: {result['poset']}")
     if result["n_elements"] is not None:
         lines.append(f"elements: {result['n_elements']}   "
                      f"max rank: {result['max_rank']}")
-    if result["orbits"]:
+    if orbits:
         lines.append("")
         lines.append(f"{'orbit':>5}  {'length':>6}  {'avg':>8}  sizes")
-        for o in result["orbits"]:
-            sizes = " ".join([str(s) for s in o["sizes"]])
-            lines.append(
-                f"{o['orbit_id']:>5}  {o['length']:>6}  {o['avg_size']:>8}  {sizes}"
-            )
+        lines += _orbit_lines(
+            orbits, "%(orbit_id)5d  %(length)6d  %(avg_size)8s  ", " ")
     if result["checks"]:
         lines.append("")
         for c in result["checks"]:
@@ -177,18 +188,19 @@ def _emit(result: dict, args) -> int:
 
 
 def _finish(args, *, text: str | None = None, poset: Poset | None = None,
-            orbits: Sequence[OrbitReport] = (),
+            orbits: Sequence[dict] = (),
             checks: Sequence[CheckResult] = (),
             witnesses: Sequence[dict] = ()) -> int:
     """Write what one command reports, the dict of its JSON document, and
-    return its exit code.  text names the poset, in the grammar."""
+    return its exit code.  text names the poset, in the grammar, and orbits
+    are the rows of _orbit_rows."""
     elapsed_ms = int((time.monotonic() - args.start_time) * 1000)
     return _emit({
         "command": args.command,
         "poset": text,
         "n_elements": None if poset is None else poset.n_elements,
         "max_rank": None if poset is None else poset.max_rank,
-        "orbits": _orbit_dicts(orbits),
+        "orbits": list(orbits),
         "checks": [c.as_dict() for c in checks],
         "witnesses": list(witnesses),
         "elapsed_ms": None if args.no_timing else elapsed_ms,
@@ -215,10 +227,12 @@ def _cmd_orbits(args) -> int:
     poset = build(expr, cap=cap)
     if args.seed_ideal is not None:
         mask = _parse_seed(poset, args.seed_ideal)
-        reports = [OrbitReport.from_seed_mask(poset, mask, cap)]
+        rows = _report_rows([OrbitReport.from_seed_mask(poset, mask, cap)])
     else:
-        reports = orbit_reports(poset, cap)
-    return _finish(args, text=to_text(expr), poset=poset, orbits=reports)
+        listing = list_orbits(poset, cap)
+        rows = _orbit_rows(map(len, listing.cycles),
+                           listing.orbit_sizes(poset))
+    return _finish(args, text=to_text(expr), poset=poset, orbits=rows)
 
 
 def _cmd_verify_grid(args) -> int:
@@ -234,7 +248,7 @@ def _cmd_verify_grid(args) -> int:
                         details)
         ]
     return _finish(args, text=f"prod(chain({args.m}),chain({args.n}))",
-                   poset=poset, orbits=reports, checks=checks)
+                   poset=poset, orbits=_report_rows(reports), checks=checks)
 
 
 def _cmd_verify_k(args) -> int:
@@ -242,7 +256,7 @@ def _cmd_verify_k(args) -> int:
         args.m, args.n, _entry_cap(args)
     )
     return _finish(args, text=f"prod(chain({args.m}),k({args.n - 1}))",
-                   poset=poset, orbits=reports, checks=checks)
+                   poset=poset, orbits=_report_rows(reports), checks=checks)
 
 
 def _entry_cap(args) -> int:
@@ -259,7 +273,8 @@ def _cmd_verify_delta1(args) -> int:
     poset = build(expr, cap=cap)
     text = to_text(expr)
     average = verify_constant_average(poset, cap=cap)
-    return _finish(args, text=text, poset=poset, orbits=average.orbits,
+    return _finish(args, text=text, poset=poset,
+                   orbits=_report_rows(average.orbits),
                    checks=[check_constant_average(
                        average, f"orbit averages constant [{text}]")])
 

@@ -474,8 +474,8 @@ class Listing(TupleRecord):
     stands for masks[k]: columns[x] says whether the ideal holds x, and
     minima[x] whether the antichain of its image does.  cycles lists each
     orbit as positions in masks, by its first seed in enumeration order and
-    starting at that seed.  sizes is derived on each read, and lane_counts
-    gives the per-orbit occurrence counts of every element at once.
+    starting at that seed.  orbit_sizes and lane_counts compute the
+    antichain sizes and the per-orbit occurrence counts of every orbit.
     """
 
     __slots__ = ()
@@ -484,20 +484,21 @@ class Listing(TupleRecord):
     minima: list[int]
     cycles: list[list[int]]
 
-    @property
-    def sizes(self) -> bytes:
-        """Byte k is the antichain size of the image of masks[k]."""
-        return _bit_counts(self.minima, len(self.masks))
+    def orbit_sizes(self, poset: Poset) -> bytes:
+        """The antichain size of every ideal, one byte each, orbit after
+        orbit in cycles order and each orbit from its seed; poset is the
+        poset listed."""
+        counts = _bit_counts(_maxima(self.columns, poset.upper),
+                             len(self.masks))
+        return bytes(_gather(counts, self.cycles))
 
     def lane_counts(self, poset: Poset) -> LaneCounts:
         """The LaneCounts of every orbit at once; poset is the poset listed.
 
         Each orbit's masks are gathered into its lane, widest lanes first,
-        the rest of the lane zero, and transposed once with _columns.  An
-        ideal's antichain holds x when the ideal holds x and no upper cover
-        of x, so the antichain column of x is the ideal column of x less
-        the union of those of its upper covers, which it contains.  Every
-        lane of a column is then popcounted at once by SWAR folds,
+        the rest of the lane zero, and transposed once with _columns; the
+        antichain columns are read from those with _maxima.  Every lane of
+        a column is then popcounted at once by SWAR folds,
         x = (x & m_f) + (x >> f & m_f) for f = 1, 2, 4, ..., where m_f
         keeps the low half of every 2f-bit field of the lanes at least 2f
         wide, and the narrower lanes, already counted, are kept as they
@@ -519,13 +520,7 @@ class Listing(TupleRecord):
             rows += map(masks.__getitem__, cycle)
             rows += [0] * (widths[r] - len(cycle))
         ideal = _columns(rows, poset.n_elements)
-        antichain = []
-        for x, above in enumerate(poset.upper):
-            covered = 0
-            for z in above:
-                covered |= ideal[z]
-            antichain.append(ideal[x] ^ covered)
-        columns = ideal + antichain
+        columns = ideal + _maxima(ideal, poset.upper)
         nbytes = len(rows) // 8
         f = 1
         while f < max(widths):
@@ -576,19 +571,15 @@ def all_orbits(poset: Poset, cap: int = DEFAULT_CAP) -> list[OrbitReport]:
     starts at that seed.
     """
     masks, _, _, cycles = listing = list_orbits(poset, cap)
-    # one gather over the cycles laid end to end, then a slice per orbit;
-    # an orbit's sizes are its gathered image sizes turned by one place
-    gather = itemgetter(*chain.from_iterable(cycles))
-    ideals, images = gather(masks), gather(listing.sizes)
-    if len(masks) == 1:  # itemgetter of one index returns a bare item
-        ideals, images = (ideals,), (images,)
+    # the masks and the sizes in orbit order, then a slice per orbit
+    ideals = _gather(masks, cycles)
+    sizes = tuple(listing.orbit_sizes(poset))
     reports = []
     end = 0
     for c in cycles:
         start, end = end, end + len(c)
-        reports.append(OrbitReport(
-            poset, len(c), ideals[start:end],
-            images[end - 1:end] + images[start:end - 1]))
+        reports.append(OrbitReport(poset, len(c), ideals[start:end],
+                                   sizes[start:end]))
     return reports
 
 
@@ -605,8 +596,27 @@ def operator_order(poset: Poset, cap: int = DEFAULT_CAP) -> int:
 # int whose bit k says whether ideal k, in ideal_masks order, holds x.
 # _columns transposes the masks forward and _rows the image columns back,
 # both through _transpose8, one 8x8 bit block per 64-bit lane.
-# Listing.sizes reads the antichain sizes from the minima columns with
-# _bit_counts, a bit-sliced counter, without transposing them back.
+# Listing.orbit_sizes counts the antichain sizes over the antichain
+# columns (_maxima) with _bit_counts, without transposing them back.
+
+
+def _gather(values: Sequence, cycles: list[list[int]]) -> tuple:
+    """values in the order of cycles laid end to end, in one call."""
+    gathered = itemgetter(*chain.from_iterable(cycles))(values)
+    return (gathered,) if len(values) == 1 else gathered  # a bare item
+
+
+def _maxima(columns: Sequence[int], upper: Sequence[Sequence[int]]):
+    """The antichain columns of ideal columns: column x less the columns
+    of x's upper covers, which it holds."""
+    antichain = []
+    for x, above in enumerate(upper):
+        covered = 0
+        for z in above:
+            covered |= columns[z]
+        antichain.append(columns[x] ^ covered)
+    return antichain
+
 
 # (shift, lane) of the three delta swaps of an 8x8 bit transpose, byte r of
 # a lane holding row r: bits at distance 7, then 2x2 blocks at distance
@@ -709,8 +719,8 @@ def _bit_counts(columns: Sequence[int], k: int) -> bytes:
     holding bit b of every row's count.  Each plane is written out in
     binary, most significant row first, and its digits become bytes 0 and
     1; read big-endian and shifted by b, byte i of the int holds bit b of
-    row i's count.  A count must stay below 256.  For the minima columns of
-    a listing it does: the closures of the 2**w subsets of an antichain of
+    row i's count.  A count must stay below 256.  For the antichain columns
+    of a listing it does: the closures of the 2**w subsets of an antichain of
     w elements are 2**w distinct ideals, so no antichain size exceeds
     log2(k), and k < 2**256.
     """

@@ -30,7 +30,7 @@ from rowmotion.constructions import (
     to_text,
 )
 from rowmotion.homomesy import IDEAL_IDENTITY, Witness
-from rowmotion.poset import Poset, all_orbits
+from rowmotion.poset import OrbitReport, Poset, all_orbits
 from rowmotion.roots import FAMILY_RANK_RANGE
 from rowmotion.verify import CheckResult
 
@@ -266,6 +266,47 @@ def test_orbits_seed(capsys):
     doc = json.loads(out)
     assert len(doc["orbits"]) == 1
     assert doc["orbits"][0]["length"] == 5
+
+
+def test_a_seeded_orbit_prints_sizes_past_a_byte(capsys):
+    # the full ideal of 300 incomparable elements and the empty ideal: an
+    # antichain of 300, which no byte of sizes holds
+    expr = "dunion(chain(1)," * 299 + "chain(1)" + ")" * 299
+    argv = ["orbits", expr, "--seed-ideal", "1" * 300, "--no-timing"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == ["0,2,150/1,300 0"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["orbits"] == [
+        {"orbit_id": 0, "length": 2, "avg_size": "150/1", "sizes": [300, 0]}]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == "    0       2     150/1  300 0"
+
+
+def test_a_listing_prints_without_orbit_records(monkeypatch, capsys):
+    # orbits prints a listing from its lengths and its size table, so it
+    # makes no OrbitReport; the output is the same bytes as from the
+    # reports of all_orbits
+    expr = "prod(chain(3),chain(4))"
+    printed = {fmt: run(capsys, "orbits", expr, "--format", fmt,
+                        "--no-timing")
+               for fmt in ("json", "csv", "table")}
+    reports = all_orbits(build(parse_poset_expr(expr)))
+    rows = cli._report_rows(reports)
+    assert len(rows) == 5
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("built an orbit record")
+
+    monkeypatch.setattr(OrbitReport, "__init__", refuse)
+    for fmt, (code, out, err) in printed.items():
+        assert code == 0 and not err
+        assert run(capsys, "orbits", expr, "--format", fmt,
+                   "--no-timing") == (code, out, err), fmt
+    doc = json.loads(printed["json"][1])
+    assert doc["orbits"] == rows
 
 
 def test_orbits_seed_must_be_down_closed(capsys):
@@ -805,7 +846,7 @@ def test_orbit_averages_print_as_the_reduced_fraction(capsys):
         rows = out.strip().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == expected, expr
     assert reduced and unreduced
-    (empty,) = cli._orbit_dicts(all_orbits(Poset.empty()))
+    (empty,) = cli._report_rows(all_orbits(Poset.empty()))
     assert empty == {"orbit_id": 0, "length": 1, "avg_size": "0/1",
                      "sizes": [0]}
 
@@ -873,11 +914,7 @@ def _row_lists(value) -> int:
     return rows + sum(map(_row_lists, value))
 
 
-def test_json_writer_matches_json_dumps_on_random_values(monkeypatch):
-    templated = []
-    dict_rows = cli._dict_rows
-    monkeypatch.setattr(cli, "_dict_rows", lambda rows, indent: (
-        templated.append(rows) or dict_rows(rows, indent)))
+def test_json_writer_matches_json_dumps_on_random_values():
     rng = random.Random(20261019)
     rows = 0
     for _ in range(2000):
@@ -885,8 +922,8 @@ def test_json_writer_matches_json_dumps_on_random_values(monkeypatch):
         rows += _row_lists(value)
         assert cli._to_json(value) == json.dumps(
             value, sort_keys=True, indent=2), value
-    # the row template and, on the near-misses, the generic route
-    assert 0 < len(templated) < rows
+    # lists of rows, as the orbit listing gives, are among the values
+    assert rows > 100
 
 
 def test_json_writer_prints_subclassed_leaves_like_json_dumps():
@@ -923,6 +960,30 @@ def test_json_writer_matches_json_dumps_on_each_command(argv, monkeypatch):
     main(argv)
     (doc,) = results
     assert cli._to_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert cli._render(doc, "json") == cli._to_json(doc)
+
+
+def test_orbit_rows_print_like_the_generic_writers():
+    # _render prints the orbit rows from a template per orbit length, in
+    # every format; sizes past a byte, one-orbit and one-ideal listings
+    rng = random.Random(31)
+    for _ in range(200):
+        lengths = [rng.randint(1, 20) for _ in range(rng.randint(0, 12))]
+        sizes = [rng.choice([0, 1, 9, 10, 255, 256, 300, rng.randrange(99)])
+                 for _ in range(sum(lengths))]
+        rows = cli._orbit_rows(iter(lengths), sizes)
+        doc = {"command": "orbits", "poset": "chain(1)", "n_elements": 1,
+               "max_rank": 1, "orbits": rows, "checks": [], "witnesses": [],
+               "elapsed_ms": None}
+        assert cli._render(doc, "json") == json.dumps(doc, sort_keys=True,
+                                                      indent=2)
+        printed = [[str(o["orbit_id"]), str(o["length"]), o["avg_size"],
+                    " ".join(map(str, o["sizes"]))] for o in rows]
+        assert cli._render(doc, "csv").splitlines()[1:] == [
+            ",".join(row) for row in printed]
+        table = cli._render(doc, "table").splitlines()
+        assert table[5:] == [f"{i:>5}  {n:>6}  {avg:>8}  {s}"
+                             for i, n, avg, s in printed]
 
 
 def test_module_runs_as_a_script():

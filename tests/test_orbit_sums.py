@@ -2,7 +2,9 @@
 
 list_orbits returns a Listing from one bit-sliced step, and all_orbits,
 verify_constant_average (through all_orbits), check_conjectures and
-operator_order read that Listing: the averages from its antichain sizes,
+operator_order read that Listing: the averages from its antichain sizes
+(Listing.orbit_sizes, held to the walked orbits' maxima on the catalog,
+the listings perfbench times and two edge shapes),
 the per-orbit counts from its lane table (Listing.lane_counts), a failing
 orbit's from its own lane, and the order from its cycle lengths.
 tests/orbit_oracles.py computes the same Listing, counts and reports by
@@ -15,12 +17,14 @@ listing's two transposes, and _bit_counts, its antichain-size counter, are
 held to a transpose read one bit at a time.
 """
 
+import ast
 import random
 import time
 import traceback
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import accumulate, chain
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,7 @@ from rowmotion.constructions import (
     build,
     grid_poset,
     k_product_poset,
+    parse_poset_expr,
 )
 from rowmotion.homomesy import (
     check_conjectures,
@@ -237,8 +242,54 @@ def test_every_part_of_a_listing_matches_the_walker():
         assert listing.columns == walked.columns, poset
         assert listing.minima == walked.minima, poset
         assert listing.cycles == walked.cycles, poset
-        assert list(listing.sizes) == [
-            row.bit_count() for row in transposed(walked.minima, k)]
+        assert list(listing.orbit_sizes(poset)) == [
+            poset.maxima_mask(walked.masks[i]).bit_count()
+            for cycle in walked.cycles for i in cycle]
+
+
+def perfbench_listed():
+    """The expressions of perfbench/run.py's LISTED, read from its source
+    without importing it."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench"
+              / "run.py").read_text()
+    (value,) = [node.value for node in ast.parse(source).body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["LISTED"]]
+    return [expr for expr, _ in ast.literal_eval(value)]
+
+
+def matches_walked_sizes(poset, table, lengths) -> bool:
+    """Whether table, cut into orbits of the given lengths, holds the
+    maxima counts of the walked orbits, orbit by orbit."""
+    walked = [[poset.maxima_mask(m).bit_count() for m in orbit.masks]
+              for orbit in walked_orbits(poset)]
+    cuts = list(accumulate(lengths, initial=0))
+    return walked == [list(table[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def test_orbit_sizes_match_the_walker():
+    listed = perfbench_listed()
+    assert len(listed) == 7
+    ten = reduce(DUnion, [Chain(1)] * 10)
+    shapes = ([entry.realize_poset() for entry in SPORADIC]
+              + [build(parse_poset_expr(expr)) for expr in listed]
+              + [Poset.empty(), build(ten)])
+    rotations_seen = 0
+    for poset in shapes:
+        listing = list_orbits(poset)
+        lengths = [len(c) for c in listing.cycles]
+        table = listing.orbit_sizes(poset)
+        assert isinstance(table, bytes) and len(table) == len(listing.masks)
+        assert matches_walked_sizes(poset, table, lengths), poset
+        # each orbit turned by one place, as its image sizes would read
+        cuts = list(accumulate(lengths, initial=0))
+        rotated = b"".join(table[b - 1:b] + table[a:b - 1]
+                           for a, b in zip(cuts, cuts[1:]))
+        if rotated != table:
+            rotations_seen += 1
+            assert not matches_walked_sizes(poset, rotated, lengths), poset
+    assert rotations_seen == len(shapes) - 1  # all but the empty poset
+    assert max(list_orbits(build(ten)).orbit_sizes(build(ten))) == 10
 
 
 def test_empty_and_one_element_posets():

@@ -23,6 +23,10 @@ verify-delta1 and conjectures with and without --cap 100, the cap
 boundaries of chain(6) and of the 4x4 grid, and listings whose ideal counts
 straddle a byte (chain(1), chain(7) and chain(8), with 2, 8 and 9 ideals),
 prod(chain(2),chain(4)) and one long listing, chain(4999) under --cap 5000.
+orbits also lists TEN, the dunion of ten chain(1), whose orbit of the
+full and the empty ideal prints the two-digit size 10, and walks the orbit
+of the full ideal of HUNDREDS, the dunion of 300 chain(1), with
+--seed-ideal of 300 ones: an antichain of 300, past what one byte holds.
 verify-delta1 also runs on four expressions: the claw
 osum(chain(1),dunion(chain(1),dunion(chain(1),chain(1)))), whose averages
 are not constant (exit 1), the 3x4 grid, chain(300), one long orbit, and
@@ -103,6 +107,9 @@ SIX = "dunion(chain(1),dunion(chain(1),dunion(chain(1),dunion(chain(1)," \
 FAN_IN = f"osum({SIX},{SIX})"
 # ordinal sums nested 200 constructors deep, a chain of 200 elements
 DEEP_OSUM = "osum(chain(1)," * 199 + "chain(1)" + ")" * 199
+# disjoint unions of ten and of 300 one-element chains
+TEN = "dunion(chain(1)," * 9 + "chain(1)" + ")" * 9
+HUNDREDS = "dunion(chain(1)," * 299 + "chain(1)" + ")" * 299
 RUN_MAIN = ("import sys; from rowmotion.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
 
@@ -147,6 +154,8 @@ def base_commands() -> list[tuple[str, ...]]:
     commands += [("orbits", expr) for expr in (
         "chain(1)", "chain(7)", "chain(8)", "prod(chain(2),chain(4))")]
     commands += [("orbits", "chain(4999)", "--cap", "5000")]
+    commands += [("orbits", TEN),
+                 ("orbits", HUNDREDS, "--seed-ideal", "1" * 300)]
     commands += [("verify-delta1", expr) for expr in (
         "osum(chain(1),dunion(chain(1),dunion(chain(1),chain(1))))",
         "prod(chain(3),chain(4))", "chain(300)", "layer(E6,3)")]
