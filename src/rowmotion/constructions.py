@@ -11,6 +11,7 @@ prints and parse_poset_expr reads.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import Union
 
 from ._record import Record
@@ -337,7 +338,15 @@ def _product(pa: Poset, pb: Poset) -> Poset:
     for j, j2 in pb.covers:
         for i in range(pa.n_elements):
             covers.append(((pa.keys[i], pb.keys[j]), (pa.keys[i], pb.keys[j2])))
-    return Poset.from_cover_data(elements, covers)
+    # the product has at least the ideals of each induced subposet: each
+    # operand, while the other has an element, and a maximal chain of one
+    # times the other, with C(h + n, h) ideals or more
+    min_ideals = 1
+    if elements:
+        min_ideals = max(pa.min_ideals, pb.min_ideals,
+                         comb(pa.max_rank + pb.n_elements, pa.max_rank),
+                         comb(pb.max_rank + pa.n_elements, pb.max_rank))
+    return Poset.from_cover_data(elements, covers, min_ideals)
 
 
 def _side_by_side(pa: Poset, pb: Poset, ordinal: bool) -> Poset:
@@ -357,11 +366,15 @@ def _side_by_side(pa: Poset, pb: Poset, ordinal: bool) -> Poset:
                  for j in range(pb.n_elements)]
     covers = [((0, i), (0, j)) for i, j in pa.covers]
     covers += [((1, i), (1, j)) for i, j in pb.covers]
+    # an ideal of the ordinal sum is a proper ideal of pa, or all of pa
+    # with an ideal of pb; one of the disjoint union is a pair of ideals
+    min_ideals = pa.min_ideals * pb.min_ideals
     if ordinal:
+        min_ideals = pa.min_ideals + pb.min_ideals - 1
         tops = [i for i in range(pa.n_elements) if pa.rank[i] == pa.max_rank]
         bottoms = [j for j in range(pb.n_elements) if pb.rank[j] == 1]
         covers += [((0, i), (1, j)) for i in tops for j in bottoms]
-    return Poset.from_cover_data(elements, covers)
+    return Poset.from_cover_data(elements, covers, min_ideals)
 
 
 def _ideal_lattice(p: Poset, cap: int) -> Poset:

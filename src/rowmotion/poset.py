@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -49,15 +50,20 @@ class Poset:
     have the same length.  lower[i] and upper[i] are the lower and upper
     covers of element i, and down[i] and up[i] the masks of the elements
     below and above it, i included.
+
+    min_ideals is a proven lower bound on the number of ideals, set once:
+    the larger of max(n + 1, 2**w), w the size of the widest rank, and the
+    min_ideals that the constructor building the poset proves.  ideal_masks
+    gives the proofs.
     """
 
     __slots__ = (
         "n_elements", "rank", "labels", "keys", "covers", "lower", "upper",
-        "down", "up", "max_rank", "full_mask", "_key_index",
+        "down", "up", "max_rank", "full_mask", "min_ideals", "_key_index",
     )
 
     def __init__(self, rank, labels, keys, key_index, covers, lower, upper,
-                 down, up):
+                 down, up, min_ideals=1):
         self.n_elements = len(rank)
         self.rank = rank
         self.labels = labels
@@ -71,10 +77,21 @@ class Poset:
         # rank is sorted: the linear extension lists rank first
         self.max_rank = rank[-1] if rank else 0
         self.full_mask = (1 << self.n_elements) - 1
+        # the widest rank, one bisect per rank
+        width = start = 0
+        while start < self.n_elements:
+            end = bisect_right(rank, rank[start], start)
+            if end - start > width:
+                width = end - start
+            start = end
+        self.min_ideals = max(min_ideals, self.n_elements + 1, 1 << width)
 
     @classmethod
-    def from_cover_data(cls, elements, cover_pairs):
+    def from_cover_data(cls, elements, cover_pairs, min_ideals=1):
         """Build a poset from (key, rank, label) triples and cover pairs on keys.
+
+        min_ideals is a lower bound on the number of ideals that the caller
+        has proven; the poset's own min_ideals is at least as large.
 
         Elements are re-indexed by (rank, listed position), which is a linear
         extension because covers must increase rank.  Each element's lower
@@ -118,7 +135,7 @@ class Poset:
         upper = tuple(map(tuple, upper))
 
         poset = cls(rank, labels, keys, index, covers, lower, upper,
-                    tuple(down), tuple(up))
+                    tuple(down), tuple(up), min_ideals)
         if n and rank[0] < 1:
             raise NotGraded("ranks must start at 1")
         top = poset.max_rank
@@ -369,14 +386,22 @@ def ideal_masks(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[int]:
     before s plus a smaller one: the lexicographic order, with element 0
     most significant.
 
-    A poset on n elements has at least n+1 ideals (the prefixes of the
-    linear extension), so n >= cap is refused before the search.  The walk
-    records one ideal per pass and runs at most cap+1 passes; one check
-    after it refuses when it recorded cap+1 ideals.  The masks are
-    collected first, so a refusal comes before anything is yielded.
+    A poset has at least poset.min_ideals ideals, so a bound above cap is
+    refused before the search.  Every poset's bound is at least n + 1 (the
+    prefixes of the linear extension) and 2**w for a rank of w elements
+    (its subsets are antichains, each the maxima of its own ideal).  The
+    constructors of constructions prove more: Prod(A, B) takes the largest
+    of A's and B's bounds and C(h_A + n_B, h_A) and C(h_B + n_A, h_B), h
+    the height, since I -> I & Q maps the ideals of A x B onto those of
+    Q = (a maximal chain of A) x B, whose ideals hold the C(n_B + h_A, h_A)
+    multichains of h_A ideals inside one maximal chain of J(B); OSum takes
+    a + b - 1 and DUnion a * b, the ideal counts of an ordinal sum and a
+    disjoint union in those of their parts.  Below the bound the walk
+    decides: it records one ideal per pass and runs at most cap+1 passes;
+    one check after it refuses when it recorded cap+1 ideals.  The masks
+    are collected first, so a refusal comes before anything is yielded.
     """
-    n = poset.n_elements
-    if n >= cap:
+    if poset.min_ideals > cap:
         raise CapExceeded(f"more than {cap} ideals")
     lower, upper = poset.lower, poset.upper
     # grow[j + 1], read at the bit_length of j's bit: rel_j; j's table;

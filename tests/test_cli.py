@@ -506,6 +506,16 @@ def test_large_inputs_are_refused_quickly(capsys, argv):
     assert time.monotonic() - start < 5
 
 
+def test_a_seeded_walk_on_a_grid_past_the_bound_succeeds(capsys):
+    # C(40, 20) ideals are far past the clamp, but one orbit enumerates none
+    grid = "prod(chain(20),chain(20))"
+    assert build(parse_poset_expr(grid)).min_ideals > 20000
+    code, out, err = run(capsys, "orbits", grid, "--seed-ideal", "0" * 400,
+                         "--no-timing")
+    assert (code, err) == (0, "")
+    assert out
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-grid", "300", "300"],
     ["verify-grid", "4000", "4000"],

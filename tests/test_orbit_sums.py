@@ -12,7 +12,10 @@ walking every orbit.  The shapes are those
 of the acceptance suite, plus inputs that fail.  ideal_masks is held to the
 level-by-level enumeration of the same module, and on posets of at most 14
 elements to every down-closed subset, found by brute force; its lookup
-tables are held to the ideals its walk meets.  _columns and _rows, the
+tables are held to the ideals its walk meets.  Poset.min_ideals, the ideal
+lower bound it refuses by before the walk, is held to the ideal counts of
+the same shapes and of random expression trees, and to the exact counts of
+grids, chains and their sums.  _columns and _rows, the
 listing's two transposes, and _bit_counts, its antichain-size counter, are
 held to a transpose read one bit at a time.
 """
@@ -21,9 +24,11 @@ import ast
 import random
 import time
 import traceback
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -661,18 +666,25 @@ def test_ideal_masks_fill_their_tables_as_they_walk():
     # eager table for a minimal element would hold 2**15 keys, one per
     # set of the other minimal elements
     fan = reduce(DUnion, [Chain(1)] * 16)
-    poset = build(OSum(fan, fan))
+    built = build(OSum(fan, fan))
     bottom = (1 << 16) - 1
     want = list(range(1 << 16)) + [bottom | top << 16
                                    for top in range(1, 1 << 16)]
     want.sort(key=lambda m: format(m, "032b")[::-1])
-    assert len(want) == 131071
+    assert len(want) == built.min_ideals == 131071
+    # the same cover data, built plainly, is bounded only by its widest
+    # rank: a cap between 2**16 and the count is refused in the walk
+    poset = Poset.from_cover_data(
+        zip(built.keys, built.rank, built.labels),
+        [(built.keys[i], built.keys[j]) for i, j in built.covers])
+    assert poset.min_ideals == 1 << 16
+    cap = 100000
     with pytest.raises(CapExceeded) as refused:
-        next(ideal_masks(poset, UNBUDGETED_CAP))
+        next(ideal_masks(poset, cap))
     frames = [frame for frame, _ in traceback.walk_tb(
         refused.value.__traceback__) if frame.f_code.co_name == "ideal_masks"]
     entries, met = _walk_state(frames[0])
-    assert met > UNBUDGETED_CAP and entries <= met
+    assert met > cap and entries <= met
     with pytest.raises(CapExceeded):
         next(ideal_masks(poset, len(want) - 1))
     walk = ideal_masks(poset, len(want))
@@ -723,6 +735,7 @@ def test_ideal_masks_match_the_level_oracle(shapes):
     assert len(posets) >= 3
     for poset in posets:
         count = len(enumeration(level_ideal_masks, poset, DEFAULT_CAP))
+        assert poset.min_ideals <= count, poset
         n = poset.n_elements
         for cap in (DEFAULT_CAP, count - 1, count, n, n + 1, 1):
             want = enumeration(level_ideal_masks, poset, cap)
@@ -745,3 +758,144 @@ def test_ideal_masks_refuse_a_wide_poset_on_the_first_next():
     masks = ideal_masks(build(Prod(Chain(2), K(100))), cap=20000)
     with pytest.raises(CapExceeded, match="^more than 20000 ideals$"):
         next(masks)
+
+
+# -- the ideal lower bound ----------------------------------------------------
+
+
+def _generic_bound(poset):
+    """max(n + 1, 2**w), w the size of the widest rank."""
+    width = max(Counter(poset.rank).values(), default=0)
+    return max(poset.n_elements + 1, 1 << width)
+
+
+def _bounded_tree(rng, depth=0):
+    """A seeded random expression: Prod, OSum, DUnion or J over chains, K
+    and H of a few elements, at most four constructors deep.  The second
+    part of a DUnion is redrawn until it is as high as the first, and is
+    a chain of that height if ten draws miss."""
+    if depth == 3 or depth and rng.random() < 0.4:
+        return rng.choice((Chain(rng.randint(1, 4)), K(rng.randint(0, 2)),
+                           H(rng.randint(1, 3))))
+    node = rng.choice((Prod, OSum, DUnion, J))
+    if node is J:
+        return J(_bounded_tree(rng, depth + 1))
+    left = _bounded_tree(rng, depth + 1)
+    right = _bounded_tree(rng, depth + 1)
+    if node is DUnion:
+        height = build(left, cap=200).max_rank
+        for _ in range(10):
+            if build(right, cap=200).max_rank == height:
+                break
+            right = _bounded_tree(rng, depth + 1)
+        else:
+            right = Chain(height)
+    return node(left, right)
+
+
+def bounded_random_trees(count, seed, most=5000):
+    """count (expression, poset, ideal count) triples of _bounded_tree, each
+    of at most 200 elements and most ideals, counted by the level oracle,
+    which reads no min_ideals."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        try:
+            expr = _bounded_tree(rng)
+            poset = build(expr, cap=200)
+            ideals = len(list(level_ideal_masks(poset, most)))
+        except CapExceeded:
+            continue
+        out.append((expr, poset, ideals))
+    return out
+
+
+def test_min_ideals_is_at_most_the_ideal_count_on_random_trees():
+    trees = bounded_random_trees(200, 20261021)
+    for expr, poset, count in trees:
+        assert _generic_bound(poset) <= poset.min_ideals <= count, expr
+    # each constructor's own bound is above the generic one on some tree
+    above = {type(expr) for expr, poset, _ in trees
+             if poset.min_ideals > _generic_bound(poset)}
+    assert above == {Prod, OSum, DUnion}
+
+
+def test_min_ideals_is_exact_on_grids_chains_and_sums_of_them():
+    for m in range(1, 13):
+        for n in range(1, 13):
+            assert grid_poset(m, n).min_ideals == comb(m + n, m)
+    for n in range(0, 41):
+        assert build(Chain(n)).min_ideals == n + 1
+    assert Poset.empty().min_ideals == 1
+    grid = Prod(Chain(3), Chain(4))
+    # a product with the empty poset is empty, its one ideal the empty one
+    for expr in (Prod(Chain(3), Chain(0)), Prod(Chain(0), grid)):
+        assert build(expr).min_ideals == 1
+    for expr in (OSum(grid, Chain(2)), OSum(Chain(2), grid),
+                 OSum(OSum(grid, grid), Chain(1)),
+                 DUnion(grid, Chain(6)), DUnion(Chain(6), grid),
+                 DUnion(grid, Prod(Chain(2), Chain(5))),
+                 OSum(DUnion(Chain(2), Chain(2)), grid)):
+        poset = build(expr)
+        assert poset.min_ideals == len(list(ideal_masks(poset))), expr
+
+
+def guarded_inputs():
+    """The argv of perfbench/run.py's guarded_inputs workload, read from
+    its source without importing it."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench"
+              / "run.py").read_text()
+    (fixed,) = [node.value for node in ast.parse(source).body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["FIXED"]]
+    (commands,) = [value for key, value in zip(fixed.keys, fixed.values)
+                   if ast.literal_eval(key) == "guarded_inputs"]
+    return [ast.literal_eval(command.args[0]) for command in commands.elts]
+
+
+def _spy_refusals(monkeypatch):
+    """Replace poset.ideal_masks by a wrapper; the list it returns gets the
+    ideal_masks frame of every refusal."""
+    frames = []
+    walk = poset_module.ideal_masks
+
+    def spy(poset, cap=DEFAULT_CAP):
+        try:
+            yield from walk(poset, cap)
+        except CapExceeded as exc:
+            frames.extend(frame for frame, _ in traceback.walk_tb(
+                exc.__traceback__) if frame.f_code is walk.__code__)
+            raise
+
+    monkeypatch.setattr(poset_module, "ideal_masks", spy)
+    return frames
+
+
+@pytest.mark.parametrize("argv", guarded_inputs(), ids=" ".join)
+def test_a_guarded_input_is_refused_before_the_walk(capsys, monkeypatch,
+                                                    argv):
+    frames = _spy_refusals(monkeypatch)
+    assert main([*argv, "--no-timing"]) == 3
+    assert capsys.readouterr().err == (
+        f"cap exceeded: more than {UNBUDGETED_CAP} ideals\n")
+    (frame,) = frames
+    assert frame.f_locals["poset"].min_ideals > UNBUDGETED_CAP
+    assert "grow" not in frame.f_locals and "masks" not in frame.f_locals
+
+
+def test_a_cap_between_the_bound_and_the_count_is_refused_in_the_walk(
+        capsys, monkeypatch):
+    poset = layer("E", 6, 3).poset
+    count = len(list(ideal_masks(poset)))
+    assert poset.min_ideals == 21 and count == 126
+    frames = _spy_refusals(monkeypatch)
+    for cap in (poset.min_ideals, 100, count - 1):
+        assert main(["orbits", "layer(E6,3)", "--cap", str(cap),
+                     "--no-timing"]) == 3
+        assert capsys.readouterr().err == (
+            f"cap exceeded: more than {cap} ideals\n")
+        # the walk recorded cap + 1 ideals before the check refused them
+        assert len(frames.pop().f_locals["masks"]) == cap + 1
+    assert main(["orbits", "layer(E6,3)", "--cap", str(count),
+                 "--no-timing"]) == 0
+    assert frames == []

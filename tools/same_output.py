@@ -65,7 +65,16 @@ name, a missing "(", ",", or ")", an unknown constructor, a missing
 integer, a zero, an unknown and an invalid system, a pivot past the rank,
 and trailing input).  verify-grid 150 150 and verify-k 100 100 are refused
 at the default clamp of 20000 ideals, the poset having more elements than
-that.  Each runs in json and table format, and orbits also in csv, each
+that.  One refusal at that clamp runs per rule of the ideal lower bound
+that ideal_masks reads before its walk: orbits on
+prod(chain(140),chain(140)) (the width of a rank), on
+dunion(prod(chain(6),chain(6)),prod(chain(6),chain(6))) (a disjoint
+union), on osum(prod(chain(10),chain(10)),chain(1)) (an ordinal sum) and
+on J(prod(chain(20),chain(20))) (a product, refused while the lattice is
+built), and verify-delta1 on prod(chain(10),chain(10)) (a skipped sweep
+target); so does orbits prod(chain(20),chain(20)) with --seed-ideal of
+400 zeros, which walks one orbit of a grid far past the bound and exits
+0.  Each runs in json and table format, and orbits also in csv, each
 with --no-timing.
 
 USAGE_CASES run as listed, with --no-timing where the command could
@@ -183,6 +192,14 @@ def base_commands() -> list[tuple[str, ...]]:
     commands += [("catalog",)]
     commands += [("orbits", text) for text in PARSE_ERRORS]
     commands += [("verify-grid", "150", "150"), ("verify-k", "100", "100")]
+    commands += [("orbits", expr) for expr in (
+        "prod(chain(140),chain(140))",
+        "dunion(prod(chain(6),chain(6)),prod(chain(6),chain(6)))",
+        "osum(prod(chain(10),chain(10)),chain(1))",
+        "J(prod(chain(20),chain(20)))")]
+    commands += [("verify-delta1", "prod(chain(10),chain(10))"),
+                 ("orbits", "prod(chain(20),chain(20))", "--seed-ideal",
+                  "0" * 400)]
     return list(dict.fromkeys(commands))
 
 

@@ -6,11 +6,13 @@
 PARENT_SRC and CHANGE_SRC are the src/ directories of two checkouts.  The
 sweeps are verify-grid 8 8, verify-grid 9 9 --budget, verify-k 6 4,
 conjectures and verify-delta1; one listing, orbits prod(chain(8),chain(8))
-(12870 ideals); and two refusals, orbits prod(chain(2),K(100)) and orbits
-prod(chain(20),chain(20)), which enumerate ideals up to the default clamp
-of 20000 and exit 3.  Each runs with --format json --no-timing.  --only
-keeps the commands whose text, its words joined by spaces, contains one of
-the TEXTs (orbits prod(chain(2) for the first refusal alone); the run stops
+(12870 ideals); and the four refusals of perfbench's guarded_inputs,
+orbits prod(chain(2),K(100)), orbits prod(chain(20),chain(20)), orbits
+prod(chain(10),chain(10)) and verify-grid 9 9, which exit 3 at the default
+clamp of 20000 ideals, each poset's ideal lower bound being past it.
+Each runs with --format json --no-timing.  --only keeps the commands whose
+text, its words joined by spaces, contains one of the TEXTs (orbits
+prod(chain(2) for the first refusal alone); the run stops
 with a usage error when none does.  Every run is a fresh interpreter with
 PYTHONPATH set to one tree and PYTHONHASHSEED=0, timed from outside as
 wall time around the whole process, start-up included, and as the CPU
@@ -67,6 +69,8 @@ COMMANDS = (
     ("orbits", "prod(chain(8),chain(8))"),
     ("orbits", "prod(chain(2),K(100))"),
     ("orbits", "prod(chain(20),chain(20))"),
+    ("orbits", "prod(chain(10),chain(10))"),
+    ("verify-grid", "9", "9"),
 )
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 # argv: the path of perfbench/child.py, the write end of the pipe, then
