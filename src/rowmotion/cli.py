@@ -230,8 +230,7 @@ def _cmd_orbits(args) -> int:
         rows = _report_rows([OrbitReport.from_seed_mask(poset, mask, cap)])
     else:
         listing = list_orbits(poset, cap)
-        rows = _orbit_rows(map(len, listing.cycles),
-                           listing.orbit_sizes(poset))
+        rows = _orbit_rows(listing.lengths, listing.sizes)
     return _finish(args, text=to_text(expr), poset=poset, orbits=rows)
 
 

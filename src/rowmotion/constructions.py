@@ -306,7 +306,7 @@ def _k_poset(r: int) -> Poset:
     if r >= 1:
         covers += [(str(r), mid), (str(r), mid2),
                    (mid, str(r + 2)), (mid2, str(r + 2))]
-    return Poset.from_cover_data(elements, covers)
+    return Poset.from_cover_data(elements, covers, 2 * r + 4)
 
 
 def _h_poset(n: int) -> Poset:
@@ -321,7 +321,7 @@ def _h_poset(n: int) -> Poset:
                 covers.append(((i, j), (i + 1, j)))
             if j + 1 <= n:
                 covers.append(((i, j), (i, j + 1)))
-    return Poset.from_cover_data(elements, covers)
+    return Poset.from_cover_data(elements, covers, 1 << n)
 
 
 def _product(pa: Poset, pb: Poset) -> Poset:

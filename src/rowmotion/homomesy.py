@@ -147,7 +147,7 @@ def check_conjectures(
     element by element to name their witnesses."""
     poset = root_layer.poset
     star = root_layer.star
-    masks, _, _, cycles = listing = list_orbits(poset, cap)
+    listing = list_orbits(poset, cap)
     lanes = listing.lane_counts(poset)
     ideal, antichain, lengths, _, _ = lanes
     differ = 0
@@ -156,7 +156,9 @@ def check_conjectures(
     witnesses = ([], [])
     for k in lanes.orbits_in(differ):
         t = _lane_occurrences(lanes, k)
-        seed_bits = IdealSet(poset, masks[cycles[k][0]]).bit_string()
+        # orbit k's seed starts it, after the orbits before it
+        seed = listing.masks[sum(listing.lengths[:k])]
+        seed_bits = IdealSet(poset, seed).bit_string()
         for p, q in enumerate(star):
             for found, identity, lhs, rhs in (
                 (witnesses[0], IDEAL_IDENTITY,
@@ -171,7 +173,7 @@ def check_conjectures(
                     ))
     name = name or root_layer.name
     return tuple(
-        ConjectureReport(name, len(cycles), not w, tuple(w))
+        ConjectureReport(name, len(listing.lengths), not w, tuple(w))
         for w in witnesses
     )
 

@@ -13,7 +13,7 @@ import struct
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -396,7 +396,12 @@ def ideal_masks(poset: Poset, cap: int = DEFAULT_CAP) -> Iterator[int]:
     Q = (a maximal chain of A) x B, whose ideals hold the C(n_B + h_A, h_A)
     multichains of h_A ideals inside one maximal chain of J(B); OSum takes
     a + b - 1 and DUnion a * b, the ideal counts of an ordinal sum and a
-    disjoint union in those of their parts.  Below the bound the walk
+    disjoint union in those of their parts.  K(r) and H(n) take their
+    ideal counts: K(r) has the r + 1 prefixes of its lower chain, 2 ideals
+    with one middle element, 1 with both and r more up its upper chain,
+    2r + 4 in all; the ideals of H(n) are the shifted shapes inside its
+    staircase, strict partitions with parts at most n, one for each subset
+    of 1..n, 2**n in all.  Below the bound the walk
     decides: it records one ideal per pass and runs at most cap+1 passes;
     one check after it refuses when it recorded cap+1 ideals.  The masks
     are collected first, so a refusal comes before anything is yielded.
@@ -493,34 +498,24 @@ class LaneCounts(TupleRecord):
 
 
 class Listing(TupleRecord):
-    """The tuple (masks, columns, minima, cycles) of every rowmotion orbit.
+    """The tuple (masks, lengths, sizes) of every rowmotion orbit.
 
-    masks holds the ideals in ideal_masks order, and bit k of a column
-    stands for masks[k]: columns[x] says whether the ideal holds x, and
-    minima[x] whether the antichain of its image does.  cycles lists each
-    orbit as positions in masks, by its first seed in enumeration order and
-    starting at that seed.  orbit_sizes and lane_counts compute the
-    antichain sizes and the per-orbit occurrence counts of every orbit.
+    masks holds the ideals orbit after orbit: the orbits by their first
+    seed in ideal_masks order, each from that seed.  lengths holds the
+    orbit lengths, so each orbit is the slice of masks after the orbits
+    before it, and byte k of sizes is the antichain size of masks[k].
+    lane_counts gives the per-orbit occurrence counts of every orbit.
     """
 
     __slots__ = ()
-    masks: list[int]
-    columns: list[int]
-    minima: list[int]
-    cycles: list[list[int]]
-
-    def orbit_sizes(self, poset: Poset) -> bytes:
-        """The antichain size of every ideal, one byte each, orbit after
-        orbit in cycles order and each orbit from its seed; poset is the
-        poset listed."""
-        counts = _bit_counts(_maxima(self.columns, poset.upper),
-                             len(self.masks))
-        return bytes(_gather(counts, self.cycles))
+    masks: tuple[int, ...]
+    lengths: list[int]
+    sizes: bytes
 
     def lane_counts(self, poset: Poset) -> LaneCounts:
         """The LaneCounts of every orbit at once; poset is the poset listed.
 
-        Each orbit's masks are gathered into its lane, widest lanes first,
+        Each orbit's masks are laid out in its lane, widest lanes first,
         the rest of the lane zero, and transposed once with _columns; the
         antichain columns are read from those with _maxima.  Every lane of
         a column is then popcounted at once by SWAR folds,
@@ -532,18 +527,18 @@ class Listing(TupleRecord):
         lane is 8 bits wide or less than twice its orbit's length, so each
         int is at most 2N + 8R bits wide for N ideals in R orbits.
         """
-        masks, cycles = self.masks, self.cycles
-        widths = [max(8, 1 << (len(c) - 1).bit_length()) for c in cycles]
-        starts = [0] * len(cycles)
+        masks, lengths = self.masks, self.lengths
+        widths = [max(8, 1 << (length - 1).bit_length()) for length in lengths]
+        cuts = list(accumulate(lengths, initial=0))
+        starts = [0] * len(lengths)
         rows = []
-        lengths = []
-        for r in sorted(range(len(cycles)), key=widths.__getitem__,
+        packed = []
+        for r in sorted(range(len(lengths)), key=widths.__getitem__,
                         reverse=True):
-            cycle = cycles[r]
             starts[r] = len(rows)
-            lengths.append(len(cycle).to_bytes(widths[r] // 8, "little"))
-            rows += map(masks.__getitem__, cycle)
-            rows += [0] * (widths[r] - len(cycle))
+            packed.append(lengths[r].to_bytes(widths[r] // 8, "little"))
+            rows += masks[cuts[r]:cuts[r + 1]]
+            rows += [0] * (widths[r] - lengths[r])
         ideal = _columns(rows, poset.n_elements)
         columns = ideal + _maxima(ideal, poset.upper)
         nbytes = len(rows) // 8
@@ -559,34 +554,39 @@ class Listing(TupleRecord):
             f *= 2
         n = poset.n_elements
         return LaneCounts(columns[:n], columns[n:],
-                          int.from_bytes(b"".join(lengths), "little"),
+                          int.from_bytes(b"".join(packed), "little"),
                           starts, widths)
 
 
 def list_orbits(poset: Poset, cap: int = DEFAULT_CAP) -> Listing:
     """The Listing of poset: the image of every ideal under one _step,
-    transposed back, gives the permutation whose cycles are the orbits."""
+    transposed back, gives the permutation whose cycles are the orbits,
+    and the ideals and their antichain sizes are gathered into the order
+    of those cycles once."""
     masks = list(ideal_masks(poset, cap))
+    k = len(masks)
     columns = _columns(masks, poset.n_elements)
-    minima, image = _step(columns, poset.lower, poset.upper,
-                          (1 << len(masks)) - 1)
-    index = dict(zip(masks, range(len(masks))))
-    successor = list(map(index.__getitem__, _rows(image, len(masks))))
-    seen = bytearray(len(masks))
-    cycles = []
-    for seed in range(len(masks)):
+    image = _step(columns, poset.lower, poset.upper, (1 << k) - 1)
+    index = dict(zip(masks, range(k)))
+    successor = list(map(index.__getitem__, _rows(image, k)))
+    seen = bytearray(k)
+    order = []
+    lengths = []
+    for seed in range(k):
         if seen[seed]:
             continue
-        cycle = []
-        k = seed
-        while not seen[k]:
-            seen[k] = 1
-            cycle.append(k)
-            k = successor[k]
-        if k != seed:
+        start = len(order)
+        j = seed
+        while not seen[j]:
+            seen[j] = 1
+            order.append(j)
+            j = successor[j]
+        if j != seed:
             raise RuntimeError("a rowmotion cycle that misses its seed")
-        cycles.append(cycle)
-    return Listing(masks, columns, minima, cycles)
+        lengths.append(len(order) - start)
+    sizes = _bit_counts(_maxima(columns, poset.upper), k)
+    return Listing(_gather(masks, order), lengths,
+                   bytes(_gather(sizes, order)))
 
 
 def all_orbits(poset: Poset, cap: int = DEFAULT_CAP) -> list[OrbitReport]:
@@ -595,22 +595,19 @@ def all_orbits(poset: Poset, cap: int = DEFAULT_CAP) -> list[OrbitReport]:
     Orbits are listed by their first seed in enumeration order, and each orbit
     starts at that seed.
     """
-    masks, _, _, cycles = listing = list_orbits(poset, cap)
-    # the masks and the sizes in orbit order, then a slice per orbit
-    ideals = _gather(masks, cycles)
-    sizes = tuple(listing.orbit_sizes(poset))
+    masks, lengths, sizes = list_orbits(poset, cap)
     reports = []
     end = 0
-    for c in cycles:
-        start, end = end, end + len(c)
-        reports.append(OrbitReport(poset, len(c), ideals[start:end],
-                                   sizes[start:end]))
+    for length in lengths:
+        start, end = end, end + length
+        reports.append(OrbitReport(poset, length, masks[start:end],
+                                   tuple(sizes[start:end])))
     return reports
 
 
 def operator_order(poset: Poset, cap: int = DEFAULT_CAP) -> int:
     """Order of rowmotion on the full ideal set (lcm of orbit lengths)."""
-    return math.lcm(*map(len, list_orbits(poset, cap).cycles))
+    return math.lcm(*list_orbits(poset, cap).lengths)
 
 
 # -- the bit-sliced step ------------------------------------------------------
@@ -620,15 +617,16 @@ def operator_order(poset: Poset, cap: int = DEFAULT_CAP) -> int:
 # the Listing it returns.  The ideals are held transposed: column x is an
 # int whose bit k says whether ideal k, in ideal_masks order, holds x.
 # _columns transposes the masks forward and _rows the image columns back,
-# both through _transpose8, one 8x8 bit block per 64-bit lane.
-# Listing.orbit_sizes counts the antichain sizes over the antichain
-# columns (_maxima) with _bit_counts, without transposing them back.
+# both through _transpose8, one 8x8 bit block per 64-bit lane.  The
+# antichain sizes are counted over the antichain columns (_maxima) with
+# _bit_counts, without transposing them back, and _gather puts the masks
+# and the sizes into orbit order.
 
 
-def _gather(values: Sequence, cycles: list[list[int]]) -> tuple:
-    """values in the order of cycles laid end to end, in one call."""
-    gathered = itemgetter(*chain.from_iterable(cycles))(values)
-    return (gathered,) if len(values) == 1 else gathered  # a bare item
+def _gather(values: Sequence, order: list[int]) -> tuple:
+    """values at the positions of order, in one call."""
+    gathered = itemgetter(*order)(values)
+    return (gathered,) if len(order) == 1 else gathered  # a bare item
 
 
 def _maxima(columns: Sequence[int], upper: Sequence[Sequence[int]]):
@@ -767,25 +765,19 @@ def _bit_counts(columns: Sequence[int], k: int) -> bytes:
 
 
 def _step(cur: Sequence[int], lower: Sequence[Sequence[int]],
-          upper: Sequence[Sequence[int]],
-          full: int) -> tuple[list[int], list[int]]:
-    """Rowmotion on every column at once: (minima, image).
+          upper: Sequence[Sequence[int]], full: int) -> list[int]:
+    """Rowmotion on every column at once: the image columns.
 
     The minima of the complement are M_x = ~X_x & AND(X_y, y a lower cover
-    of x), which is also the antichain of the image, and the image is their
-    closure X'_x = M_x | OR(X'_z, z an upper cover of x), from the top down.
+    of x), and the image is their closure X'_x = M_x | OR(X'_z, z an upper
+    cover of x), from the top down.
     """
-    n = len(cur)
-    minima = []
-    for x in range(n):
-        m = full ^ cur[x]
+    image = [0] * len(cur)
+    for x in range(len(cur) - 1, -1, -1):
+        v = full ^ cur[x]
         for y in lower[x]:
-            m &= cur[y]
-        minima.append(m)
-    image = [0] * n
-    for x in range(n - 1, -1, -1):
-        v = minima[x]
+            v &= cur[y]
         for z in upper[x]:
             v |= image[z]
         image[x] = v
-    return minima, image
+    return image

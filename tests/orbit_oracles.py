@@ -5,9 +5,9 @@ linear extension at a time; poset.ideal_masks yields the same masks in the
 same order from a depth-first search that visits each ideal once.
 walked_orbits lists the orbits by walking them one at a time, one
 rowmotion step per ideal, and walked_listing builds the Listing that
-poset.list_orbits reads from one bit-sliced step, one bit and one step at
-a time.  The other functions check the walked orbits, counting them with
-rowmotion.homomesy.occurrence_counts.  poset.all_orbits,
+poset.list_orbits builds from one bit-sliced step, one mask and one step
+at a time.  The other functions check the walked orbits, counting them
+with rowmotion.homomesy.occurrence_counts.  poset.all_orbits,
 poset.operator_order and the checkers in rowmotion.homomesy read one
 Listing instead, and count an orbit by popcounts over its columns, so the
 two agree only if both are right.
@@ -78,27 +78,20 @@ def walked_orbits(poset):
 
 
 def walked_listing(poset) -> Listing:
-    """list_orbits by walking: the masks level by level, the cycles as the
-    positions of the walked orbits, each column one bit per ideal, and each
-    minima column one bit per ideal of the maxima of the next ideal on its
-    walked orbit."""
-    masks = list(level_ideal_masks(poset))
-    position = {m: k for k, m in enumerate(masks)}
-    cycles = [[position[m] for m in orbit.masks]
-              for orbit in walked_orbits(poset)]
-    images = [0] * len(masks)
-    for cycle in cycles:
-        for k, after in zip(cycle, cycle[1:] + cycle[:1]):
-            images[k] = poset.maxima_mask(masks[after])
-
-    def columns(rows):
-        # the n digits of each row under a sentinel bit n, last row first,
-        # read down one digit place at a time
-        n = poset.n_elements
-        digits = [format(r | 1 << n, "b")[1:] for r in reversed(rows)]
-        return [int("".join(place), 2) for place in zip(*digits)][::-1]
-
-    return Listing(masks, columns(masks), columns(images), cycles)
+    """list_orbits by walking: each ideal of level_ideal_masks not yet seen
+    starts an orbit, walked one rowmotion step at a time, and each ideal's
+    antichain size is the popcount of its maxima."""
+    seen = set()
+    masks = []
+    lengths = []
+    for seed in level_ideal_masks(poset):
+        if seed not in seen:
+            orbit = OrbitReport.from_seed_mask(poset, seed).masks
+            seen.update(orbit)
+            masks += orbit
+            lengths.append(len(orbit))
+    return Listing(tuple(masks), lengths,
+                   bytes(poset.maxima_mask(m).bit_count() for m in masks))
 
 
 def walked_average(poset, expected=None) -> AverageReport:

@@ -3,10 +3,11 @@
 list_orbits returns a Listing from one bit-sliced step, and all_orbits,
 verify_constant_average (through all_orbits), check_conjectures and
 operator_order read that Listing: the averages from its antichain sizes
-(Listing.orbit_sizes, held to the walked orbits' maxima on the catalog,
-the listings perfbench times and two edge shapes),
-the per-orbit counts from its lane table (Listing.lane_counts), a failing
-orbit's from its own lane, and the order from its cycle lengths.
+(Listing.sizes, held to the walked orbits' maxima on the catalog, the
+listings perfbench times and two edge shapes), the per-orbit counts from
+its lane table (Listing.lane_counts), a failing orbit's from its own lane,
+and the order from its orbit lengths; a Listing with one orbit split or
+two merged gives other orbits.
 tests/orbit_oracles.py computes the same Listing, counts and reports by
 walking every orbit.  The shapes are those
 of the acceptance suite, plus inputs that fail.  ideal_masks is held to the
@@ -15,7 +16,7 @@ elements to every down-closed subset, found by brute force; its lookup
 tables are held to the ideals its walk meets.  Poset.min_ideals, the ideal
 lower bound it refuses by before the walk, is held to the ideal counts of
 the same shapes and of random expression trees, and to the exact counts of
-grids, chains and their sums.  _columns and _rows, the
+grids, chains, their sums, K(r) and H(n).  _columns and _rows, the
 listing's two transposes, and _bit_counts, its antichain-size counter, are
 held to a transpose read one bit at a time.
 """
@@ -27,7 +28,7 @@ import traceback
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import comb
 from pathlib import Path
 
@@ -241,15 +242,43 @@ def test_every_part_of_a_listing_matches_the_walker():
     for poset in acceptance_shapes():
         listing = list_orbits(poset)
         walked = walked_listing(poset)
-        k = len(listing.masks)
-        assert sorted(chain.from_iterable(listing.cycles)) == list(range(k))
+        # every ideal once, orbit after orbit
+        assert sorted(listing.masks) == sorted(level_ideal_masks(poset))
+        assert sum(listing.lengths) == len(listing.masks)
+        assert type(listing.masks) is tuple and type(listing.sizes) is bytes
         assert listing.masks == walked.masks, poset
-        assert listing.columns == walked.columns, poset
-        assert listing.minima == walked.minima, poset
-        assert listing.cycles == walked.cycles, poset
-        assert list(listing.orbit_sizes(poset)) == [
-            poset.maxima_mask(walked.masks[i]).bit_count()
-            for cycle in walked.cycles for i in cycle]
+        assert listing.lengths == walked.lengths, poset
+        assert listing.sizes == walked.sizes, poset
+
+
+def regrouped(lengths):
+    """Each way to cut one orbit of lengths in two, then each way to join
+    two neighbouring orbits."""
+    for r, length in enumerate(lengths):
+        for cut in range(1, length):
+            yield lengths[:r] + [cut, length - cut] + lengths[r + 1:]
+    for r in range(len(lengths) - 1):
+        yield lengths[:r] + [lengths[r] + lengths[r + 1]] + lengths[r + 2:]
+
+
+@pytest.mark.parametrize("poset", [
+    grid_poset(2, 2), grid_poset(3, 4), k_product_poset(3, 2),
+    SPORADIC[0].realize_layer().poset], ids=["2x2", "3x4", "3xK1", "layer"])
+def test_a_listing_with_an_orbit_split_or_merged_gives_other_orbits(
+        monkeypatch, poset):
+    listing = walked_listing(poset)
+    assert list_orbits(poset) == listing
+    walked = walked_orbits(poset)
+    served = []
+    monkeypatch.setattr(poset_module, "list_orbits",
+                        lambda poset, cap=DEFAULT_CAP: served[-1])
+    served.append(listing)
+    assert all_orbits(poset) == walked
+    # some orbit can be cut and some two joined
+    assert len(listing.lengths) > 1 and max(listing.lengths) > 1
+    for lengths in regrouped(listing.lengths):
+        served.append(listing._replace(lengths=lengths))
+        assert all_orbits(poset) != walked, lengths
 
 
 def perfbench_listed():
@@ -282,8 +311,8 @@ def test_orbit_sizes_match_the_walker():
     rotations_seen = 0
     for poset in shapes:
         listing = list_orbits(poset)
-        lengths = [len(c) for c in listing.cycles]
-        table = listing.orbit_sizes(poset)
+        lengths = listing.lengths
+        table = listing.sizes
         assert isinstance(table, bytes) and len(table) == len(listing.masks)
         assert matches_walked_sizes(poset, table, lengths), poset
         # each orbit turned by one place, as its image sizes would read
@@ -294,7 +323,7 @@ def test_orbit_sizes_match_the_walker():
             rotations_seen += 1
             assert not matches_walked_sizes(poset, rotated, lengths), poset
     assert rotations_seen == len(shapes) - 1  # all but the empty poset
-    assert max(list_orbits(build(ten)).orbit_sizes(build(ten))) == 10
+    assert max(list_orbits(build(ten)).sizes) == 10
 
 
 def test_empty_and_one_element_posets():
@@ -373,13 +402,13 @@ def lane_width(length):
     return max(8, 1 << (length - 1).bit_length())
 
 
-def lane_tables(lanes, cycles):
+def lane_tables(lanes, lengths):
     """The OccurrenceTable of each orbit, read from its lane of lanes, the
     lane_width bits from bit starts[r] of each int."""
     tables = []
-    for r, cycle in enumerate(cycles):
+    for r, length in enumerate(lengths):
         start = lanes.starts[r]
-        lane = (1 << lane_width(len(cycle))) - 1
+        lane = (1 << lane_width(length)) - 1
 
         def read(x):
             return x >> start & lane
@@ -404,17 +433,17 @@ def lane_shapes():
 
 def test_lane_counts_match_the_walker_orbit_by_orbit():
     shapes = list(lane_shapes())
-    assert [sorted({len(c) for c in list_orbits(poset).cycles})
+    assert [sorted(set(list_orbits(poset).lengths))
             for poset in shapes[-3:]] == [[2, 4, 6, 12], [2, 10], [301]]
     for poset in shapes:
         listing = list_orbits(poset)
         lanes = listing.lane_counts(poset)
         walked = [occurrence_counts(poset, orbit)
                   for orbit in walked_orbits(poset)]
-        assert lane_tables(lanes, listing.cycles) == walked, poset
+        assert lane_tables(lanes, listing.lengths) == walked, poset
         # the lanes lie widest first, each at a multiple of its width,
         # and hold every set bit of the table
-        widths = [lane_width(len(c)) for c in listing.cycles]
+        widths = [lane_width(length) for length in listing.lengths]
         order = sorted(range(len(widths)), key=lanes.starts.__getitem__)
         assert [widths[r] for r in order] == sorted(widths, reverse=True)
         end = 0
@@ -431,18 +460,18 @@ def test_lane_counts_match_the_walker_orbit_by_orbit():
                 LaneCounts([x << 1 for x in ideal],
                            [x << 1 for x in antichain], lengths << 1,
                            starts, widths)):
-            assert lane_tables(off, listing.cycles) != walked, poset
+            assert lane_tables(off, listing.lengths) != walked, poset
 
 
 def test_lanes_name_their_orbits():
     poset = layer("A", 11, 6).poset
     listing = list_orbits(poset)
     lanes = listing.lane_counts(poset)
-    n_orbits = len(listing.cycles)
+    n_orbits = len(listing.lengths)
     assert lanes.orbits_in(0) == []
     assert lanes.orbits_in(lanes.lengths) == list(range(n_orbits))
     for r, start in enumerate(lanes.starts):
-        end = start + lane_width(len(listing.cycles[r]))
+        end = start + lane_width(listing.lengths[r])
         assert lanes.orbits_in(1 << start) == [r]
         assert lanes.orbits_in(1 << end - 1) == [r]
     assert lanes.orbits_in(1 << lanes.starts[-1] | 1 << lanes.starts[0]) \
@@ -487,7 +516,7 @@ def test_a_cycle_that_misses_its_seed_raises(monkeypatch):
     # a step that sends every ideal to the empty one is no permutation:
     # the walk from the second ideal ends at the first, not at its seed
     def collapse(cur, lower, upper, full):
-        return [0] * len(cur), [0] * len(cur)
+        return [0] * len(cur)
 
     monkeypatch.setattr(poset_module, "_step", collapse)
     with pytest.raises(RuntimeError, match="misses its seed"):
@@ -826,6 +855,12 @@ def test_min_ideals_is_exact_on_grids_chains_and_sums_of_them():
             assert grid_poset(m, n).min_ideals == comb(m + n, m)
     for n in range(0, 41):
         assert build(Chain(n)).min_ideals == n + 1
+    for r in range(0, 13):
+        poset = build(K(r))
+        assert poset.min_ideals == 2 * r + 4 == len(list(ideal_masks(poset)))
+    for n in range(1, 11):
+        poset = build(H(n))
+        assert poset.min_ideals == 1 << n == len(list(ideal_masks(poset)))
     assert Poset.empty().min_ideals == 1
     grid = Prod(Chain(3), Chain(4))
     # a product with the empty poset is empty, its one ideal the empty one
@@ -871,7 +906,9 @@ def _spy_refusals(monkeypatch):
     return frames
 
 
-@pytest.mark.parametrize("argv", guarded_inputs(), ids=" ".join)
+# H(15) has 2**15 = 32768 ideals, its bound
+@pytest.mark.parametrize("argv", guarded_inputs() + [["orbits", "H(15)"]],
+                         ids=" ".join)
 def test_a_guarded_input_is_refused_before_the_walk(capsys, monkeypatch,
                                                     argv):
     frames = _spy_refusals(monkeypatch)

@@ -66,7 +66,7 @@ TUPLE_RECORDS = {
     FamilyEntry: ("name", "description"),
     RootSystem: ("family", "rank", "cartan", "positive_roots"),
     RootLayer: ("family", "rank", "pivot", "poset", "star"),
-    Listing: ("masks", "columns", "minima", "cycles"),
+    Listing: ("masks", "lengths", "sizes"),
     LaneCounts: ("ideal_counts", "antichain_counts", "lengths", "starts",
                  "widths"),
     OccurrenceTable: ("orbit_length", "ideal_counts", "antichain_counts"),

@@ -127,6 +127,15 @@ def _dual_one_step_ahead(self, mask, real=rowmotion.words.KCodec.dual):
     return self.poset.rowmotion_ideal_mask(real(self, mask))
 
 
+def _fiber_decode_one_bit_off(self, word,
+                              real=rowmotion.words.FiberCodec.decode):
+    return real(self, word) ^ 1
+
+
+def _one_descent_more(word, real=verify.count_10):
+    return real(word) + 1
+
+
 _FIRST_STARRED = ("word 001*011; word 010*011; word 10*0101; word 1*01010; "
                   "word 1*01100")
 
@@ -184,6 +193,24 @@ _FIRST_STARRED = ("word 001*011; word 010*011; word 10*0101; word 1*01010; "
         "starred codec round-trips to the class":
             "word 001*011; word 1*01100; word 010*011; word 10*0101; "
             "word 1*01010; and 10 more",
+    }),
+    (rowmotion.words.FiberCodec, "decode", _fiber_decode_one_bit_off,
+     "verify_grid", (3, 4), {
+        "codec round-trips":
+            "word 0001111; word 0010111; word 0101011; word 1010101; "
+            "word 1101010; and 30 more",
+    }),
+    (verify, "count_10", _one_descent_more, "verify_grid", (3, 4), {
+        "descent count equals antichain size":
+            "word 0001111: 1 vs 0; word 0010111: 2 vs 1; "
+            "word 0101011: 3 vs 2; word 1010101: 4 vs 3; "
+            "word 1101010: 4 vs 3; and 30 more",
+    }),
+    (verify, "count_10", _one_descent_more, "verify_k_product", (3, 2), {
+        "full-rank size rule (descents plus middle bonus)":
+            "word 000111: 1+0 vs 0; word 001011: 2+0 vs 1; "
+            "word 010101: 3+1 vs 3; word 101010: 4+1 vs 4; "
+            "word 110100: 3+1 vs 3; and 15 more",
     }),
 ])
 def test_a_wrong_map_fails_with_these_details(monkeypatch, owner, name, wrong,

@@ -71,8 +71,8 @@ prod(chain(140),chain(140)) (the width of a rank), on
 dunion(prod(chain(6),chain(6)),prod(chain(6),chain(6))) (a disjoint
 union), on osum(prod(chain(10),chain(10)),chain(1)) (an ordinal sum) and
 on J(prod(chain(20),chain(20))) (a product, refused while the lattice is
-built), and verify-delta1 on prod(chain(10),chain(10)) (a skipped sweep
-target); so does orbits prod(chain(20),chain(20)) with --seed-ideal of
+built), on H(15) (the 2**15 shifted shapes of H), and verify-delta1 on
+prod(chain(10),chain(10)) (a skipped sweep target); so does orbits prod(chain(20),chain(20)) with --seed-ideal of
 400 zeros, which walks one orbit of a grid far past the bound and exits
 0.  Each runs in json and table format, and orbits also in csv, each
 with --no-timing.
@@ -196,7 +196,7 @@ def base_commands() -> list[tuple[str, ...]]:
         "prod(chain(140),chain(140))",
         "dunion(prod(chain(6),chain(6)),prod(chain(6),chain(6)))",
         "osum(prod(chain(10),chain(10)),chain(1))",
-        "J(prod(chain(20),chain(20)))")]
+        "J(prod(chain(20),chain(20)))", "H(15)")]
     commands += [("verify-delta1", "prod(chain(10),chain(10))"),
                  ("orbits", "prod(chain(20),chain(20))", "--seed-ideal",
                   "0" * 400)]

@@ -28,7 +28,8 @@ on each side, and each command gets N pairs (--pairs, 5 by default);
 pairs alternate which side goes first (odd pairs the parent, even pairs
 the change), and the commands take turns within a round of pairs.  One
 command of each tree runs untimed first, so that neither side pays for
-compiling its bytecode.
+compiling its bytecode; PYTHONDONTWRITEBYTECODE is dropped from every
+child's environment, so that the first run writes the .pyc files.
 
 --tier1 also times tier-1 wall time: pytest -q -p no:cacheprovider on the
 tests/ directory beside each SRC, run from that checkout, once per side in
@@ -107,6 +108,8 @@ def run(src: str, argv: list[str], tests: bool = False) -> dict:
     time up to its next 50 ms step.  When the child wrote no loop times,
     the wall time is whole and the loop and scaled times are None."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0")
+    # the untimed first run must leave .pyc files for the timed runs to read
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     root = Path(src).resolve().parent
     if tests:
         argv = [*TIER1_OPTIONS, *argv, str(root / "tests")]
